@@ -8,6 +8,13 @@ coefficients. A Multivector is a sparse map from basis blades to real
 coefficients; coefficients at or below the algebra tolerance are dropped after
 every operation, so "is zero" means "has no terms".
 
+The product of basis blades a and b is the blade a ^ b (bitwise xor) with a
+sign of -1 exactly when (m & b) has an odd number of bits, where the mask m
+of a is the reordering parity mask (a >> 1) ^ (a >> 2) ^ ... xor the shared
+negative-square factors a & minus_mask. Each factor of b passes every higher
+factor of a, and each shared factor that squares to -1 adds its metric sign
+(Dorst, Fontijne & Mann, Geometric Algebra for Computer Science, ch. 19).
+
 Multivectors and algebras are immutable values; every operation is a pure
 function and results may be shared freely across threads.
 """
@@ -70,7 +77,7 @@ class Algebra:
     """
 
     __slots__ = ("p", "q", "n", "tolerance", "metric", "_minus_mask",
-                 "_mul_cache", "_volume", "_volume_inverse")
+                 "_volume", "_volume_inverse")
 
     def __init__(self, p, q, tolerance=DEFAULT_TOLERANCE, max_dimension=MAX_DIMENSION):
         if p < 0 or q < 0:
@@ -86,7 +93,6 @@ class Algebra:
         self.tolerance = float(tolerance)
         self.metric = (1.0,) * self.p + (-1.0,) * self.q
         self._minus_mask = ((1 << self.q) - 1) << self.p
-        self._mul_cache = {}
         self._volume = None
         self._volume_inverse = None
 
@@ -162,27 +168,20 @@ class Algebra:
         """
         xt, xs = _sorted_with_parity(x)
         yt, ys = _sorted_with_parity(y)
-        bits, sign = self._blade_mul(_indices_to_bits(self, xt), _indices_to_bits(self, yt))
-        return _bits_to_indices(bits), sign * xs * ys
+        a = _indices_to_bits(self, xt)
+        b = _indices_to_bits(self, yt)
+        sign = -1.0 if (_sign_mask(a, self._minus_mask) & b).bit_count() & 1 else 1.0
+        return _bits_to_indices(a ^ b), sign * xs * ys
 
-    def _blade_mul(self, a, b):
-        key = (a, b)
-        hit = self._mul_cache.get(key)
-        if hit is not None:
-            return hit
-        count = 0
-        x = a >> 1
-        while x:
-            count += (x & b).bit_count()
-            x >>= 1
-        count += (a & b & self._minus_mask).bit_count()
-        result = (a ^ b, -1.0 if count & 1 else 1.0)
-        self._mul_cache[key] = result
-        return result
 
-    def _blade_square_sign(self, a):
-        """Sign of the geometric square of basis blade a (always +-1)."""
-        return self._blade_mul(a, a)[1]
+def _sign_mask(a, minus_mask):
+    """The mask m of blade a: the product a*b has sign -1 when m & b has odd popcount."""
+    mask = a & minus_mask
+    a >>= 1
+    while a:
+        mask ^= a
+        a >>= 1
+    return mask
 
 
 def _indices_to_bits(algebra, indices):
@@ -350,18 +349,32 @@ class Multivector:
 
     # -- products ------------------------------------------------------------
 
+    def _product(self, other, select):
+        """Sum of the blade products of self and other over the kept pairs.
+
+        select(ka) gives (f, g) for each left blade ka; the pair (ka, kb) is
+        kept when kb & f == g.
+        """
+        other = self._coerce(other)
+        minus_mask = self.algebra._minus_mask
+        right = other._terms.items()
+        raw = {}
+        for ka, va in self._terms.items():
+            f, g = select(ka)
+            mask = _sign_mask(ka, minus_mask)
+            for kb, vb in right:
+                if kb & f != g:
+                    continue
+                bits = ka ^ kb
+                sign = -1.0 if (mask & kb).bit_count() & 1 else 1.0
+                raw[bits] = raw.get(bits, 0.0) + sign * va * vb
+        return Multivector._make(self.algebra, raw)
+
     def __mul__(self, other):
         if isinstance(other, Real):
             return Multivector._make(
                 self.algebra, {k: v * other for k, v in self._terms.items()})
-        other = self._coerce(other)
-        raw = {}
-        mul = self.algebra._blade_mul
-        for ka, va in self._terms.items():
-            for kb, vb in other._terms.items():
-                bits, sign = mul(ka, kb)
-                raw[bits] = raw.get(bits, 0.0) + sign * va * vb
-        return Multivector._make(self.algebra, raw)
+        return self._product(other, lambda ka: (0, 0))
 
     def __rmul__(self, other):
         if isinstance(other, Real):
@@ -372,16 +385,7 @@ class Multivector:
         """Outer product: the grade r+s parts of the blade products."""
         if isinstance(other, Real):
             return self * other
-        other = self._coerce(other)
-        raw = {}
-        mul = self.algebra._blade_mul
-        for ka, va in self._terms.items():
-            for kb, vb in other._terms.items():
-                if ka & kb:
-                    continue
-                bits, sign = mul(ka, kb)
-                raw[bits] = raw.get(bits, 0.0) + sign * va * vb
-        return Multivector._make(self.algebra, raw)
+        return self._product(other, lambda ka: (ka, 0))
 
     def __rxor__(self, other):
         if isinstance(other, Real):
@@ -390,41 +394,24 @@ class Multivector:
 
     def left_contract(self, other):
         """A .| B: the grade s-r parts of the blade products (zero when r > s)."""
-        other = self._coerce(other)
-        raw = {}
-        mul = self.algebra._blade_mul
-        for ka, va in self._terms.items():
-            for kb, vb in other._terms.items():
-                if ka & ~kb:
-                    continue
-                bits, sign = mul(ka, kb)
-                raw[bits] = raw.get(bits, 0.0) + sign * va * vb
-        return Multivector._make(self.algebra, raw)
+        return self._product(other, lambda ka: (ka, ka))
 
     def right_contract(self, other):
         """A |. B: the grade r-s parts of the blade products (zero when s > r)."""
-        other = self._coerce(other)
-        raw = {}
-        mul = self.algebra._blade_mul
-        for ka, va in self._terms.items():
-            for kb, vb in other._terms.items():
-                if kb & ~ka:
-                    continue
-                bits, sign = mul(ka, kb)
-                raw[bits] = raw.get(bits, 0.0) + sign * va * vb
-        return Multivector._make(self.algebra, raw)
+        return self._product(other, lambda ka: (~ka, 0))
 
     def scalar_product(self, other):
         """<reverse(A) B>_0, the metric pairing. Symmetric; returns a float."""
         other = self._coerce(other)
+        minus_mask = self.algebra._minus_mask
         total = 0.0
         for k, v in self._terms.items():
             w = other._terms.get(k)
             if w is None:
                 continue
-            r = k.bit_count()
-            rev = -1.0 if (r * (r - 1) // 2) & 1 else 1.0
-            total += rev * self.algebra._blade_square_sign(k) * v * w
+            # The reverse sign and the blade-square reordering sign cancel.
+            sign = -1.0 if (k & minus_mask).bit_count() & 1 else 1.0
+            total += sign * v * w
         return total
 
     def commutator(self, other):

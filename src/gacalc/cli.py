@@ -42,16 +42,27 @@ class _Session:
         self.env = {}
 
     def execute(self, line):
-        """Run one line; returns the text to print, or None for silent lines."""
+        """Run one line; returns the text to print, or None for silent lines.
+
+        ParseError offsets count from the start of line as written.
+        """
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             return None
+        lead = len(line) - len(line.lstrip())
         if stripped.startswith(":"):
-            self._command(stripped)
+            self._command(stripped, lead)
             return None
-        return str(evaluate(parse(stripped, self.algebra), self.algebra, self.env))
+        return str(evaluate(self._parse(stripped, lead), self.algebra, self.env))
 
-    def _command(self, line):
+    def _parse(self, text, start):
+        """Parse text found at offset start of the line."""
+        try:
+            return parse(text, self.algebra)
+        except ParseError as exc:
+            raise ParseError(exc.message, start + exc.pos) from None
+
+    def _command(self, line, lead):
         name = line.split(None, 1)[0]
         rest = line[len(name):].strip()
         if name == ":quit":
@@ -59,25 +70,25 @@ class _Session:
         if name == ":algebra":
             m = _ALGEBRA_ARG.fullmatch(rest)
             if not m:
-                raise ParseError("usage: :algebra P,Q", 0)
+                raise ParseError("usage: :algebra P,Q", lead)
             try:
                 self.algebra = Algebra(int(m.group(1)), int(m.group(2)),
                                        tolerance=self.tolerance)
             except ValueError as exc:
-                raise ParseError(str(exc), 0)
+                raise ParseError(str(exc), lead)
             self.env = {}
             return
         if name == ":let":
             m = _LET.fullmatch(line)
             if not m:
-                raise ParseError("usage: :let NAME = EXPR", 0)
+                raise ParseError("usage: :let NAME = EXPR", lead)
             target = m.group(1)
             if _BASIS_NAME.fullmatch(target):
-                raise ParseError(f"name {target!r} is reserved for basis blades", 0)
-            self.env[target] = evaluate(parse(m.group(2), self.algebra),
+                raise ParseError(f"name {target!r} is reserved for basis blades", lead)
+            self.env[target] = evaluate(self._parse(m.group(2), lead + m.start(2)),
                                         self.algebra, self.env)
             return
-        raise ParseError(f"unknown command {name!r}", 0)
+        raise ParseError(f"unknown command {name!r}", lead)
 
 
 def _algebra_option(text):

@@ -38,6 +38,7 @@ class ParseError(GAError):
 
     def __init__(self, message, pos):
         super().__init__(f"{message} (offset {pos})")
+        self.message = message
         self.pos = pos
 
 

@@ -88,10 +88,7 @@ class LinearMap:
         if A.algebra != self.algebra:
             raise ValueError("multivector from a different algebra")
         acc = self.algebra.zero()
-        for indices, coeff in A.terms.items():
-            bits = 0
-            for i in indices:
-                bits |= 1 << (i - 1)
+        for bits, coeff in A._terms.items():
             acc = acc + self._blade_image(bits) * coeff
         return acc
 

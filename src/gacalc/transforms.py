@@ -61,12 +61,9 @@ def apply_versor(A, V):
         raise TypeError("versor must be a Multivector")
     if not V:
         raise NotInvertible("the zero multivector is not a versor")
-    parities = {g & 1 for g in V.grades}
-    if len(parities) != 1:
-        raise GradeError(f"versor has mixed parity grades {sorted(V.grades)}: {V}")
-    if (V * V.reverse()).grade_nonscalar():
-        raise GradeError(f"not a versor (V reverse(V) is not scalar): {V}")
-    moved = A.grade_involution() if parities.pop() else A
+    if not V.is_versor():
+        raise GradeError(f"not a versor (mixed parity, or V reverse(V) is not scalar): {V}")
+    moved = A.grade_involution() if min(V.grades) & 1 else A
     return V * moved * V.inverse()
 
 

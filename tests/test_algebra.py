@@ -109,15 +109,37 @@ def test_geometric_product_examples():
     assert not (1 + e1) * (1 - e1)  # null product collapses to zero
 
 
+def _random_terms(alg, rng):
+    """Half the basis blades for n <= 8; about 30 blades of random grade above."""
+    if alg.n <= 8:
+        return {t: rng.uniform(-2, 2) for t in alg.basis_blades() if rng.random() < 0.5}
+    return {tuple(sorted(rng.sample(range(1, alg.n + 1), rng.randint(0, alg.n)))):
+            rng.uniform(-2, 2) for _ in range(30)}
+
+
 def test_geometric_product_against_word_oracle():
     rng = random.Random(2024)
-    for alg in (E2, E3, STA, Algebra(2, 2)):
-        for _ in range(40):
-            a = {b: rng.uniform(-2, 2) for b in alg.basis_blades() if rng.random() < 0.5}
-            b = {t: rng.uniform(-2, 2) for t in alg.basis_blades() if rng.random() < 0.5}
-            got = (alg.multivector(a) * alg.multivector(b)).terms
-            want = oracles.gp(a, b, alg.metric)
-            assert oracles.max_coeff_diff(got, want) < 1e-12
+    # n = 18 puts factors above bit 16, where a sign mask of fixed width would stop.
+    algebras = (E2, E3, STA, Algebra(2, 2), Algebra(5, 5), Algebra(0, 12),
+                Algebra(15, 3, max_dimension=18))
+    products = ((Multivector.__mul__, oracles.gp),
+                (Multivector.__xor__, oracles.outer),
+                (Multivector.left_contract, oracles.lcontract),
+                (Multivector.right_contract, oracles.rcontract))
+    for alg in algebras:
+        for _ in range(40 if alg.n <= 4 else 8):
+            a = _random_terms(alg, rng)
+            b = _random_terms(alg, rng)
+            A, B = alg.multivector(a), alg.multivector(b)
+            for product, oracle in products:
+                got = product(A, B).terms
+                want = oracle(a, b, alg.metric)
+                assert oracles.max_coeff_diff(got, want) < 1e-12
+            for x in a:
+                for y in b:
+                    # reversed x also checks the parity of sorting the input
+                    assert alg.blade_product(x[::-1], y) == oracles.word_reduce(
+                        x[::-1] + y, alg.metric)
 
 
 def test_scalar_multiplication_and_division():

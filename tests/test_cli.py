@@ -51,6 +51,19 @@ def test_parse_error_exit_code():
     assert "offset" in r.stderr
 
 
+def test_parse_error_offset_is_into_the_line_as_written(tmp_path):
+    script = tmp_path / "demo.ga"
+    for line, offset in ((":let a = e1 + +", 14), ("  e1 + +", 7)):
+        script.write_text(line + "\n")
+        r = ga(str(script))
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert f"(offset {offset})" in r.stderr
+    r = ga("-e", "e1 + +")
+    assert r.returncode == 1
+    assert "(offset 5)" in r.stderr
+
+
 def test_eval_error_exit_code():
     r = ga("-e", "inv(0)")
     assert r.returncode == 2
