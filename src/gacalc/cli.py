@@ -6,6 +6,9 @@ Modes:
     ga-calc -e EXPR             evaluate one expression and exit
     ga-calc kepler [options]    integrate an orbit, emit CSV
 
+An expression that starts with "-" reads as an option after -e; write it
+as --expr=-e1 instead.
+
 Scripts and the interactive loop share one small command language on top
 of expressions: blank lines and lines starting with # are skipped,
 `:let NAME = EXPR` binds a variable silently, `:algebra P,Q` switches the
@@ -22,8 +25,8 @@ import argparse
 import re
 import sys
 
-from .algebra import Algebra, GAError
-from .exprs import ParseError, evaluate, parse
+from .algebra import DEFAULT_TOLERANCE, Algebra, GAError
+from .exprs import EvalError, ParseError, evaluate, parse
 from . import kepler as kepler_mod
 
 _LET = re.compile(r":let\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)\Z")
@@ -36,15 +39,14 @@ class _Quit(Exception):
 
 
 class _Session:
-    def __init__(self, algebra, tolerance=None):
+    def __init__(self, algebra):
         self.algebra = algebra
-        self.tolerance = algebra.tolerance if tolerance is None else tolerance
         self.env = {}
 
     def execute(self, line):
         """Run one line; returns the text to print, or None for silent lines.
 
-        ParseError offsets count from the start of line as written.
+        Error offsets count from the start of line as written.
         """
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -53,14 +55,25 @@ class _Session:
         if stripped.startswith(":"):
             self._command(stripped, lead)
             return None
-        return str(evaluate(self._parse(stripped, lead), self.algebra, self.env))
+        return str(self._evaluate(stripped, lead))
 
-    def _parse(self, text, start):
-        """Parse text found at offset start of the line."""
+    def _evaluate(self, text, start):
+        """Evaluate expression text found at offset start of the line.
+
+        Input nested past Python's recursion limit fails as a ParseError, or
+        as an EvalError when only the evaluation is too deep.
+        """
         try:
-            return parse(text, self.algebra)
-        except ParseError as exc:
-            raise ParseError(exc.message, start + exc.pos) from None
+            failure = ParseError
+            node = parse(text, self.algebra)
+            failure = EvalError
+            return evaluate(node, self.algebra, self.env)
+        except RecursionError:
+            raise failure("expression nested too deeply", start) from None
+        except (ParseError, EvalError) as exc:
+            if exc.pos is not None:
+                exc.pos += start
+            raise
 
     def _command(self, line, lead):
         name = line.split(None, 1)[0]
@@ -73,7 +86,7 @@ class _Session:
                 raise ParseError("usage: :algebra P,Q", lead)
             try:
                 self.algebra = Algebra(int(m.group(1)), int(m.group(2)),
-                                       tolerance=self.tolerance)
+                                       tolerance=self.algebra.tolerance)
             except ValueError as exc:
                 raise ParseError(str(exc), lead)
             self.env = {}
@@ -85,8 +98,7 @@ class _Session:
             target = m.group(1)
             if _BASIS_NAME.fullmatch(target):
                 raise ParseError(f"name {target!r} is reserved for basis blades", lead)
-            self.env[target] = evaluate(self._parse(m.group(2), lead + m.start(2)),
-                                        self.algebra, self.env)
+            self.env[target] = self._evaluate(m.group(2), lead + m.start(2))
             return
         raise ParseError(f"unknown command {name!r}", lead)
 
@@ -108,66 +120,39 @@ def _vector3(text):
         raise argparse.ArgumentTypeError(f"bad number in {text!r}")
 
 
-def _run_single(session, text):
-    try:
-        out = session.execute(text)
-    except _Quit:
-        return 0
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 1
-    except GAError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if out is not None:
-        print(out)
-    return 0
+def _run(session, lines, path=None, keep_going=False):
+    """Execute lines in order, printing each result; returns the exit code.
 
-
-def _run_script(session, path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    Errors go to stderr, prefixed with path:lineno when path is given. The
+    first error ends the run with its exit code unless keep_going is set.
+    """
     for lineno, line in enumerate(lines, start=1):
         try:
             out = session.execute(line)
         except _Quit:
             return 0
         except ParseError as exc:
-            print(f"{path}:{lineno}: parse error: {exc}", file=sys.stderr)
-            return 1
+            code, message = 1, f"parse error: {exc}"
         except GAError as exc:
-            print(f"{path}:{lineno}: error: {exc}", file=sys.stderr)
-            return 2
-        if out is not None:
-            print(out)
+            code, message = 2, f"error: {exc}"
+        else:
+            if out is not None:
+                print(out)
+            continue
+        where = f"{path}:{lineno}: " if path is not None else ""
+        print(where + message, file=sys.stderr)
+        if not keep_going:
+            return code
     return 0
 
 
-def _run_repl(session):
-    while True:
-        try:
-            line = input("ga> ")
-        except EOFError:
-            return 0
-        except KeyboardInterrupt:
-            print(file=sys.stderr)
-            return 130
-        try:
-            out = session.execute(line)
-        except _Quit:
-            return 0
-        except ParseError as exc:
-            print(f"parse error: {exc}", file=sys.stderr)
-            continue
-        except GAError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            continue
-        if out is not None:
-            print(out)
+def _prompt_lines():
+    """Lines typed at the "ga> " prompt, until end of input."""
+    try:
+        while True:
+            yield input("ga> ")
+    except EOFError:
+        return
 
 
 def _calc_main(argv):
@@ -182,24 +167,32 @@ def _calc_main(argv):
                         help="script file to evaluate (same as the positional)")
     parser.add_argument("--algebra", type=_algebra_option, default=(3, 0),
                         metavar="P,Q", help="signature, default 3,0")
-    parser.add_argument("--tolerance", type=float, default=None, metavar="T",
-                        help="coefficient zero threshold, default 1e-10")
+    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+                        metavar="T", help="coefficient zero threshold, default 1e-10")
     args = parser.parse_args(argv)
     if args.script and args.script_arg:
         parser.error("give the script either positionally or via --script, not both")
-    p, q = args.algebra
     try:
-        algebra = (Algebra(p, q) if args.tolerance is None
-                   else Algebra(p, q, tolerance=args.tolerance))
+        algebra = Algebra(*args.algebra, tolerance=args.tolerance)
     except ValueError as exc:
         parser.error(str(exc))
     session = _Session(algebra)
     if args.expr is not None:
-        return _run_single(session, args.expr)
+        return _run(session, [args.expr])
     script = args.script or args.script_arg
     if script is not None:
-        return _run_script(session, script)
-    return _run_repl(session)
+        try:
+            with open(script, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        return _run(session, lines, path=script)
+    try:
+        return _run(session, _prompt_lines(), keep_going=True)
+    except KeyboardInterrupt:
+        print(file=sys.stderr)
+        return 130
 
 
 def _kepler_main(argv):
@@ -236,10 +229,7 @@ def _kepler_main(argv):
                 kepler_mod.write_csv(states, fh)
         else:
             kepler_mod.write_csv(states, sys.stdout)
-    except GAError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GAError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

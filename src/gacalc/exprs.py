@@ -24,6 +24,7 @@ the algebra at parse time.
 
 from __future__ import annotations
 
+import operator
 import re
 
 from .algebra import GAError
@@ -33,73 +34,62 @@ __all__ = ["ParseError", "EvalError", "tokenize", "parse", "evaluate",
            "format_multivector"]
 
 
-class ParseError(GAError):
-    """Malformed expression text; carries the byte offset of the problem."""
+class _LocatedError(GAError):
+    """An error that may carry the character offset of the problem."""
 
-    def __init__(self, message, pos):
-        super().__init__(f"{message} (offset {pos})")
+    def __init__(self, message, pos=None):
+        super().__init__(message)
         self.message = message
         self.pos = pos
 
+    def __str__(self):
+        if self.pos is None:
+            return self.message
+        return f"{self.message} (offset {self.pos})"
 
-class EvalError(GAError):
-    """A well-formed expression that cannot be evaluated."""
+
+class ParseError(_LocatedError):
+    """Malformed expression text; carries the offset of the problem."""
 
 
-_NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_BASIS = re.compile(r"e\d+\Z")
+class EvalError(_LocatedError):
+    """A well-formed expression that cannot be evaluated; pos, when set, is
+    the offset of the part at fault."""
 
-_TWO_CHAR = {"<|": "<|", "|>": "|>"}
-_SINGLE = set("+-*^|~!(),")
+
+# One alternative per token kind, tried in order at each position: numbers
+# before names (so 2e1 is a number), a basis blade only as a whole word, and
+# the two-character operators before `|`.
+_TOKEN = re.compile(r"""
+    (?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
+  | (?P<basis>e[0-9]+(?![A-Za-z0-9_]))
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<op><\||\|>|[-+*^|~!])
+  | (?P<lparen>\()
+  | (?P<rparen>\))
+  | (?P<comma>,)
+  | (?P<space>\s+)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 def tokenize(text):
     """Split text into (kind, value, pos) tokens; kinds are num, basis,
     ident, op, lparen, rparen, comma, end."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind, value, pos = m.lastgroup, m.group(), m.start()
+        if kind == "space":
             continue
-        m = _NUMBER.match(text, i)
-        if m:
-            tokens.append(("num", float(m.group()), i))
-            i = m.end()
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            word = m.group()
-            kind = "basis" if _BASIS.match(word) else "ident"
-            tokens.append((kind, word, i))
-            i = m.end()
-            continue
-        pair = text[i:i + 2]
-        if pair in _TWO_CHAR:
-            tokens.append(("op", pair, i))
-            i += 2
-            continue
-        if ch == "|":
-            tokens.append(("op", "|", i))
-            i += 1
-            continue
-        if ch in _SINGLE:
-            if ch == "(":
-                tokens.append(("lparen", ch, i))
-            elif ch == ")":
-                tokens.append(("rparen", ch, i))
-            elif ch == ",":
-                tokens.append(("comma", ch, i))
-            else:
-                tokens.append(("op", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", pos)
+        tokens.append((kind, float(value) if kind == "num" else value, pos))
+    tokens.append(("end", "", len(text)))
     return tokens
+
+
+# How tightly each binary operator binds; all associate left.
+_PRECEDENCE = {"+": 1, "-": 1, "|": 2, "*": 3, "<|": 4, "|>": 4, "^": 5}
 
 
 class _Parser:
@@ -122,59 +112,27 @@ class _Parser:
             raise ParseError(f"expected {what}, found {tok[1]!r}", tok[2])
         return tok
 
-    def at_op(self, *names):
-        kind, value, _ = self.peek()
-        return kind == "op" and value in names
-
-    def parse(self):
-        node = self.additive()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected {tok[1]!r}", tok[2])
-        return node
-
-    def additive(self):
-        node = self.scalar_product()
-        while self.at_op("+", "-"):
-            op = self.next()[1]
-            node = ("bin", op, node, self.scalar_product())
-        return node
-
-    def scalar_product(self):
-        node = self.geometric()
-        while self.at_op("|"):
-            self.next()
-            node = ("bin", "|", node, self.geometric())
-        return node
-
-    def geometric(self):
-        node = self.contraction()
-        while True:
-            if self.at_op("*"):
-                self.next()
-                node = ("bin", "*", node, self.contraction())
-            elif self.peek()[0] in ("num", "basis", "ident", "lparen"):
-                node = ("bin", "*", node, self.contraction())
-            else:
-                return node
-
-    def contraction(self):
-        node = self.outer()
-        while self.at_op("<|", "|>"):
-            op = self.next()[1]
-            node = ("bin", op, node, self.outer())
-        return node
-
-    def outer(self):
+    def binary(self, min_precedence=1):
+        """Parse operands joined by operators binding at least min_precedence
+        tightly (precedence climbing)."""
         node = self.unary()
-        while self.at_op("^"):
-            self.next()
-            node = ("bin", "^", node, self.unary())
-        return node
+        while True:
+            kind, op, _ = self.peek()
+            if kind in ("num", "basis", "ident", "lparen"):
+                op = "*"  # juxtaposition is the geometric product
+            elif kind != "op":
+                return node
+            precedence = _PRECEDENCE.get(op, 0)
+            if precedence < min_precedence:
+                return node
+            if kind == "op":
+                self.next()
+            node = ("bin", op, node, self.binary(precedence + 1))
 
     def unary(self):
-        if self.at_op("~", "!", "-"):
-            op = self.next()[1]
+        kind, op, _ = self.peek()
+        if kind == "op" and op in _UNARY:
+            self.next()
             return ("unary", op, self.unary())
         return self.atom()
 
@@ -187,15 +145,15 @@ class _Parser:
         if kind == "ident":
             if self.peek()[0] == "lparen":
                 self.next()
-                args = [self.additive()]
+                args = [self.binary()]
                 while self.peek()[0] == "comma":
                     self.next()
-                    args.append(self.additive())
+                    args.append(self.binary())
                 self.expect("rparen", "')'")
                 return ("call", value, args, pos)
             return ("var", value, pos)
         if kind == "lparen":
-            node = self.additive()
+            node = self.binary()
             self.expect("rparen", "')'")
             return node
         shown = value if value else "end of input"
@@ -208,7 +166,12 @@ def parse(text, algebra):
     Basis indices are validated here, so `e4` in Cl(3,0) is a parse error.
     Raises ParseError with a byte offset.
     """
-    return _Parser(tokenize(text), algebra).parse()
+    parser = _Parser(tokenize(text), algebra)
+    node = parser.binary()
+    kind, value, pos = parser.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected {value!r}", pos)
+    return node
 
 
 def _basis_indices(digits, algebra, pos):
@@ -253,6 +216,40 @@ def evaluate(node, algebra, env=None):
     return _eval(node, algebra, env)
 
 
+# The tables look methods and transforms functions up at call time instead of
+# holding them, so wrappers installed on Multivector or on the transforms
+# module after import (as a tracing profiler does) still see every call.
+_UNARY = {
+    "-": operator.neg,
+    "~": operator.methodcaller("reverse"),
+    "!": operator.methodcaller("grade_involution"),
+}
+
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "^": operator.xor,
+    "<|": lambda a, b: a.left_contract(b),
+    "|>": lambda a, b: a.right_contract(b),
+    "|": lambda a, b: a.algebra.scalar(a.scalar_product(b)),
+}
+
+# name: (arity, function). grade(A, k) is not here: it takes a literal k.
+_FUNCTIONS = {
+    "dual": (1, operator.methodcaller("dual")),
+    "idual": (1, operator.methodcaller("inverse_dual")),
+    "exp": (1, operator.methodcaller("exp")),
+    "norm2": (1, lambda a: a.algebra.scalar(a.norm_squared())),
+    "inv": (1, operator.methodcaller("inverse")),
+    "rev": (1, operator.methodcaller("reverse")),
+    "conj": (1, operator.methodcaller("clifford_conjugate")),
+    "proj": (2, lambda a, b: transforms.project(a, b)),
+    "rej": (2, lambda a, b: transforms.reject(a, b)),
+    "reflect": (2, lambda a, b: transforms.reflect(a, b)),
+}
+
+
 def _eval(node, algebra, env):
     kind = node[0]
     if kind == "num":
@@ -262,72 +259,35 @@ def _eval(node, algebra, env):
     if kind == "var":
         name = node[1]
         if name not in env:
-            raise EvalError(f"unknown variable {name!r} (offset {node[2]})")
+            raise EvalError(f"unknown variable {name!r}", node[2])
         value = env[name]
         if value.algebra != algebra:
             raise EvalError(f"variable {name!r} belongs to a different algebra")
         return value
     if kind == "unary":
-        value = _eval(node[2], algebra, env)
-        if node[1] == "-":
-            return -value
-        if node[1] == "~":
-            return value.reverse()
-        return value.grade_involution()
+        return _UNARY[node[1]](_eval(node[2], algebra, env))
     if kind == "bin":
-        _, op, lhs, rhs = node
-        a = _eval(lhs, algebra, env)
-        b = _eval(rhs, algebra, env)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "^":
-            return a ^ b
-        if op == "<|":
-            return a.left_contract(b)
-        if op == "|>":
-            return a.right_contract(b)
-        return algebra.scalar(a.scalar_product(b))
+        # Walk down a left-nested chain such as a + b + c in a loop, so that a
+        # long sum or product costs no Python stack per term.
+        chain = []
+        while node[0] == "bin":
+            chain.append(node)
+            node = node[2]
+        value = _eval(node, algebra, env)
+        for _, op, _, rhs in reversed(chain):
+            value = _BINARY[op](value, _eval(rhs, algebra, env))
+        return value
     if kind == "call":
         _, name, args, _pos = node
         if name == "grade":
             _need_args(name, args, 2)
             return _eval(args[0], algebra, env).grade(_grade_literal(args[1]))
+        if name not in _FUNCTIONS:
+            raise EvalError(f"unknown function {name!r}")
+        arity, fn = _FUNCTIONS[name]
         values = [_eval(a, algebra, env) for a in args]
-        if name == "dual":
-            _need_args(name, values, 1)
-            return values[0].dual()
-        if name == "idual":
-            _need_args(name, values, 1)
-            return values[0].inverse_dual()
-        if name == "exp":
-            _need_args(name, values, 1)
-            return values[0].exp()
-        if name == "norm2":
-            _need_args(name, values, 1)
-            return algebra.scalar(values[0].norm_squared())
-        if name == "inv":
-            _need_args(name, values, 1)
-            return values[0].inverse()
-        if name == "rev":
-            _need_args(name, values, 1)
-            return values[0].reverse()
-        if name == "conj":
-            _need_args(name, values, 1)
-            return values[0].clifford_conjugate()
-        if name == "proj":
-            _need_args(name, values, 2)
-            return transforms.project(values[0], values[1])
-        if name == "rej":
-            _need_args(name, values, 2)
-            return transforms.reject(values[0], values[1])
-        if name == "reflect":
-            _need_args(name, values, 2)
-            return transforms.reflect(values[0], values[1])
-        raise EvalError(f"unknown function {name!r}")
+        _need_args(name, values, arity)
+        return fn(*values)
     raise EvalError(f"cannot evaluate node {kind!r}")
 
 

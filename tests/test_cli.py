@@ -1,10 +1,15 @@
-"""End-to-end CLI tests via subprocess."""
+"""End-to-end CLI tests, via subprocess unless a test needs to reach inside."""
 
+import contextlib
 import csv
+import io
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from gacalc import Algebra, EvalError, cli
 
 
 def ga(*args, stdin=None):
@@ -53,15 +58,116 @@ def test_parse_error_exit_code():
 
 def test_parse_error_offset_is_into_the_line_as_written(tmp_path):
     script = tmp_path / "demo.ga"
-    for line, offset in ((":let a = e1 + +", 14), ("  e1 + +", 7)):
+    for line, code, offset in ((":let a = e1 + +", 1, 14), ("  e1 + +", 1, 7),
+                               ("  nope + 1", 2, 2), (":let a = 1 + nope", 2, 13)):
         script.write_text(line + "\n")
         r = ga(str(script))
-        assert r.returncode == 1
+        assert r.returncode == code
         assert r.stdout == ""
         assert f"(offset {offset})" in r.stderr
     r = ga("-e", "e1 + +")
     assert r.returncode == 1
     assert "(offset 5)" in r.stderr
+
+
+def test_negative_one_liner_needs_the_long_option_form():
+    r = ga("--expr=-e1")
+    assert r.returncode == 0
+    assert r.stdout == "-1*e1\n"
+
+
+# Nesting is bounded by Python's recursion limit; past it the line fails
+# like any other bad line, with no traceback. Long chains of binary
+# operators are evaluated in a loop and have no such bound.
+DEEP = {
+    "parentheses": ("(" * 3000 + "1" + ")" * 3000, 1, ""),
+    "calls": ("rev(" * 3000 + "e1" + ")" * 3000, 1, ""),
+    "prefix": ("-" * 3000 + "1", 1, ""),
+    "sum": ("+".join(["1"] * 5000), 0, "5000\n"),
+    "juxtaposition": (" ".join(["e1"] * 5000), 0, "1\n"),
+}
+
+
+@pytest.mark.parametrize("expr, code, out", list(DEEP.values()), ids=list(DEEP))
+def test_deep_input_exits_without_a_traceback(expr, code, out):
+    r = ga(f"--expr={expr}")
+    assert r.returncode == code
+    assert r.stdout == out
+    assert "Traceback" not in r.stderr
+    if code:
+        assert "nested too deeply (offset 0)" in r.stderr
+
+
+def test_too_deep_evaluation_is_an_evaluation_error(monkeypatch):
+    def recurse(*_args):
+        raise RecursionError
+    session = cli._Session(Algebra(3, 0))
+    monkeypatch.setattr(cli, "evaluate", recurse)
+    with pytest.raises(EvalError) as err:
+        session.execute(":let a =  e1")
+    assert str(err.value) == "expression nested too deeply (offset 10)"
+
+
+# Each shape at the greatest depth that evaluated while too-deep input still
+# ended in a RecursionError traceback (measured with CPython 3.11). Mapping
+# that error must not make such input fail.
+SHALLOW = {
+    "parentheses": ("(" * 140 + "1" + ")" * 140, "1"),
+    "calls": ("rev(" * 139 + "e1" + ")" * 139, "1*e1"),
+    "prefix": ("-" * 981 + "1", "-1"),
+    "sum": ("+".join(["1"] * 986), "986"),
+    "juxtaposition": (" ".join(["e1"] * 981), "1*e1"),
+}
+
+
+@pytest.mark.parametrize("expr, out", list(SHALLOW.values()), ids=list(SHALLOW))
+def test_input_as_deep_as_before_still_evaluates(expr, out):
+    r = ga(f"--expr={expr}")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == out + "\n"
+
+
+# Generated input for the exit-code contract. Literals stay small: huge
+# magnitudes still misbehave (1e400 - 1e400 prints 0, and exp overflows), so
+# exp takes only a basis blade or a small number.
+ATOMS = ["0", "1", "2.5", "e1", "e2", "e3", "e12", "e123", "e4", "e11", "x"]
+FUNCTIONS_1 = ["dual", "idual", "norm2", "inv", "rev", "conj"]
+FUNCTIONS_2 = ["proj", "rej", "reflect"]
+BINARY = ["+", "-", "*", "", "^", "<|", "|>", "|"]
+WRAPPERS = [("(", ")"), ("rev(", ")"), ("dual(", ")"), ("-", ""), ("~", ""),
+            ("!", ""), ("1 + ", ""), ("e1 ", ""), ("", " ^ e2")]
+
+
+def _extend(inner):
+    return st.one_of(
+        st.tuples(st.sampled_from("-~!"), inner).map("".join),
+        st.tuples(inner, st.sampled_from(BINARY), inner).map(" ".join),
+        inner.map("({})".format),
+        st.tuples(st.sampled_from(FUNCTIONS_1), inner).map("{0[0]}({0[1]})".format),
+        st.tuples(st.sampled_from(FUNCTIONS_2), inner, inner).map(
+            "{0[0]}({0[1]}, {0[2]})".format),
+        st.tuples(inner, st.sampled_from(["0", "2", "-1", "1.5", "e1"])).map(
+            "grade({0[0]}, {0[1]})".format),
+        st.sampled_from(ATOMS).map("exp({})".format),
+    )
+
+
+EXPRESSIONS = st.recursive(st.sampled_from(ATOMS), _extend, max_leaves=12)
+
+
+@given(expr=EXPRESSIONS, wrapper=st.sampled_from(WRAPPERS),
+       depth=st.integers(0, 3000), junk=st.sampled_from(["", "(", ")", ",", "$", "+"]),
+       algebra=st.sampled_from(["3,0", "1,3", "2,0"]))
+@settings(max_examples=150, deadline=None)
+def test_exit_code_contract(expr, wrapper, depth, junk, algebra):
+    before, after = wrapper
+    text = before * depth + expr + junk + after * depth
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["--algebra", algebra, f"--expr={text}"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert bool(err.getvalue()) == (code != 0)
 
 
 def test_eval_error_exit_code():

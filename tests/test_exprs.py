@@ -2,10 +2,13 @@
 
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 from gacalc import Algebra, EvalError, ParseError, evaluate, format_multivector, parse
+from gacalc import exprs, transforms
 from gacalc.exprs import tokenize
 
 import gen
@@ -224,3 +227,73 @@ def test_format_round_trip():
 def test_format_matches_str():
     a = 1 - 2 * E3.basis_vector(1)
     assert format_multivector(a) == str(a) == "1 - 2*e1"
+
+
+# -- every operator and function against the direct call -----------------------
+
+X = E3.multivector({(): 1.0, (1,): 2.0, (2, 3): -1.0, (1, 2, 3): 0.5})
+Y = E3.multivector({(1,): 1.0, (1, 2): 3.0, (1, 2, 3): 1.0})
+ROTOR = E3.multivector({(): 2.0, (1, 2): 1.0})
+PLANE = E3.basis_vector(1) ^ (E3.basis_vector(2) + E3.basis_vector(3))
+NORMAL = E3.basis_vector(1) + 2 * E3.basis_vector(3)
+OPERANDS = {"X": X, "Y": Y, "R": ROTOR, "P": PLANE, "N": NORMAL}
+
+DIRECT = [
+    ("-X", -X),
+    ("~X", X.reverse()),
+    ("!X", X.grade_involution()),
+    ("X + Y", X + Y),
+    ("X - Y", X - Y),
+    ("X * Y", X * Y),
+    ("X Y", X * Y),
+    ("X ^ Y", X ^ Y),
+    ("X <| Y", X.left_contract(Y)),
+    ("X |> Y", X.right_contract(Y)),
+    ("X | Y", E3.scalar(X.scalar_product(Y))),
+    ("dual(X)", X.dual()),
+    ("idual(X)", X.inverse_dual()),
+    ("exp(P)", PLANE.exp()),
+    ("norm2(X)", E3.scalar(X.norm_squared())),
+    ("inv(R)", ROTOR.inverse()),
+    ("rev(X)", X.reverse()),
+    ("conj(X)", X.clifford_conjugate()),
+    ("grade(X, 2)", X.grade(2)),
+    ("proj(X, P)", transforms.project(X, PLANE)),
+    ("rej(X, P)", transforms.reject(X, PLANE)),
+    ("reflect(X, N)", transforms.reflect(X, NORMAL)),
+]
+
+
+@pytest.mark.parametrize("text, want", DIRECT, ids=[t for t, _ in DIRECT])
+def test_each_operator_and_function_matches_the_direct_call(text, want):
+    got = run(text, env=OPERANDS)
+    assert got == want
+    assert str(got) == str(want)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("dual(e1, e2)", "dual takes 1 argument, got 2"),
+    ("proj(e1)", "proj takes 2 arguments, got 1"),
+    ("grade(e1, 1.5)", "grade(A, k) needs an integer literal k"),
+])
+def test_evaluation_error_text(text, message):
+    with pytest.raises(EvalError) as err:
+        run(text)
+    assert str(err.value) == message
+
+
+def test_unknown_variable_carries_its_offset():
+    with pytest.raises(EvalError) as err:
+        run("1 + nope")
+    assert err.value.pos == 4
+    assert str(err.value) == "unknown variable 'nope' (offset 4)"
+
+
+def test_documented_functions_match_the_function_table():
+    table = set(exprs._FUNCTIONS) | {"grade"}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    sentence = readme.split("Functions:", 1)[1].split(". ", 1)[0]
+    assert set(re.findall(r"`([a-z0-9]+)", sentence)) == table
+    listing = exprs.__doc__.split("function calls:", 1)[1].split(". ", 1)[0]
+    listing = re.sub(r"\([^)]*\)", "", listing)
+    assert {name.strip() for name in listing.split(",")} == table
