@@ -14,6 +14,8 @@ of a is the reordering parity mask (a >> 1) ^ (a >> 2) ^ ... xor the shared
 negative-square factors a & minus_mask. Each factor of b passes every higher
 factor of a, and each shared factor that squares to -1 adds its metric sign
 (Dorst, Fontijne & Mann, Geometric Algebra for Computer Science, ch. 19).
+Index tuples given at the API are sorted into blades by the same rule: each
+index passes every higher index placed before it, one sign flip per pass.
 
 Multivectors and algebras are immutable values; every operation is a pure
 function and results may be shared freely across threads.
@@ -46,25 +48,6 @@ class GradeError(GAError):
     """The operand does not have the grade structure the operation needs."""
 
 
-def _sorted_with_parity(indices):
-    """Sort a blade index sequence, returning (tuple, +1.0 or -1.0).
-
-    Raises ValueError on repeated indices.
-    """
-    items = list(indices)
-    sign = 1.0
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(items, items[1:]):
-        if a == b:
-            raise ValueError(f"repeated basis index {a} in blade")
-    return tuple(items), sign
-
-
 class Algebra:
     """The signature (p, q): p basis vectors square to +1, q square to -1.
 
@@ -72,7 +55,7 @@ class Algebra:
         p: count of +1-squaring basis vectors.
         q: count of -1-squaring basis vectors.
         n: total dimension p + q.
-        tolerance: nonnegative zero-test threshold for coefficients.
+        tolerance: finite nonnegative zero-test threshold for coefficients.
         metric: tuple of +-1.0 metric entries, length n.
     """
 
@@ -85,8 +68,8 @@ class Algebra:
         if p + q > max_dimension:
             raise ValueError(
                 f"dimension {p + q} exceeds the configured maximum {max_dimension}")
-        if tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
+        if not 0 <= tolerance < math.inf:
+            raise ValueError("tolerance must be finite and nonnegative")
         self.p = int(p)
         self.q = int(q)
         self.n = self.p + self.q
@@ -117,9 +100,7 @@ class Algebra:
 
     def basis_vector(self, i):
         """The basis vector e_i, 1-based."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"basis index {i} outside 1..{self.n}")
-        return Multivector._make(self, {1 << (i - 1): 1.0})
+        return self.blade((i,))
 
     def vector(self, components):
         """A grade-1 multivector from n components."""
@@ -166,10 +147,8 @@ class Algebra:
         Returns (result index tuple, sign), where sign is the reordering
         parity times the metric factors of the shared indices.
         """
-        xt, xs = _sorted_with_parity(x)
-        yt, ys = _sorted_with_parity(y)
-        a = _indices_to_bits(self, xt)
-        b = _indices_to_bits(self, yt)
+        a, xs = _blade_key(self, x)
+        b, ys = _blade_key(self, y)
         sign = -1.0 if (_sign_mask(a, self._minus_mask) & b).bit_count() & 1 else 1.0
         return _bits_to_indices(a ^ b), sign * xs * ys
 
@@ -184,13 +163,24 @@ def _sign_mask(a, minus_mask):
     return mask
 
 
-def _indices_to_bits(algebra, indices):
+def _blade_key(algebra, indices):
+    """The bitmask of the blade e_i1 e_i2 ... and its sign (+1.0 or -1.0).
+
+    Each index passes the factors already placed that are higher than it.
+    Raises ValueError for an index outside 1..n or a repeated index.
+    """
     bits = 0
+    sign = 1.0
     for i in indices:
         if not 1 <= i <= algebra.n:
             raise ValueError(f"basis index {i} outside 1..{algebra.n}")
-        bits |= 1 << (i - 1)
-    return bits
+        bit = 1 << (i - 1)
+        if bits & bit:
+            raise ValueError(f"repeated basis index {i} in blade")
+        if (bits >> i).bit_count() & 1:
+            sign = -sign
+        bits |= bit
+    return bits, sign
 
 
 def _bits_to_indices(bits):
@@ -222,8 +212,7 @@ class Multivector:
     def __init__(self, algebra, terms):
         raw = {}
         for key, value in terms.items():
-            canon, sign = _sorted_with_parity(key)
-            bits = _indices_to_bits(algebra, canon)
+            bits, sign = _blade_key(algebra, key)
             raw[bits] = raw.get(bits, 0.0) + sign * float(value)
         self.algebra = algebra
         self._terms = {k: v for k, v in raw.items() if abs(v) > algebra.tolerance}
@@ -255,8 +244,8 @@ class Multivector:
 
     def coefficient(self, indices):
         """Coefficient of the given basis blade; indices may be in any order."""
-        canon, sign = _sorted_with_parity(indices)
-        return sign * self._terms.get(_indices_to_bits(self.algebra, canon), 0.0)
+        bits, sign = _blade_key(self.algebra, indices)
+        return sign * self._terms.get(bits, 0.0)
 
     def __getitem__(self, indices):
         return self.coefficient(indices)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import operator
 import re
 
-from .algebra import GAError
+from .algebra import GAError, _blade_key
 from . import transforms
 
 __all__ = ["ParseError", "EvalError", "tokenize", "parse", "evaluate",
@@ -176,15 +176,14 @@ def parse(text, algebra):
 
 def _basis_indices(digits, algebra, pos):
     if algebra.n >= 10:
-        indices = [int(digits)]
+        indices = (int(digits),)
     else:
-        indices = [int(ch) for ch in digits]
-    for idx in indices:
-        if not 1 <= idx <= algebra.n:
-            raise ParseError(f"basis index {idx} outside 1..{algebra.n}", pos)
-    if len(set(indices)) != len(indices):
-        raise ParseError(f"repeated index in basis blade e{digits}", pos)
-    return tuple(indices)
+        indices = tuple(int(ch) for ch in digits)
+    try:
+        _blade_key(algebra, indices)
+    except ValueError as exc:
+        raise ParseError(str(exc), pos) from None
+    return indices
 
 
 def _grade_literal(node):
@@ -194,7 +193,7 @@ def _grade_literal(node):
         value = -node[2][1]
     else:
         raise EvalError("grade(A, k) needs an integer literal k")
-    if value != int(value):
+    if not value.is_integer():  # False for an infinite literal too
         raise EvalError("grade(A, k) needs an integer literal k")
     return int(value)
 

@@ -156,7 +156,7 @@ class LinearMap:
         alg = self.algebra
         if alg.n == 0:
             return 1.0
-        return self(alg.I).coefficient(tuple(range(1, alg.n + 1)))
+        return self(alg.I)._terms.get((1 << alg.n) - 1, 0.0)
 
     def inverse(self):
         """The inverse map, via the adjugate: F^-1(x) = Fbar(x I) I^-1 / det F.
@@ -188,8 +188,8 @@ class LinearMap:
         B = self(A)
         if not B:
             return 0.0
-        indices = max(A.terms, key=lambda t: abs(A.coefficient(t)))
-        lam = B.coefficient(indices) / A.coefficient(indices)
+        bits, coeff = max(A._terms.items(), key=lambda kv: abs(kv[1]))
+        lam = B._terms.get(bits, 0.0) / coeff
         tol = self.algebra.tolerance * max(1.0, abs(lam))
         if B.isclose(A * lam, tol=tol):
             return lam

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -28,6 +29,13 @@ def test_signature_stored():
     a = Algebra(1, 3)
     assert (a.p, a.q, a.n) == (1, 3, 4)
     assert a.metric == (1.0, -1.0, -1.0, -1.0)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf])
+def test_nonfinite_tolerance_rejected(tolerance):
+    # a NaN or infinite threshold would prune every coefficient
+    with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+        Algebra(3, 0, tolerance=tolerance)
 
 
 def test_bad_signatures_rejected():
@@ -64,8 +72,19 @@ def test_vector_needs_n_components():
 
 
 def test_blade_rejects_repeated_indices():
-    with pytest.raises(ValueError):
-        E3.blade((1, 1), 1.0)
+    for indices, message in (((1, 1), "repeated basis index 1 in blade"),
+                             ((2, 3, 2), "repeated basis index 2 in blade"),
+                             ((0,), "basis index 0 outside 1..3"),
+                             ((-1,), "basis index -1 outside 1..3"),
+                             ((2, 4), "basis index 4 outside 1..3")):
+        with pytest.raises(ValueError) as err:
+            E3.blade(indices, 1.0)
+        assert str(err.value) == message
+        # coefficient and blade_product read index tuples the same way
+        with pytest.raises(ValueError, match=re.escape(message)):
+            E3.basis_vector(1).coefficient(indices)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            E3.blade_product((1,), indices)
 
 
 def test_blade_index_order_carries_sign():
@@ -119,6 +138,8 @@ def _random_terms(alg, rng):
 
 def test_geometric_product_against_word_oracle():
     rng = random.Random(2024)
+    # a second stream for the shuffles, so the operands stay the same
+    shuffle = random.Random(2025)
     # n = 18 puts factors above bit 16, where a sign mask of fixed width would stop.
     algebras = (E2, E3, STA, Algebra(2, 2), Algebra(5, 5), Algebra(0, 12),
                 Algebra(15, 3, max_dimension=18))
@@ -136,10 +157,19 @@ def test_geometric_product_against_word_oracle():
                 want = oracle(a, b, alg.metric)
                 assert oracles.max_coeff_diff(got, want) < 1e-12
             for x in a:
+                xs = tuple(shuffle.sample(x, len(x)))
+                # a word of distinct indices reduces to its sorted blade and parity
+                blade, parity = oracles.word_reduce(xs, alg.metric)
+                assert blade == x
+                assert alg.multivector({xs: a[x]}).coefficient(x) == parity * a[x]
+                assert A.coefficient(xs) == parity * A.coefficient(x)
                 for y in b:
+                    ys = tuple(shuffle.sample(y, len(y)))
                     # reversed x also checks the parity of sorting the input
                     assert alg.blade_product(x[::-1], y) == oracles.word_reduce(
                         x[::-1] + y, alg.metric)
+                    assert alg.blade_product(xs, ys) == oracles.word_reduce(
+                        xs + ys, alg.metric)
 
 
 def test_scalar_multiplication_and_division():

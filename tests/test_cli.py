@@ -48,6 +48,14 @@ def test_tolerance_option():
     assert r.stdout == "1.0001\n"
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf"])
+def test_nonfinite_tolerance_option_is_a_usage_error(tolerance):
+    r = ga("--tolerance", tolerance, "-e", "e1 + 1e-300")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "tolerance must be finite and nonnegative" in r.stderr
+
+
 def test_parse_error_exit_code():
     r = ga("-e", "e1 +")
     assert r.returncode == 1
@@ -146,7 +154,7 @@ def _extend(inner):
         st.tuples(st.sampled_from(FUNCTIONS_1), inner).map("{0[0]}({0[1]})".format),
         st.tuples(st.sampled_from(FUNCTIONS_2), inner, inner).map(
             "{0[0]}({0[1]}, {0[2]})".format),
-        st.tuples(inner, st.sampled_from(["0", "2", "-1", "1.5", "e1"])).map(
+        st.tuples(inner, st.sampled_from(["0", "2", "-1", "1.5", "1e400", "e1"])).map(
             "grade({0[0]}, {0[1]})".format),
         st.sampled_from(ATOMS).map("exp({})".format),
     )
@@ -177,6 +185,9 @@ def test_eval_error_exit_code():
     r = ga("-e", "nope + 1")
     assert r.returncode == 2
     assert "unknown variable" in r.stderr
+    r = ga("--expr=grade(e1, 1e400)")
+    assert r.returncode == 2
+    assert r.stderr == "error: grade(A, k) needs an integer literal k\n"
 
 
 def test_script_file(tmp_path):
@@ -290,6 +301,15 @@ def test_kepler_csv_to_stdout():
     for row in rows[1:]:
         assert float(row[9]) == pytest.approx(1.0, abs=1e-9)
         assert float(row[13]) == pytest.approx(-0.5, abs=1e-9)
+
+
+def test_kepler_near_radial_orbit():
+    # |L| = 1e-6: the energy-eccentricity identity loses the pruned 1e-12
+    # e_x term of L v / k, amplified by m k^2 / 2 l^2 = 5e11
+    rows = kepler_rows("--v0", "0.5,1e-6,0", "--steps", "1000", "--dt", "1e-3")
+    assert len(rows) == 1 + 1001
+    for row in rows[1:]:
+        assert float(row[13]) == pytest.approx(-0.875, abs=1e-9)
 
 
 def test_kepler_record_every():

@@ -275,6 +275,8 @@ def test_each_operator_and_function_matches_the_direct_call(text, want):
     ("dual(e1, e2)", "dual takes 1 argument, got 2"),
     ("proj(e1)", "proj takes 2 arguments, got 1"),
     ("grade(e1, 1.5)", "grade(A, k) needs an integer literal k"),
+    ("grade(e1, 1e400)", "grade(A, k) needs an integer literal k"),
+    ("grade(e1, -1e400)", "grade(A, k) needs an integer literal k"),
 ])
 def test_evaluation_error_text(text, message):
     with pytest.raises(EvalError) as err:

@@ -72,6 +72,14 @@ def test_radial_orbit_flagged():
     assert not cons.angular_momentum
 
 
+def test_near_radial_orbit_is_not_radial():
+    # |L| = 1e-6 is above the pruning tolerance, so the orbit keeps its plane
+    cons = conserved(state((1.0, 0.0, 0.0), (0.5, 1e-6, 0.0)))
+    assert not cons.radial
+    assert cons.l == pytest.approx(1e-6)
+    assert cons.energy == pytest.approx(0.5 * (0.25 + 1e-12) - 1.0)
+
+
 def test_conserved_rejects_zero_radius():
     with pytest.raises(SimulationError):
         conserved(state((0.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
