@@ -13,6 +13,7 @@ from .algebra import (
     GAError,
     GradeError,
     Multivector,
+    NonFiniteError,
     NotInvertible,
     exp_bivector,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "GradeError",
     "LinearMap",
     "Multivector",
+    "NonFiniteError",
     "NotInvertible",
     "OperatorError",
     "OrbitState",

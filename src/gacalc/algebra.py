@@ -17,6 +17,24 @@ factor of a, and each shared factor that squares to -1 adds its metric sign
 Index tuples given at the API are sorted into blades by the same rule: each
 index passes every higher index placed before it, one sign flip per pass.
 
+Products run one of two branches of the same pair loop. Small products
+(fewer than _DENSE_MIN_PAIRS blade pairs, which covers every product in
+n <= 4) run in Python over the term dicts. Larger ones, when the algebra's
+2^n blades are no more than the pairs (so the array of sums is no larger
+than the work, and the keys fit int64 however large max_dimension is), run
+in numpy, which is imported only then: the keys and coefficients become
+arrays, the sign masks and parities are computed a block of rows at a
+time, and np.add.at adds each kept pair into a dense array of 2^n sums.
+The result is the Python loop's, bit for bit: np.add.at adds the pairs one
+at a time in the loop's order, the sign is an exact negation, and the
+blades are put in the order the loop first meets them (np.minimum.at of
+the pair index). The prune and every result after it are therefore the
+same whichever branch runs.
+
+A coefficient that is NaN or infinite (an overflow, or an inf/nan input)
+raises NonFiniteError wherever terms are pruned, instead of being pruned
+to zero or printed as inf.
+
 Multivectors and algebras are immutable values; every operation is a pure
 function and results may be shared freely across threads.
 """
@@ -30,6 +48,15 @@ MAX_DIMENSION = 12
 DEFAULT_TOLERANCE = 1e-10
 
 _EXP_SERIES_TERMS = 24
+_INF = math.inf
+
+# Products with at least this many blade pairs take the numpy branch. The
+# Python loop wins below about 512 pairs (a contraction at 512 pairs runs
+# 0.8-1.0x as fast in numpy); from 1024 pairs numpy wins on every product
+# kind measured for n = 4..12. Above 256, so n <= 4 never loads numpy.
+_DENSE_MIN_PAIRS = 1024
+# Pairs per numpy block: keeps the block's temporaries under about 1 MB.
+_DENSE_BLOCK_PAIRS = 1 << 13
 
 
 class GAError(Exception):
@@ -46,6 +73,10 @@ class NotInvertible(GAError):
 
 class GradeError(GAError):
     """The operand does not have the grade structure the operation needs."""
+
+
+class NonFiniteError(GAError):
+    """A coefficient is NaN or infinite: an overflow, or a non-finite input."""
 
 
 class Algebra:
@@ -183,6 +214,55 @@ def _blade_key(algebra, indices):
     return bits, sign
 
 
+def _pruned(raw, tol):
+    """The terms of raw above tol; raises NonFiniteError on a NaN or inf value."""
+    # NaN fails both comparisons and inf the second, so a non-finite value is
+    # always dropped: only a dict that lost a term needs a closer look.
+    terms = {k: v for k, v in raw.items() if tol < abs(v) < _INF}
+    if len(terms) != len(raw):
+        for v in raw.values():
+            if not math.isfinite(v):
+                raise NonFiniteError(f"coefficient is not finite: {v!r}")
+    return terms
+
+
+def _dense_product(algebra, left, right, select):
+    """The Python product loop over the term dicts left x right, in numpy.
+
+    Returns the unpruned sums keyed by blade, in the order the loop first
+    meets each blade, and equal to the loop's sums bit for bit.
+    """
+    import numpy as np
+
+    ka = np.fromiter(left, np.int64, len(left))
+    va = np.fromiter(left.values(), np.float64, len(left))
+    kb = np.fromiter(right, np.int64, len(right))
+    vb = np.fromiter(right.values(), np.float64, len(right))
+    masks = ka & algebra._minus_mask
+    for shift in range(1, algebra.n):
+        masks ^= ka >> shift
+    sums = np.zeros(1 << algebra.n)
+    pairs = len(ka) * len(kb)
+    first = np.full(1 << algebra.n, pairs, np.int64)
+    rows = max(1, _DENSE_BLOCK_PAIRS // len(kb))
+    # An overflow leaves inf or NaN, silently as in the Python loop, for the
+    # prune to report.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(ka), rows):
+            a = ka[start:start + rows, None]
+            f, g = select(a)
+            products = va[start:start + rows, None] * vb
+            products = np.where(np.bitwise_count(masks[start:start + rows, None] & kb) & 1,
+                                -products, products)
+            kept = np.flatnonzero(np.broadcast_to((kb & f) == g, products.shape))
+            blades = (a ^ kb).ravel()[kept]
+            np.add.at(sums, blades, products.ravel()[kept])
+            np.minimum.at(first, blades, kept + start * len(kb))
+    met = np.flatnonzero(first < pairs)
+    met = met[np.argsort(first[met])]
+    return dict(zip(met.tolist(), sums[met].tolist()))
+
+
 def _bits_to_indices(bits):
     out = []
     i = 1
@@ -215,15 +295,14 @@ class Multivector:
             bits, sign = _blade_key(algebra, key)
             raw[bits] = raw.get(bits, 0.0) + sign * float(value)
         self.algebra = algebra
-        self._terms = {k: v for k, v in raw.items() if abs(v) > algebra.tolerance}
+        self._terms = _pruned(raw, algebra.tolerance)
 
     @classmethod
     def _make(cls, algebra, raw):
         """Internal constructor from a bitmask-keyed dict; prunes to tolerance."""
         mv = object.__new__(cls)
         mv.algebra = algebra
-        tol = algebra.tolerance
-        mv._terms = {k: v for k, v in raw.items() if abs(v) > tol}
+        mv._terms = _pruned(raw, algebra.tolerance)
         return mv
 
     # -- inspection ----------------------------------------------------------
@@ -341,10 +420,14 @@ class Multivector:
     def _product(self, other, select):
         """Sum of the blade products of self and other over the kept pairs.
 
-        select(ka) gives (f, g) for each left blade ka; the pair (ka, kb) is
-        kept when kb & f == g.
+        select(ka) gives (f, g) for each left blade ka, or for a column of
+        them as an int64 array; the pair (ka, kb) is kept when kb & f == g.
         """
         other = self._coerce(other)
+        pairs = len(self._terms) * len(other._terms)
+        if pairs >= _DENSE_MIN_PAIRS and (1 << self.algebra.n) <= pairs:
+            return Multivector._make(self.algebra, _dense_product(
+                self.algebra, self._terms, other._terms, select))
         minus_mask = self.algebra._minus_mask
         right = other._terms.items()
         raw = {}
@@ -507,7 +590,8 @@ class Multivector:
 
         Blades (B^B = 0) get the closed forms driven by the sign of B^2;
         non-blade bivectors fall back to a scaled-and-squared power series.
-        Raises GradeError for anything that is not a pure bivector.
+        Raises GradeError for anything that is not a pure bivector, and
+        NonFiniteError when the result overflows.
         """
         if self._terms and self.grades != frozenset({2}):
             raise GradeError(f"exp is defined here for bivectors only, got grades "
@@ -518,7 +602,10 @@ class Multivector:
             tol = self.algebra.tolerance
             if beta > tol:
                 w = math.sqrt(beta)
-                return one * math.cosh(w) + self * (math.sinh(w) / w)
+                try:
+                    return one * math.cosh(w) + self * (math.sinh(w) / w)
+                except OverflowError:
+                    raise NonFiniteError(f"exp overflows: cosh({w!r})") from None
             if beta < -tol:
                 w = math.sqrt(-beta)
                 return one * math.cos(w) + self * (math.sin(w) / w)
@@ -531,7 +618,7 @@ class Multivector:
         while biggest > 0.5:
             biggest /= 2.0
             halvings += 1
-        base = self / float(1 << halvings)
+        base = self * math.ldexp(1.0, -halvings)
         acc = self.algebra.scalar(1.0)
         term = self.algebra.scalar(1.0)
         for i in range(1, _EXP_SERIES_TERMS + 1):

@@ -7,13 +7,13 @@ The adjoint, determinant, adjugate inverse, and the factorization of an
 isometry into reflections are all computed through the algebra rather
 than through matrix decompositions; the one exception is the eigenframe
 of a symmetric map, which delegates to numpy's symmetric eigensolver.
+numpy is imported inside that method, on its first call, so importing
+this module (and gacalc) does not load it.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .algebra import GAError, GradeError, Multivector, NotInvertible
 
@@ -209,6 +209,8 @@ class LinearMap:
                                 "signature only")
         if any(img for img in self.skew_part().images):
             raise OperatorError("map is not symmetric")
+        import numpy as np
+
         M = np.array(self.matrix(), dtype=float)
         values, vecs = np.linalg.eigh(M)
         eigenvectors = [alg.vector(vecs[:, k]) for k in range(alg.n)]

@@ -13,9 +13,11 @@ from gacalc import (
     GAError,
     GradeError,
     Multivector,
+    NonFiniteError,
     NotInvertible,
     exp_bivector,
 )
+from gacalc import algebra
 
 
 E2 = Algebra(2, 0)
@@ -170,6 +172,74 @@ def test_geometric_product_against_word_oracle():
                         x[::-1] + y, alg.metric)
                     assert alg.blade_product(xs, ys) == oracles.word_reduce(
                         xs + ys, alg.metric)
+
+
+def _density_terms(alg, density, rng):
+    """Random coefficients on every blade of a density: vector, bivector, rotor or full."""
+    grade_ok = {"vector": lambda r: r == 1, "bivector": lambda r: r == 2,
+                "rotor": lambda r: r % 2 == 0, "full": lambda r: True}[density]
+    return {blade: rng.uniform(-2, 2) for blade in alg.basis_blades()
+            if grade_ok(len(blade))}
+
+
+# Operands of 2048 to 49,152 blade pairs, past the crossover to the numpy branch.
+DENSE_SHAPES = [(6, 0, "full", "full"), (3, 3, "rotor", "full"),
+                (4, 4, "bivector", "rotor"), (5, 5, "vector", "rotor"),
+                (8, 0, "rotor", "bivector"), (12, 0, "vector", "full")]
+
+
+@pytest.mark.parametrize("p, q, da, db", DENSE_SHAPES)
+def test_dense_branch_matches_the_python_loop(p, q, da, db, monkeypatch):
+    rng = random.Random(f"dense {p},{q}")
+    alg = Algebra(p, q)
+    a, b = _density_terms(alg, da, rng), _density_terms(alg, db, rng)
+    A, B = alg.multivector(a), alg.multivector(b)
+    dense_calls = []
+
+    def dense_product(*args):
+        dense_calls.append(args)
+        return original(*args)
+
+    original = algebra._dense_product
+    monkeypatch.setattr(algebra, "_dense_product", dense_product)
+    products = ((Multivector.__mul__, oracles.gp),
+                (Multivector.__xor__, oracles.outer),
+                (Multivector.left_contract, oracles.lcontract),
+                (Multivector.right_contract, oracles.rcontract))
+    for product, oracle in products:
+        monkeypatch.setattr(algebra, "_DENSE_MIN_PAIRS", 0)
+        dense = product(A, B)
+        monkeypatch.setattr(algebra, "_DENSE_MIN_PAIRS", math.inf)
+        sparse = product(A, B)
+        # the same floats in the same key order, so nothing downstream can drift
+        assert list(dense._terms.items()) == list(sparse._terms.items())
+        assert oracles.max_coeff_diff(dense.terms, oracle(a, b, alg.metric)) < 1e-12
+    assert len(dense_calls) == len(products)
+
+
+def _huge_dense_square():
+    alg = Algebra(6, 0)
+    big = alg.multivector({blade: 1e200 for blade in alg.basis_blades()})
+    return big * big  # 4096 blade pairs: the numpy branch
+
+
+@pytest.mark.parametrize("make", [
+    lambda: E3.scalar(math.nan),
+    lambda: E3.scalar(math.inf),
+    lambda: E3.vector([0.0, -math.inf, 1.0]),
+    lambda: E3.multivector({(1,): math.nan}),
+    lambda: E3.scalar(1.5e308) + E3.scalar(1.5e308),
+    lambda: E3.basis_vector(1) * math.inf,
+    lambda: E3.basis_vector(1) / math.nan,
+    lambda: E3.blade((1,), 1e200) * E3.blade((1,), 1e200),
+    lambda: E3.blade((1,), 1e200) ^ E3.blade((2,), 1e200),
+    _huge_dense_square,
+], ids=["nan", "inf", "vector", "constructor", "sum", "scaled", "divided",
+        "product", "wedge", "dense product"])
+def test_nonfinite_coefficients_raise(make):
+    # NaN used to be pruned as if it were zero, and inf kept as a coefficient
+    with pytest.raises(NonFiniteError, match="coefficient is not finite"):
+        make()
 
 
 def test_scalar_multiplication_and_division():
@@ -388,6 +458,16 @@ def test_exp_series_matches_closed_form():
     # the two commuting plane pieces exponentiate separately
     want = (alg.blade((1, 2), 0.3)).exp() * (alg.blade((3, 4), 0.7)).exp()
     assert got.isclose(want, tol=1e-12)
+
+
+def test_exp_overflow_raises():
+    boost = Algebra(3, 1).blade((1, 4), 1000.0)  # squares to +1e6, cosh(1000) overflows
+    with pytest.raises(NonFiniteError, match="exp overflows"):
+        boost.exp()
+    # a non-blade bivector this large takes more halvings than a float can count
+    alg = Algebra(1, 3)
+    with pytest.raises(NonFiniteError):
+        (alg.blade((1, 2), 1.5e308) + alg.blade((3, 4), 1e-5)).exp()
 
 
 def test_exp_rejects_non_bivectors():

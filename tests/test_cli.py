@@ -3,11 +3,13 @@
 import contextlib
 import csv
 import io
+import itertools
+import re
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gacalc import Algebra, EvalError, cli
 
@@ -135,10 +137,14 @@ def test_input_as_deep_as_before_still_evaluates(expr, out):
     assert r.stdout == out + "\n"
 
 
-# Generated input for the exit-code contract. Literals stay small: huge
-# magnitudes still misbehave (1e400 - 1e400 prints 0, and exp overflows), so
-# exp takes only a basis blade or a small number.
+# Generated input for the exit-code contract. Coefficients reach the ends of
+# the float range: 1e400 reads as inf, products of two large ones overflow,
+# 1e-300 is pruned, and exp(1000 e14) overflows cosh in Cl(1,3).
 ATOMS = ["0", "1", "2.5", "e1", "e2", "e3", "e12", "e123", "e4", "e11", "x"]
+COEFFICIENTS = ["1e300", "-2.5e299", "1e-300", "3e-301", "1.5e308", "1e400", "-1e400",
+                "1000"]
+SCALED = st.tuples(st.sampled_from(COEFFICIENTS),
+                   st.sampled_from(["e1", "e12", "e14", "e123"])).map(" ".join)
 FUNCTIONS_1 = ["dual", "idual", "norm2", "inv", "rev", "conj"]
 FUNCTIONS_2 = ["proj", "rej", "reflect"]
 BINARY = ["+", "-", "*", "", "^", "<|", "|>", "|"]
@@ -156,16 +162,19 @@ def _extend(inner):
             "{0[0]}({0[1]}, {0[2]})".format),
         st.tuples(inner, st.sampled_from(["0", "2", "-1", "1.5", "1e400", "e1"])).map(
             "grade({0[0]}, {0[1]})".format),
-        st.sampled_from(ATOMS).map("exp({})".format),
+        st.one_of(st.sampled_from(ATOMS), SCALED).map("exp({})".format),
     )
 
 
-EXPRESSIONS = st.recursive(st.sampled_from(ATOMS), _extend, max_leaves=12)
+EXPRESSIONS = st.recursive(st.one_of(st.sampled_from(ATOMS), SCALED), _extend,
+                           max_leaves=12)
 
 
 @given(expr=EXPRESSIONS, wrapper=st.sampled_from(WRAPPERS),
        depth=st.integers(0, 3000), junk=st.sampled_from(["", "(", ")", ",", "$", "+"]),
        algebra=st.sampled_from(["3,0", "1,3", "2,0"]))
+@example(expr="1e400 e1", wrapper=WRAPPERS[0], depth=0, junk="", algebra="3,0")
+@example(expr="exp(1000 e14)", wrapper=WRAPPERS[0], depth=0, junk="", algebra="1,3")
 @settings(max_examples=150, deadline=None)
 def test_exit_code_contract(expr, wrapper, depth, junk, algebra):
     before, after = wrapper
@@ -176,6 +185,56 @@ def test_exit_code_contract(expr, wrapper, depth, junk, algebra):
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert bool(err.getvalue()) == (code != 0)
+    assert not {"inf", "nan"} & set(re.findall(r"[a-z]+", out.getvalue()))
+
+
+@pytest.mark.parametrize("args, err", [
+    (["--expr=1e400 - 1e400"], "coefficient is not finite: inf"),
+    (["--expr=1e400 e1"], "coefficient is not finite: inf"),
+    (["--expr=1e200 e1 * 1e200 e1"], "coefficient is not finite: inf"),
+    (["--algebra", "3,1", "--expr=exp(1000 e14)"], "exp overflows: cosh(1000.0)"),
+])
+def test_nonfinite_result_is_an_evaluation_error(args, err):
+    # these printed 0 and inf*e1 (exit 0), and an OverflowError traceback (exit 1)
+    r = ga(*args)
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {err}\n")
+
+
+def _imported_modules(stderr):
+    """Module names from the report of python -X importtime."""
+    return {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize("algebra", ["3,0", "1,3", "2,2"])
+def test_small_algebras_do_not_load_numpy(algebra):
+    # full x full is the largest product in n <= 4: 256 blade pairs, below
+    # the crossover to the numpy branch
+    n = sum(int(c) for c in algebra.split(","))
+    blades = ["1"] + ["e" + "".join(map(str, c)) for r in range(1, n + 1)
+                      for c in itertools.combinations(range(1, n + 1), r)]
+    full = "(" + " + ".join(blades) + ")"
+    expr = " + ".join(f"({full} {op} {full})" for op in ("*", "^", "<|", "|>"))
+    r = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "gacalc", "--algebra", algebra,
+         f"--expr={expr}"], capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    imported = _imported_modules(r.stderr)
+    assert "gacalc.algebra" in imported
+    assert "numpy" not in imported
+
+
+def test_import_does_not_load_numpy():
+    code = ("import sys, gacalc\n"
+            "assert 'numpy' not in sys.modules\n"
+            "alg = gacalc.Algebra(3, 0)\n"
+            "F = gacalc.LinearMap.diagonal(alg, [3, 1, 2])\n"
+            "values, vectors = F.symmetric_eigenframe()\n"
+            "assert all(F(v).isclose(v * x) for x, v in zip(values, vectors))\n"
+            "print(values)\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       timeout=120)
+    assert (r.returncode, r.stderr, r.stdout) == (0, "", "[1.0, 2.0, 3.0]\n")
 
 
 def test_eval_error_exit_code():
