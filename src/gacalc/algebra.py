@@ -42,7 +42,7 @@ function and results may be shared freely across threads.
 from __future__ import annotations
 
 import math
-from numbers import Real
+from numbers import Integral, Real
 
 MAX_DIMENSION = 12
 DEFAULT_TOLERANCE = 1e-10
@@ -94,6 +94,8 @@ class Algebra:
                  "_volume", "_volume_inverse")
 
     def __init__(self, p, q, tolerance=DEFAULT_TOLERANCE, max_dimension=MAX_DIMENSION):
+        if not (isinstance(p, Integral) and isinstance(q, Integral)):
+            raise ValueError("signature counts must be integers")
         if p < 0 or q < 0:
             raise ValueError("signature counts must be nonnegative")
         if p + q > max_dimension:
@@ -178,8 +180,8 @@ class Algebra:
         Returns (result index tuple, sign), where sign is the reordering
         parity times the metric factors of the shared indices.
         """
-        a, xs = _blade_key(self, x)
-        b, ys = _blade_key(self, y)
+        a, xs = _blade_key(self.n, x)
+        b, ys = _blade_key(self.n, y)
         sign = -1.0 if (_sign_mask(a, self._minus_mask) & b).bit_count() & 1 else 1.0
         return _bits_to_indices(a ^ b), sign * xs * ys
 
@@ -194,7 +196,7 @@ def _sign_mask(a, minus_mask):
     return mask
 
 
-def _blade_key(algebra, indices):
+def _blade_key(n, indices):
     """The bitmask of the blade e_i1 e_i2 ... and its sign (+1.0 or -1.0).
 
     Each index passes the factors already placed that are higher than it.
@@ -203,8 +205,8 @@ def _blade_key(algebra, indices):
     bits = 0
     sign = 1.0
     for i in indices:
-        if not 1 <= i <= algebra.n:
-            raise ValueError(f"basis index {i} outside 1..{algebra.n}")
+        if not 1 <= i <= n:
+            raise ValueError(f"basis index {i} outside 1..{n}")
         bit = 1 << (i - 1)
         if bits & bit:
             raise ValueError(f"repeated basis index {i} in blade")
@@ -292,7 +294,7 @@ class Multivector:
     def __init__(self, algebra, terms):
         raw = {}
         for key, value in terms.items():
-            bits, sign = _blade_key(algebra, key)
+            bits, sign = _blade_key(algebra.n, key)
             raw[bits] = raw.get(bits, 0.0) + sign * float(value)
         self.algebra = algebra
         self._terms = _pruned(raw, algebra.tolerance)
@@ -323,7 +325,7 @@ class Multivector:
 
     def coefficient(self, indices):
         """Coefficient of the given basis blade; indices may be in any order."""
-        bits, sign = _blade_key(self.algebra, indices)
+        bits, sign = _blade_key(self.algebra.n, indices)
         return sign * self._terms.get(bits, 0.0)
 
     def __getitem__(self, indices):
@@ -412,6 +414,9 @@ class Multivector:
     def __truediv__(self, scalar):
         if not isinstance(scalar, Real):
             raise TypeError("can only divide a multivector by a real scalar")
+        scalar = float(scalar)
+        if scalar == 0.0:
+            raise NotInvertible("cannot divide a multivector by zero")
         return Multivector._make(
             self.algebra, {k: v / scalar for k, v in self._terms.items()})
 
@@ -444,6 +449,7 @@ class Multivector:
 
     def __mul__(self, other):
         if isinstance(other, Real):
+            other = float(other)
             return Multivector._make(
                 self.algebra, {k: v * other for k, v in self._terms.items()})
         return self._product(other, lambda ka: (0, 0))
@@ -627,6 +633,27 @@ class Multivector:
         for _ in range(halvings):
             acc = acc * acc
         return acc
+
+
+def _subset_wedge(vectors, memo, bits):
+    """The wedge of vectors[i] over the set bits i of bits, in ascending order.
+
+    Each blade is blade(S without max S) ^ vectors[max S], kept in memo,
+    which starts as {0: scalar 1}.
+    """
+    if bits not in memo:
+        top = bits.bit_length() - 1
+        memo[bits] = _subset_wedge(vectors, memo, bits ^ (1 << top)) ^ vectors[top]
+    return memo[bits]
+
+
+def _linear_combination(algebra, pairs):
+    """The sum of c * terms over (c, bitmask-keyed terms) pairs, pruned once."""
+    raw = {}
+    for c, terms in pairs:
+        for k, v in terms.items():
+            raw[k] = raw.get(k, 0.0) + c * v
+    return Multivector._make(algebra, raw)
 
 
 def exp_bivector(B, theta):

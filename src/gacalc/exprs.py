@@ -180,7 +180,7 @@ def _basis_indices(digits, algebra, pos):
     else:
         indices = tuple(int(ch) for ch in digits)
     try:
-        _blade_key(algebra, indices)
+        _blade_key(algebra.n, indices)
     except ValueError as exc:
         raise ParseError(str(exc), pos) from None
     return indices

@@ -8,27 +8,22 @@ satisfies a^i . a_j = delta_ij and is built eagerly at construction:
 
 with V the frame volume. Subsets of the frame wedge into a blade basis for
 the subalgebra the frame spans; components/expand convert multivectors to
-and from coordinates in that basis.
+and from coordinates in that basis. Each subset blade of the frame and of
+its reciprocal is wedged once, from the blade of the subset without its top
+position, and kept: 2^k wedges per frame however often they run.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
-from .algebra import GradeError, Multivector, NotInvertible
-
-
-def _wedge_all(algebra, vectors):
-    acc = algebra.scalar(1.0)
-    for v in vectors:
-        acc = acc ^ v
-    return acc
+from .algebra import (GradeError, Multivector, NotInvertible, _bits_to_indices,
+                      _blade_key, _linear_combination, _subset_wedge)
 
 
 class Frame:
     """An ordered independent vector frame with its reciprocal frame."""
 
-    __slots__ = ("algebra", "vectors", "reciprocal", "volume", "_volume_inverse")
+    __slots__ = ("algebra", "vectors", "reciprocal", "volume", "_blades",
+                 "_reciprocal_blades")
 
     def __init__(self, vectors):
         vectors = tuple(vectors)
@@ -45,18 +40,19 @@ class Frame:
                 f"{len(vectors)} vectors cannot be independent in dimension {algebra.n}")
         self.algebra = algebra
         self.vectors = vectors
-        self.volume = _wedge_all(algebra, vectors)
+        self._blades = {0: algebra.scalar(1.0)}
+        full = (1 << len(vectors)) - 1
+        self.volume = _subset_wedge(vectors, self._blades, full)
         n2 = self.volume.norm_squared()
         if abs(n2) <= algebra.tolerance:
             raise NotInvertible(
                 "frame volume is not invertible (dependent vectors or a null volume)")
-        self._volume_inverse = self.volume.inverse()
-        recip = []
-        for i in range(len(vectors)):
-            rest = _wedge_all(algebra, vectors[:i] + vectors[i + 1:])
-            sign = -1.0 if i & 1 else 1.0
-            recip.append(rest * self._volume_inverse * sign)
-        self.reciprocal = tuple(recip)
+        volume_inverse = self.volume.inverse()
+        self.reciprocal = tuple(
+            _subset_wedge(vectors, self._blades, full ^ (1 << i)) * volume_inverse
+            * (-1.0 if i & 1 else 1.0)
+            for i in range(len(vectors)))
+        self._reciprocal_blades = {0: self._blades[0]}
 
     def __len__(self):
         return len(self.vectors)
@@ -66,16 +62,15 @@ class Frame:
 
     def blade(self, subset):
         """Wedge of the frame vectors with the given 1-based positions, in order."""
-        return _wedge_all(self.algebra, [self._pick(self.vectors, i) for i in subset])
+        bits, sign = _blade_key(len(self), subset)
+        blade = _subset_wedge(self.vectors, self._blades, bits)
+        return blade if sign > 0 else -blade
 
     def reciprocal_blade(self, subset):
         """Wedge of the reciprocal vectors with the given 1-based positions, in order."""
-        return _wedge_all(self.algebra, [self._pick(self.reciprocal, i) for i in subset])
-
-    def _pick(self, seq, i):
-        if not 1 <= i <= len(seq):
-            raise ValueError(f"frame position {i} outside 1..{len(seq)}")
-        return seq[i - 1]
+        bits, sign = _blade_key(len(self), subset)
+        blade = _subset_wedge(self.reciprocal, self._reciprocal_blades, bits)
+        return blade if sign > 0 else -blade
 
     def blade_table(self):
         """All 2^k frame blades with their reciprocals.
@@ -84,11 +79,11 @@ class Frame:
         subsets ordered by grade then lexicographically. The pairing
         <blade_I * reciprocal_blade_J>_0 = delta_IJ.
         """
-        k = len(self.vectors)
-        subsets = []
-        for r in range(k + 1):
-            subsets.extend(combinations(range(1, k + 1), r))
-        return [(s, self.blade(s), self.reciprocal_blade(s)) for s in subsets]
+        order = sorted((bits.bit_count(), _bits_to_indices(bits), bits)
+                       for bits in range(1 << len(self.vectors)))
+        return [(subset, _subset_wedge(self.vectors, self._blades, bits),
+                 _subset_wedge(self.reciprocal, self._reciprocal_blades, bits))
+                for _, subset, bits in order]
 
     def components(self, A):
         """Coordinates of A in the frame blade basis: subset -> <A * a^I>_0.
@@ -105,10 +100,9 @@ class Frame:
 
     def expand(self, components):
         """Rebuild a multivector from blade-basis coordinates (subset -> coeff)."""
-        acc = self.algebra.zero()
-        for subset, coeff in components.items():
-            acc = acc + self.blade(tuple(subset)) * float(coeff)
-        return acc
+        return _linear_combination(self.algebra, (
+            (float(coeff), self.blade(tuple(subset))._terms)
+            for subset, coeff in components.items()))
 
     def expand_by_vectors(self, A):
         """The sum over i of a^i ^ (a_i .| A) for homogeneous A of grade r.
@@ -118,7 +112,6 @@ class Frame:
         """
         if len(A.grades) > 1:
             raise GradeError(f"expand_by_vectors needs homogeneous input, got {A}")
-        acc = self.algebra.zero()
-        for a, recip in zip(self.vectors, self.reciprocal):
-            acc = acc + (recip ^ a.left_contract(A))
-        return acc
+        return _linear_combination(self.algebra, (
+            (1.0, (recip ^ a.left_contract(A))._terms)
+            for a, recip in zip(self.vectors, self.reciprocal)))

@@ -45,6 +45,13 @@ def _check_vector(mv, name):
         raise SimulationError(f"{name} must be a vector, got {mv}")
 
 
+def _check_constants(m, k):
+    if not 0 < m < math.inf:
+        raise SimulationError("mass m must be positive and finite")
+    if not (k and math.isfinite(k)):
+        raise SimulationError("force constant k must be nonzero and finite")
+
+
 @dataclass(frozen=True)
 class OrbitState:
     """Position and velocity vectors in Cl(3,0) plus the system constants."""
@@ -60,10 +67,9 @@ class OrbitState:
         _check_vector(self.v, "v")
         if self.r.algebra != self.v.algebra:
             raise SimulationError("r and v must share one algebra")
-        if self.m <= 0:
-            raise SimulationError("mass m must be positive")
-        if self.k == 0:
-            raise SimulationError("force constant k must be nonzero")
+        _check_constants(self.m, self.k)
+        if not math.isfinite(self.t):
+            raise SimulationError("time t must be finite")
 
 
 @dataclass(frozen=True)
@@ -185,8 +191,9 @@ def orbit_radius(cons, theta, m=1.0, k=1.0):
     """
     if cons.radial:
         raise SimulationError("a radial orbit has no conic radius")
-    if k == 0:
-        raise SimulationError("force constant k must be nonzero")
+    _check_constants(m, k)
+    if not math.isfinite(theta):
+        raise SimulationError(f"angle {theta!r} is not finite")
     e = math.sqrt(cons.eccentricity.norm_squared())
     denom = 1.0 + e * math.cos(theta)
     if k > 0 and denom <= _BRANCH_EPS:
@@ -201,6 +208,7 @@ def orbital_period(cons, m=1.0, k=1.0):
 
     Raises SimulationError when the energy is nonnegative (unbound).
     """
+    _check_constants(m, k)
     if cons.energy >= 0.0:
         raise SimulationError(f"orbit is not bound (E = {cons.energy!r})")
     a = -k / (2.0 * cons.energy)

@@ -3,6 +3,7 @@
 A LinearMap is stored as the images of the orthonormal basis vectors. It
 acts on blades by wedging images (the unique outermorphism extension) and
 linearly on everything else, so it is grade-preserving by construction.
+Each blade image F(e_S) = F(e_(S without max S)) ^ F(e_max S) is wedged once and kept.
 The adjoint, determinant, adjugate inverse, and the factorization of an
 isometry into reflections are all computed through the algebra rather
 than through matrix decompositions; the one exception is the eigenframe
@@ -15,7 +16,8 @@ from __future__ import annotations
 
 import math
 
-from .algebra import GAError, GradeError, Multivector, NotInvertible
+from .algebra import (GAError, GradeError, Multivector, NotInvertible,
+                      _linear_combination, _subset_wedge)
 
 _ISOMETRY_SLACK = 1e4
 
@@ -71,26 +73,15 @@ class LinearMap:
         return [[self.images[j].coefficient((i + 1,)) for j in range(n)]
                 for i in range(n)]
 
-    def _blade_image(self, bits):
-        cached = self._blade_images.get(bits)
-        if cached is not None:
-            return cached
-        low = bits & -bits
-        rest = bits ^ low
-        img = self.images[low.bit_length() - 1] ^ self._blade_image(rest)
-        self._blade_images[bits] = img
-        return img
-
     def __call__(self, A):
         """Apply the outermorphism to any multivector of the same algebra."""
         if not isinstance(A, Multivector):
             raise TypeError("LinearMap applies to Multivectors")
         if A.algebra != self.algebra:
             raise ValueError("multivector from a different algebra")
-        acc = self.algebra.zero()
-        for bits, coeff in A._terms.items():
-            acc = acc + self._blade_image(bits) * coeff
-        return acc
+        return _linear_combination(self.algebra, (
+            (coeff, _subset_wedge(self.images, self._blade_images, bits)._terms)
+            for bits, coeff in A._terms.items()))
 
     def compose(self, other):
         """self after other: (self.compose(other))(x) = self(other(x))."""
@@ -143,20 +134,16 @@ class LinearMap:
         alg = self.algebra
         if any(img for img in self.symmetric_part().images):
             raise OperatorError("map is not skew (symmetric part is nonzero)")
-        acc = alg.zero()
-        for i in range(alg.n):
-            recip = alg.basis_vector(i + 1) * alg.metric[i]
-            acc = acc + (recip ^ self.images[i])
-        return acc * 0.5
+        return _linear_combination(alg, (
+            (0.5 * alg.metric[i], (alg.basis_vector(i + 1) ^ self.images[i])._terms)
+            for i in range(alg.n)))
 
     # -- determinant and inverse -------------------------------------------------
 
     def determinant(self):
         """det F, read off from F(I) = det(F) I."""
-        alg = self.algebra
-        if alg.n == 0:
-            return 1.0
-        return self(alg.I)._terms.get((1 << alg.n) - 1, 0.0)
+        full = (1 << self.algebra.n) - 1
+        return _subset_wedge(self.images, self._blade_images, full)._terms.get(full, 0.0)
 
     def inverse(self):
         """The inverse map, via the adjugate: F^-1(x) = Fbar(x I) I^-1 / det F.
@@ -167,8 +154,6 @@ class LinearMap:
         det = self.determinant()
         if abs(det) <= alg.tolerance:
             raise OperatorError(f"map is singular (det = {det!r})")
-        if alg.n == 0:
-            return LinearMap(alg, [])
         adj = self.adjoint()
         images = [adj(alg.basis_vector(i).inverse_dual()).dual() / det
                   for i in range(1, alg.n + 1)]

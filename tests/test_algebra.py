@@ -49,6 +49,16 @@ def test_bad_signatures_rejected():
         Algebra(2, 0, tolerance=-1.0)
 
 
+def test_non_integral_signature_rejected():
+    # Algebra(3.5, 0) used to build Cl(3,0)
+    for p, q in ((3.5, 0), (3, 0.5), (2.0, 1)):
+        with pytest.raises(ValueError, match="signature counts must be integers"):
+            Algebra(p, q)
+    import numpy as np
+    a = Algebra(np.int64(2), np.int32(1))
+    assert (a, type(a.p), type(a.q)) == (Algebra(2, 1), int, int)
+
+
 def test_dimension_cap_is_configurable():
     a = Algebra(7, 7, max_dimension=14)
     assert a.n == 14
@@ -248,6 +258,24 @@ def test_scalar_multiplication_and_division():
     assert (e1 / 2).coefficient((1,)) == 0.5
     with pytest.raises(TypeError):
         e1 / e1  # division is by scalars only
+
+
+def test_division_by_zero_raises_not_invertible():
+    # this used to be a bare ZeroDivisionError, outside the GAError family
+    e1 = E3.basis_vector(1)
+    for zero in (0, 0.0, -0.0):
+        with pytest.raises(NotInvertible, match="cannot divide a multivector by zero"):
+            e1 / zero
+
+
+def test_numpy_scalar_operands_become_floats():
+    # a numpy scalar used to be stored as is and printed as np.float64(2.5)*e1
+    import numpy as np
+    e1 = E3.basis_vector(1)
+    for mv in (e1 * np.float64(2.5), e1 ^ np.float64(2.5), e1 / np.float64(0.4),
+               e1 * np.int64(5) / 2):
+        assert str(mv) == "2.5*e1"
+        assert type(mv.coefficient((1,))) is float
 
 
 def test_mixing_algebras_raises():

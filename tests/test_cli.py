@@ -222,6 +222,21 @@ def test_small_algebras_do_not_load_numpy(algebra):
     imported = _imported_modules(r.stderr)
     assert "gacalc.algebra" in imported
     assert "numpy" not in imported
+    # frames and outermorphisms on dense input stay on the Python path too
+    code = ("import sys, gacalc\n"
+            f"alg = gacalc.Algebra({algebra})\n"
+            "full = alg.multivector({b: 0.5 + len(b) for b in alg.basis_blades()})\n"
+            "vs = [alg.vector([1.0 + (i == j) * (i + 2) for j in range(alg.n)])\n"
+            "      for i in range(alg.n)]\n"
+            "f = gacalc.Frame(vs)\n"
+            "assert f.expand(f.components(full)).isclose(full, tol=1e-8)\n"
+            "F = gacalc.LinearMap(alg, vs)\n"
+            "assert F.inverse()(F(full)).isclose(full, tol=1e-8)\n"
+            "assert gacalc.factor_isometry(gacalc.LinearMap.identity(alg))[1] == []\n"
+            "assert 'numpy' not in sys.modules\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       timeout=120)
+    assert (r.returncode, r.stderr) == (0, "")
 
 
 def test_import_does_not_load_numpy():
@@ -394,6 +409,14 @@ def test_kepler_rejects_bad_input():
     assert ga("kepler", "--r0", "1,2").returncode == 2
     assert ga("kepler", "--m", "-1").returncode == 2
     assert ga("kepler", "--dt", "0").returncode == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_kepler_rejects_nonfinite_mass(value):
+    # --m nan used to run and report "radius nan fell below the minimum allowed"
+    r = ga("kepler", "--m", value)
+    assert (r.returncode, r.stdout, r.stderr) == (
+        2, "", "error: mass m must be positive and finite\n")
 
 
 def test_kepler_collision_guard():

@@ -1,11 +1,13 @@
 """Frame and reciprocal-frame tests."""
 
+import functools
 import itertools
+import operator
 import random
 
 import pytest
 
-from gacalc import Algebra, Frame, GradeError, NotInvertible
+from gacalc import Algebra, Frame, GradeError, Multivector, NotInvertible
 
 import gen
 
@@ -14,10 +16,10 @@ E3 = Algebra(3, 0)
 STA = Algebra(1, 3)
 
 
-def skewed_frame(alg, rng):
-    """Random frame, resampled until comfortably invertible."""
+def skewed_frame(alg, rng, k=None):
+    """Random frame of k vectors (default n), resampled until comfortably invertible."""
     while True:
-        vs = [gen.rand_vector(alg, rng) for _ in range(alg.n)]
+        vs = [gen.rand_vector(alg, rng) for _ in range(alg.n if k is None else k)]
         f = None
         try:
             f = Frame(vs)
@@ -118,15 +120,50 @@ def test_blade_and_reciprocal_blade_selection():
         f.blade((4,))
 
 
+def _in_span(f, rng):
+    """A random multivector in the subalgebra of a frame, wedged without the frame."""
+    k = len(f)
+    return sum((functools.reduce(operator.xor, (f.vectors[i - 1] for i in s),
+                                 f.algebra.scalar(gen.rand_coeff(rng)))
+                for r in range(k + 1) for s in itertools.combinations(range(1, k + 1), r)),
+               f.algebra.zero())
+
+
 def test_component_round_trip():
     rng = random.Random(313)
-    for alg in (E2, E3, STA):
+    # full frames in Euclidean and mixed signatures, then partial frames (k < n)
+    for alg, k in ((E2, 2), (E3, 3), (STA, 4), (Algebra(2, 2), 4), (Algebra(3, 1), 4),
+                   (Algebra(3, 1), 2), (Algebra(4, 0), 3)):
         for _ in range(8):
-            f = skewed_frame(alg, rng)
-            a = gen.rand_mv(alg, rng)
+            f = skewed_frame(alg, rng, k)
+            a = gen.rand_mv(alg, rng) if k == alg.n else _in_span(f, rng)
             comps = f.components(a)
             back = f.expand(comps)
             assert back.max_coeff_diff(a) < 1e-8
+
+
+@pytest.mark.parametrize("p, q", [(3, 0), (2, 2), (5, 0), (3, 3)])
+def test_each_frame_blade_is_wedged_once(p, q, monkeypatch):
+    # components and expand used to re-wedge every subset blade on each call:
+    # about k 2^k wedges per call, on top of k^2 to build the frame
+    rng = random.Random(f"wedges {p},{q}")
+    alg = Algebra(p, q)
+    wedges = []
+    wedge = Multivector.__xor__
+
+    def counting_wedge(a, b):
+        wedges.append(1)
+        return wedge(a, b)
+
+    monkeypatch.setattr(Multivector, "__xor__", counting_wedge)
+    f = skewed_frame(alg, rng)
+    a = gen.rand_mv(alg, rng)
+    assert f.expand(f.components(a)).max_coeff_diff(a) < 1e-8
+    assert len(wedges) <= 2 * 2 ** alg.n
+    built = len(wedges)
+    f.expand(f.components(a))
+    f.blade_table()
+    assert len(wedges) == built
 
 
 def test_components_drop_negligible_entries():

@@ -41,6 +41,21 @@ def test_state_validation():
         state((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), k=0.0)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("m", math.nan, "mass m must be positive and finite"),
+    ("m", math.inf, "mass m must be positive and finite"),
+    ("k", math.inf, "force constant k must be nonzero and finite"),
+    ("k", math.nan, "force constant k must be nonzero and finite"),
+    ("t", math.nan, "time t must be finite"),
+    ("t", -math.inf, "time t must be finite"),
+])
+def test_nonfinite_constants_rejected(field, value, message):
+    # OrbitState(m=nan) used to be accepted and fail later as "radius nan"
+    args = {"m": 1.0, "k": 1.0, "t": 0.0, field: value}
+    with pytest.raises(SimulationError, match=message):
+        OrbitState(E3.basis_vector(1), E3.basis_vector(2), **args)
+
+
 def test_states_are_frozen():
     with pytest.raises(Exception):
         CIRCLE.m = 2.0
@@ -123,6 +138,13 @@ def test_orbit_radius_circular():
     cons = conserved(CIRCLE)
     for theta in (0.0, 1.0, math.pi, 5.0):
         assert orbit_radius(cons, theta) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_orbit_radius_rejects_nonfinite_angle(theta):
+    # orbit_radius(cons, nan) used to return nan
+    with pytest.raises(SimulationError, match="angle .* is not finite"):
+        orbit_radius(conserved(CIRCLE), theta)
 
 
 def test_orbit_radius_elliptic():

@@ -159,6 +159,7 @@ def test_determinant_of_scalar_only_algebra():
     alg = Algebra(0, 0)
     f = LinearMap(alg, [])
     assert f.determinant() == 1.0
+    assert f.inverse().images == ()
 
 
 def test_determinant_is_multiplicative():
