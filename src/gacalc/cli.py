@@ -221,14 +221,15 @@ def _kepler_main(argv):
     try:
         state0 = kepler_mod.OrbitState(
             algebra.vector(args.r0), algebra.vector(args.v0), args.m, args.k)
-        states = kepler_mod.simulate(
-            state0, args.dt, args.steps,
-            record_every=args.record_every, min_radius=args.min_radius)
+        records = kepler_mod._integrate(
+            state0, args.dt, args.steps, args.record_every, args.min_radius)
+        lines = (kepler_mod._csv_row(*record, state0.m, state0.k, algebra.tolerance)
+                 for record in records)
         if args.csv:
             with open(args.csv, "w", encoding="utf-8") as fh:
-                kepler_mod.write_csv(states, fh)
+                kepler_mod._write_csv_lines(lines, fh)
         else:
-            kepler_mod.write_csv(states, sys.stdout)
+            kepler_mod._write_csv_lines(lines, sys.stdout)
     except (GAError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,20 +13,25 @@ orbit is the conic r(theta) = (l^2/mk) / (1 + |e| cos theta) with theta
 measured from e. Bound orbits (E < 0) have period 2 pi sqrt(m a^3 / k),
 a = -k / 2E.
 
-The integrator is fixed-step RK4 on raw coordinates; recorded states wrap
-the coordinates back into multivectors.
+The integrator is fixed-step RK4 on raw coordinates and records plain
+(t, rx, ry, rz, vx, vy, vz) tuples. simulate() wraps each record in an
+OrbitState; `ga-calc kepler` writes the records to CSV without building
+any. A CSV row computes L, e and E in one pass over the coordinates with
+conserved()'s float operations, order and pruning, so its fields are
+conserved()'s bit for bit.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
-from .algebra import GAError, Multivector
+from .algebra import Algebra, GAError, Multivector
 
 CSV_HEADER = ("t", "rx", "ry", "rz", "vx", "vy", "vz",
               "L_yz", "L_zx", "L_xy", "ex", "ey", "ez", "E")
+_CSV_HEAD = ",".join(CSV_HEADER) + "\n"
+_CSV_ROW = ",".join(["%r"] * len(CSV_HEADER)) + "\n"
 
 _BRANCH_EPS = 1e-12
 
@@ -105,69 +110,97 @@ def conserved(state):
     return Conserved(L, ecc, energy, l, not L)
 
 
-def _accel(rx, ry, rz, km, min2):
-    r2 = rx * rx + ry * ry + rz * rz
-    if not r2 >= min2:
-        raise SimulationError(
-            f"radius {math.sqrt(r2):.3e} fell below the minimum allowed")
-    f = -km / (r2 * math.sqrt(r2))
-    return rx * f, ry * f, rz * f
+def _radius_error(rsq, min2):
+    """The SimulationError for a force evaluation at squared radius rsq."""
+    if not rsq >= min2:
+        return SimulationError(
+            f"radius {math.sqrt(rsq):.3e} fell below the minimum allowed")
+    return SimulationError(
+        f"radius {math.sqrt(rsq):.3e} is too small for the inverse-square force")
 
 
-def simulate(state0, dt, steps, record_every=1, min_radius=1e-8):
-    """Integrate the orbit from state0 with fixed-step RK4.
+def _integrate(state0, dt, steps, record_every, min_radius):
+    """The records of simulate() as (t, rx, ry, rz, vx, vy, vz) tuples.
 
-    Returns a list of OrbitState: the initial state, every record_every-th
-    step, and the final step. Raises SimulationError when the radius drops
-    below min_radius at any stage evaluation or the state goes nonfinite.
+    The coordinates are the integrator's own, not pruned to the tolerance.
     """
     if dt <= 0:
         raise SimulationError("dt must be positive")
+    if not math.isfinite(dt):
+        raise SimulationError(f"dt must be finite, got {dt!r}")
     if steps < 0:
         raise SimulationError("steps must be nonnegative")
     if record_every < 1:
         raise SimulationError("record_every must be at least 1")
+    if not 0 <= min_radius < math.inf:
+        raise SimulationError(
+            f"min_radius must be nonnegative and finite, got {min_radius!r}")
+    t0 = state0.t
+    try:
+        t_end = t0 + steps * dt
+    except OverflowError:
+        t_end = math.inf
+    if not math.isfinite(t_end):
+        raise SimulationError("final time t0 + steps*dt must be finite")
 
-    algebra = state0.r.algebra
-    m, k = state0.m, state0.k
-    km = k / m
+    sqrt = math.sqrt
+    km = state0.k / state0.m
     min2 = min_radius * min_radius
     h2 = dt * 0.5
     sixth = dt / 6.0
 
     rx, ry, rz = _components(state0.r)
     vx, vy, vz = _components(state0.v)
-    _accel(rx, ry, rz, km, min2)
+    # The force -k/m r/|r|^3 needs |r| >= min_radius and |r|^3 > 0 (not
+    # lost to underflow) at each of the four stages of every step.
+    rsq = rx * rx + ry * ry + rz * rz
+    if not (rsq >= min2 and rsq * sqrt(rsq) > 0.0):
+        raise _radius_error(rsq, min2)
 
-    def snapshot(step):
-        return OrbitState(algebra.vector((rx, ry, rz)),
-                          algebra.vector((vx, vy, vz)),
-                          m, k, state0.t + step * dt)
-
-    states = [snapshot(0)]
+    records = [(t0 + 0 * dt, rx, ry, rz, vx, vy, vz)]
     for step in range(1, steps + 1):
-        a1x, a1y, a1z = _accel(rx, ry, rz, km, min2)
+        rsq = rx * rx + ry * ry + rz * rz
+        rcube = rsq * sqrt(rsq)
+        if not (rsq >= min2 and rcube > 0.0):
+            raise _radius_error(rsq, min2)
+        f = -km / rcube
+        a1x, a1y, a1z = rx * f, ry * f, rz * f
         r1x = rx + h2 * vx
         r1y = ry + h2 * vy
         r1z = rz + h2 * vz
         v1x = vx + h2 * a1x
         v1y = vy + h2 * a1y
         v1z = vz + h2 * a1z
-        a2x, a2y, a2z = _accel(r1x, r1y, r1z, km, min2)
+        rsq = r1x * r1x + r1y * r1y + r1z * r1z
+        rcube = rsq * sqrt(rsq)
+        if not (rsq >= min2 and rcube > 0.0):
+            raise _radius_error(rsq, min2)
+        f = -km / rcube
+        a2x, a2y, a2z = r1x * f, r1y * f, r1z * f
         r2x = rx + h2 * v1x
         r2y = ry + h2 * v1y
         r2z = rz + h2 * v1z
         v2x = vx + h2 * a2x
         v2y = vy + h2 * a2y
         v2z = vz + h2 * a2z
-        a3x, a3y, a3z = _accel(r2x, r2y, r2z, km, min2)
+        rsq = r2x * r2x + r2y * r2y + r2z * r2z
+        rcube = rsq * sqrt(rsq)
+        if not (rsq >= min2 and rcube > 0.0):
+            raise _radius_error(rsq, min2)
+        f = -km / rcube
+        a3x, a3y, a3z = r2x * f, r2y * f, r2z * f
         r3x = rx + dt * v2x
         r3y = ry + dt * v2y
         r3z = rz + dt * v2z
         v3x = vx + dt * a3x
         v3y = vy + dt * a3y
         v3z = vz + dt * a3z
-        a4x, a4y, a4z = _accel(r3x, r3y, r3z, km, min2)
+        rsq = r3x * r3x + r3y * r3y + r3z * r3z
+        rcube = rsq * sqrt(rsq)
+        if not (rsq >= min2 and rcube > 0.0):
+            raise _radius_error(rsq, min2)
+        f = -km / rcube
+        a4x, a4y, a4z = r3x * f, r3y * f, r3z * f
         rx += sixth * (vx + 2.0 * (v1x + v2x) + v3x)
         ry += sixth * (vy + 2.0 * (v1y + v2y) + v3y)
         rz += sixth * (vz + 2.0 * (v1z + v2z) + v3z)
@@ -177,8 +210,27 @@ def simulate(state0, dt, steps, record_every=1, min_radius=1e-8):
         if not math.isfinite(rx + ry + rz + vx + vy + vz):
             raise SimulationError(f"state became nonfinite at step {step}")
         if step % record_every == 0 or step == steps:
-            states.append(snapshot(step))
-    return states
+            records.append((t0 + step * dt, rx, ry, rz, vx, vy, vz))
+    return records
+
+
+def simulate(state0, dt, steps, record_every=1, min_radius=1e-8):
+    """Integrate the orbit from state0 with fixed-step RK4.
+
+    Returns a list of OrbitState: the initial state, every record_every-th
+    step, and the final step, at times state0.t + step * dt. Raises
+    SimulationError for invalid arguments (dt not positive and finite,
+    negative steps, record_every below 1, min_radius negative or not
+    finite, a final time that is not finite), when the radius drops below
+    min_radius, or too low to evaluate the force, at any stage evaluation,
+    and when the state goes nonfinite.
+    """
+    algebra = state0.r.algebra
+    m, k = state0.m, state0.k
+    return [OrbitState(algebra.vector((rx, ry, rz)), algebra.vector((vx, vy, vz)),
+                       m, k, t)
+            for t, rx, ry, rz, vx, vy, vz
+            in _integrate(state0, dt, steps, record_every, min_radius)]
 
 
 def orbit_radius(cons, theta, m=1.0, k=1.0):
@@ -215,24 +267,86 @@ def orbital_period(cons, m=1.0, k=1.0):
     return 2.0 * math.pi * math.sqrt(m * a ** 3 / k)
 
 
+def _csv_row(t, rx, ry, rz, vx, vy, vz, m, k, tol):
+    """The CSV line of one state: t, r and v, then conserved()'s L, e and E.
+
+    Runs conserved()'s float operations in its order on the coordinates,
+    and sets each value that conserved() prunes to 0.0 when it is at or
+    below tol, so every field equals conserved()'s bit for bit. A value that
+    is not finite is kept and reaches e; conserved() is then called on the
+    state to raise the NonFiniteError it raises for that value.
+    """
+    rx = 0.0 if abs(rx) <= tol else rx
+    ry = 0.0 if abs(ry) <= tol else ry
+    rz = 0.0 if abs(rz) <= tol else rz
+    vx = 0.0 if abs(vx) <= tol else vx
+    vy = 0.0 if abs(vy) <= tol else vy
+    vz = 0.0 if abs(vz) <= tol else vz
+    rlen = math.sqrt(rx * rx + ry * ry + rz * rz)
+    if rlen <= 0.0:
+        raise SimulationError("position is at the singularity")
+    # L = (r ^ v) * m, pruned after the wedge and after the scaling
+    l12 = rx * vy - ry * vx
+    l13 = rx * vz - rz * vx
+    l23 = ry * vz - rz * vy
+    l12 = 0.0 if abs(l12) <= tol else l12 * m
+    l13 = 0.0 if abs(l13) <= tol else l13 * m
+    l23 = 0.0 if abs(l23) <= tol else l23 * m
+    l12 = 0.0 if abs(l12) <= tol else l12
+    l13 = 0.0 if abs(l13) <= tol else l13
+    l23 = 0.0 if abs(l23) <= tol else l23
+    # L v, pruned, then divided by k and pruned. Its e123 part is not
+    # written, but conserved() raises if it overflows, so it is summed in the
+    # order of L's terms: that of the first r ^ v pair to meet each blade.
+    lv1 = l12 * vy + l13 * vz
+    lv2 = l23 * vz - l12 * vx
+    lv3 = -l13 * vx - l23 * vy
+    if rx == 0.0 and ry and vz:     # e12, e23, e13
+        lv123 = l12 * vz + l23 * vx - l13 * vy
+    else:                           # e12 and e13 before e23
+        lv123 = l12 * vz - l13 * vy + l23 * vx
+    lv1 = 0.0 if abs(lv1) <= tol else lv1 / k
+    lv2 = 0.0 if abs(lv2) <= tol else lv2 / k
+    lv3 = 0.0 if abs(lv3) <= tol else lv3 / k
+    lv123 = 0.0 if abs(lv123) <= tol else lv123 / k
+    lv1 = 0.0 if abs(lv1) <= tol else lv1
+    lv2 = 0.0 if abs(lv2) <= tol else lv2
+    lv3 = 0.0 if abs(lv3) <= tol else lv3
+    # e = L v / k - r / |r|, each of the two terms pruned and then e
+    hx = rx / rlen
+    hy = ry / rlen
+    hz = rz / rlen
+    ex = lv1 - (0.0 if abs(hx) <= tol else hx)
+    ey = lv2 - (0.0 if abs(hy) <= tol else hy)
+    ez = lv3 - (0.0 if abs(hz) <= tol else hz)
+    ex = 0.0 if abs(ex) <= tol else ex
+    ey = 0.0 if abs(ey) <= tol else ey
+    ez = 0.0 if abs(ez) <= tol else ez
+    if not (math.isfinite(ex) and math.isfinite(ey) and math.isfinite(ez)
+            and math.isfinite(lv123)):
+        algebra = Algebra(3, 0, tolerance=tol)
+        conserved(OrbitState(algebra.vector((rx, ry, rz)),
+                             algebra.vector((vx, vy, vz)), m, k, t))
+    energy = 0.5 * m * (vx * vx + vy * vy + vz * vz) - k / rlen
+    return _CSV_ROW % (t, rx, ry, rz, vx, vy, vz, l23, -l13, l12, ex, ey, ez, energy)
+
+
+def _write_csv_lines(lines, stream):
+    """Write the CSV header, then the lines made by _csv_row."""
+    stream.write(_CSV_HEAD)
+    stream.writelines(lines)
+
+
 def write_csv(states, stream):
     """Write recorded states with their conserved quantities as CSV.
 
+    One line per state: t, r, v, L, e and E, each field the Python repr of
+    the float, so it reads back exactly. r and v are the state's components,
+    and L, e and E equal conserved()'s, pruned to the algebra tolerance.
     Bivector components follow the dual-axis convention: L_yz = L[e23],
-    L_zx = -L[e13], L_xy = L[e12].
+    L_zx = -L[e13] (written -0.0 when L[e13] is zero), L_xy = L[e12].
     """
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for state in states:
-        cons = conserved(state)
-        L = cons.angular_momentum
-        writer.writerow((
-            repr(state.t),
-            *(repr(c) for c in _components(state.r)),
-            *(repr(c) for c in _components(state.v)),
-            repr(L.coefficient((2, 3))),
-            repr(-L.coefficient((1, 3))),
-            repr(L.coefficient((1, 2))),
-            *(repr(c) for c in _components(cons.eccentricity)),
-            repr(cons.energy),
-        ))
+    _write_csv_lines(
+        (_csv_row(s.t, *_components(s.r), *_components(s.v), float(s.m), float(s.k),
+                  s.r.algebra.tolerance) for s in states),
+        stream)

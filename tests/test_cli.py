@@ -11,7 +11,8 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gacalc import Algebra, EvalError, cli
+from gacalc import Algebra, EvalError, OrbitState, cli, simulate
+from gacalc.kepler import write_csv
 
 
 def ga(*args, stdin=None):
@@ -224,6 +225,7 @@ def test_small_algebras_do_not_load_numpy(algebra):
     assert "numpy" not in imported
     # frames and outermorphisms on dense input stay on the Python path too
     code = ("import sys, gacalc\n"
+            "assert 'csv' not in sys.modules\n"
             f"alg = gacalc.Algebra({algebra})\n"
             "full = alg.multivector({b: 0.5 + len(b) for b in alg.basis_blades()})\n"
             "vs = [alg.vector([1.0 + (i == j) * (i + 2) for j in range(alg.n)])\n"
@@ -424,3 +426,70 @@ def test_kepler_collision_guard():
            "--min-radius", "0.5")
     assert r.returncode == 2
     assert "radius" in r.stderr or "collision" in r.stderr
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(("--r0=0,0,0", "--min-radius", "0"), id="origin"),
+    pytest.param(("--r0=1e-200,0,0", "--min-radius=1e-200"), id="r2-underflow"),
+])
+def test_kepler_force_underflow_is_an_error(args):
+    # used to exit 1 with a ZeroDivisionError traceback
+    r = ga("kepler", *args)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == (
+        "error: radius 0.000e+00 is too small for the inverse-square force\n")
+
+
+@pytest.mark.parametrize("args, message", [
+    pytest.param(("--dt", "nan"), "dt must be finite, got nan", id="dt-nan"),
+    pytest.param(("--dt", "inf"), "dt must be finite, got inf", id="dt-inf"),
+    pytest.param(("--dt", "1e300", "--steps", "10000000000"),
+                 "final time t0 + steps*dt must be finite", id="final-time"),
+    pytest.param(("--min-radius=-1",),
+                 "min_radius must be nonnegative and finite, got -1.0", id="min-radius-negative"),
+    pytest.param(("--min-radius", "nan"),
+                 "min_radius must be nonnegative and finite, got nan", id="min-radius-nan"),
+    pytest.param(("--min-radius", "inf"),
+                 "min_radius must be nonnegative and finite, got inf", id="min-radius-inf"),
+])
+def test_kepler_rejects_invalid_arguments(args, message):
+    # --dt nan used to fail as "time t must be finite", and a negative or
+    # non-finite --min-radius as "radius 1.000e+00 fell below the minimum"
+    r = ga("kepler", *args)
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
+
+
+def test_kepler_overflow_is_an_error():
+    r = ga("kepler", "--r0=1e200,0,0", "--v0=0,1e200,0", "--steps", "2")
+    assert r.returncode == 2
+    assert r.stderr == "error: coefficient is not finite: inf\n"
+
+
+@pytest.mark.parametrize("options", [
+    pytest.param({}, id="default"),
+    pytest.param({"steps": 1000, "record_every": 300}, id="thinned"),
+    pytest.param({"v0": (0.5, 0.03, 0.0), "dt": 1e-3, "steps": 2000}, id="low-l"),
+    pytest.param({"v0": (0.5, 1e-6, 0.0), "dt": 1e-3, "steps": 1000}, id="near-radial"),
+    pytest.param({"r0": (0.0, 1.0, 0.0), "v0": (0.0, 0.0, 1.1), "steps": 500},
+                 id="yz-plane"),
+])
+def test_kepler_cli_matches_library(options):
+    # the CLI's one-pass rows are the library's write_csv(simulate(...)) bytes
+    o = {"r0": (1.0, 0.0, 0.0), "v0": (0.0, 1.0, 0.0), "dt": 1e-4, "steps": 10000,
+         "record_every": 1, **options}
+    argv = ["kepler"]
+    for name in options:
+        value = o[name]
+        text = ",".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+        argv.append(f"--{name.replace('_', '-')}={text}")
+    r = subprocess.run([sys.executable, "-m", "gacalc", *argv], capture_output=True,
+                       timeout=120)
+    assert (r.returncode, r.stderr) == (0, b"")
+    e3 = Algebra(3, 0)
+    states = simulate(OrbitState(e3.vector(o["r0"]), e3.vector(o["v0"])), o["dt"],
+                      o["steps"], record_every=o["record_every"])
+    buf = io.StringIO()
+    write_csv(states, buf)
+    assert r.stdout == buf.getvalue().encode()
+    if "r0" in options:
+        assert {row.split(b",")[8] for row in r.stdout.splitlines()[1:]} == {b"-0.0"}

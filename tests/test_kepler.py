@@ -5,10 +5,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from gacalc import (
     Algebra,
+    NonFiniteError,
     OrbitState,
     SimulationError,
     conserved,
@@ -200,6 +202,41 @@ def test_simulate_argument_validation():
     assert simulate(CIRCLE, 1e-3, 0) == [CIRCLE]
 
 
+@pytest.mark.parametrize("r0, min_radius", [
+    pytest.param((0.0, 0.0, 0.0), 0.0, id="origin"),
+    pytest.param((1e-200, 0.0, 0.0), 1e-200, id="r2-underflow"),
+    pytest.param((1e-110, 0.0, 0.0), 0.0, id="r3-underflow"),
+])
+def test_force_underflow_raises_simulation_error(r0, min_radius):
+    # r^2 sqrt(r^2) underflows to 0 while r^2 >= min_radius^2 holds: this
+    # used to fail with a bare ZeroDivisionError
+    s0 = state(r0, (0.0, 1.0, 0.0))
+    with pytest.raises(SimulationError, match="too small for the inverse-square force"):
+        simulate(s0, 1e-3, 10, min_radius=min_radius)
+
+
+_FINAL_TIME = r"final time t0 \+ steps\*dt must be finite"
+_MIN_RADIUS = "min_radius must be nonnegative and finite, got "
+
+
+@pytest.mark.parametrize("dt, steps, min_radius, t0, message", [
+    pytest.param(math.nan, 10, 1e-8, 0.0, "dt must be finite, got nan", id="dt-nan"),
+    pytest.param(math.inf, 10, 1e-8, 0.0, "dt must be finite, got inf", id="dt-inf"),
+    pytest.param(1e300, 10 ** 10, 1e-8, 0.0, _FINAL_TIME, id="steps-dt-overflow"),
+    pytest.param(1e-3, 10 ** 400, 1e-8, 0.0, _FINAL_TIME, id="steps-beyond-float"),
+    pytest.param(1e307, 10, 1e-8, 1.7e308, _FINAL_TIME, id="t0-overflow"),
+    pytest.param(1e-3, 10, -1.0, 0.0, _MIN_RADIUS + "-1.0", id="min-radius-negative"),
+    pytest.param(1e-3, 10, math.nan, 0.0, _MIN_RADIUS + "nan", id="min-radius-nan"),
+    pytest.param(1e-3, 10, math.inf, 0.0, _MIN_RADIUS + "inf", id="min-radius-inf"),
+])
+def test_simulate_rejects_invalid_arguments(dt, steps, min_radius, t0, message):
+    # a non-finite dt used to surface as "time t must be finite" from a
+    # recorded state, and a bad min_radius as a radius below the minimum
+    s0 = OrbitState(E3.basis_vector(1), E3.basis_vector(2), t=t0)
+    with pytest.raises(SimulationError, match=message):
+        simulate(s0, dt, steps, min_radius=min_radius)
+
+
 def test_simulate_records_initial_and_final():
     states = simulate(CIRCLE, 1e-3, 10)
     assert len(states) == 11
@@ -309,3 +346,66 @@ def test_write_csv_bivector_component_signs():
     assert (l_yz, l_zx, l_xy) == (1.0, 0.0, 0.0)
     cons = conserved(s)
     assert cons.angular_momentum.dual() == E3.vector([l_yz, l_zx, l_xy])
+
+
+def _csv_fields(s):
+    """The fields of s's CSV row, computed through conserved()."""
+    cons = conserved(s)
+    L, e = cons.angular_momentum, cons.eccentricity
+    vector = lambda mv: [mv.coefficient((i,)) for i in (1, 2, 3)]
+    return [s.t, *vector(s.r), *vector(s.v), L.coefficient((2, 3)),
+            -L.coefficient((1, 3)), L.coefficient((1, 2)), *vector(e), cons.energy]
+
+
+def _coordinates(tol):
+    return st.one_of(
+        st.sampled_from([0.0, -0.0, tol, -tol]),
+        st.floats(-2 * tol, 2 * tol),
+        st.builds(lambda sign, exp: sign * 10.0 ** exp,
+                  st.sampled_from([1.0, -1.0]), st.floats(-12, 4)))
+
+
+@st.composite
+def _states(draw):
+    algebra = draw(st.sampled_from([E3, Algebra(3, 0, tolerance=1e-6)]))
+    coordinate = _coordinates(algebra.tolerance)
+    r = draw(st.tuples(coordinate, coordinate, coordinate))
+    v = draw(st.tuples(coordinate, coordinate, coordinate))
+    m = 10.0 ** draw(st.floats(-20, 20))
+    k = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-20, 20))
+    t = draw(st.sampled_from([0.0, -0.0, 1.5e-3, -7.25]))
+    return OrbitState(algebra.vector(r), algebra.vector(v), m, k, t)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_states())
+def test_csv_row_is_conserved_bit_for_bit(s):
+    buf = io.StringIO()
+    try:
+        want = [repr(x) for x in _csv_fields(s)]
+    except SimulationError:
+        with pytest.raises(SimulationError, match="singularity"):
+            write_csv([s], buf)
+        return
+    write_csv([s], buf)
+    assert buf.getvalue().splitlines()[1].split(",") == want
+
+
+def test_write_csv_overflow_raises_nonfinite_error():
+    # r ^ v overflows: the CSV writer must raise as conserved() does
+    s = state((1e200, 0.0, 0.0), (0.0, 1e200, 0.0))
+    with pytest.raises(NonFiniteError, match="coefficient is not finite: inf"):
+        conserved(s)
+    with pytest.raises(NonFiniteError, match="coefficient is not finite: inf"):
+        write_csv([s], io.StringIO())
+
+
+def test_write_csv_numpy_constants_write_plain_floats():
+    # E used to be written as "np.float64(...)" for a numpy m or k
+    np = pytest.importorskip("numpy")
+    s = state((1.0, 0.0, 0.0), (0.0, 1.2, 0.0), m=np.float64(2.0), k=np.float64(3.0))
+    buf = io.StringIO()
+    write_csv([s], buf)
+    row = buf.getvalue().splitlines()[1].split(",")
+    assert row == [repr(x) for x in _csv_fields(state(
+        (1.0, 0.0, 0.0), (0.0, 1.2, 0.0), m=2.0, k=3.0))]
