@@ -231,8 +231,10 @@ def _pruned(raw, tol):
 def _dense_product(algebra, left, right, select):
     """The Python product loop over the term dicts left x right, in numpy.
 
-    Returns the unpruned sums keyed by blade, in the order the loop first
-    meets each blade, and equal to the loop's sums bit for bit.
+    Returns the product as a Multivector whose terms are the loop's sums bit
+    for bit, pruned in numpy to the tolerance and kept in the order the loop
+    first meets each blade. Raises NonFiniteError for the first sum in that
+    order that is not finite.
     """
     import numpy as np
 
@@ -262,7 +264,15 @@ def _dense_product(algebra, left, right, select):
             np.minimum.at(first, blades, kept + start * len(kb))
     met = np.flatnonzero(first < pairs)
     met = met[np.argsort(first[met])]
-    return dict(zip(met.tolist(), sums[met].tolist()))
+    values = sums[met]
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise NonFiniteError(f"coefficient is not finite: {float(values[~finite][0])!r}")
+    keep = np.abs(values) > algebra.tolerance
+    mv = object.__new__(Multivector)
+    mv.algebra = algebra
+    mv._terms = dict(zip(met[keep].tolist(), values[keep].tolist()))
+    return mv
 
 
 def _bits_to_indices(bits):
@@ -431,8 +441,7 @@ class Multivector:
         other = self._coerce(other)
         pairs = len(self._terms) * len(other._terms)
         if pairs >= _DENSE_MIN_PAIRS and (1 << self.algebra.n) <= pairs:
-            return Multivector._make(self.algebra, _dense_product(
-                self.algebra, self._terms, other._terms, select))
+            return _dense_product(self.algebra, self._terms, other._terms, select)
         minus_mask = self.algebra._minus_mask
         right = other._terms.items()
         raw = {}

@@ -6,8 +6,8 @@ Modes:
     ga-calc -e EXPR             evaluate one expression and exit
     ga-calc kepler [options]    integrate an orbit, emit CSV
 
-An expression that starts with "-" reads as an option after -e; write it
-as --expr=-e1 instead.
+An option's value may start with "-": -e -e1 evaluates -e1, as do
+-e-e1 and --expr=-e1. Long options may be shortened to a unique prefix.
 
 Scripts and the interactive loop share one small command language on top
 of expressions: blank lines and lines starting with # are skipped,
@@ -21,13 +21,12 @@ Exit codes: 0 success, 1 parse error, 2 evaluation error.
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import re
 import sys
 
 from .algebra import DEFAULT_TOLERANCE, Algebra, GAError
 from .exprs import EvalError, ParseError, evaluate, parse
-from . import kepler as kepler_mod
 
 _LET = re.compile(r":let\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)\Z")
 _ALGEBRA_ARG = re.compile(r"(\d+)\s*,\s*(\d+)\Z")
@@ -106,18 +105,98 @@ class _Session:
 def _algebra_option(text):
     m = _ALGEBRA_ARG.fullmatch(text.strip())
     if not m:
-        raise argparse.ArgumentTypeError("expected P,Q (for example 3,0)")
+        raise ValueError("expected P,Q (for example 3,0)")
     return int(m.group(1)), int(m.group(2))
 
 
 def _vector3(text):
     parts = text.split(",")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated numbers")
+        raise ValueError("expected three comma-separated numbers")
     try:
         return tuple(float(p) for p in parts)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad number in {text!r}")
+        raise ValueError(f"bad number in {text!r}") from None
+
+
+class _Parser:
+    """One command's options, parsed with getopt.gnu_getopt.
+
+    Options and positionals may be mixed, a long option may be shortened to
+    any unique prefix, and an option's value may start with "-". -h/--help
+    prints the help to stdout and exits 0; a usage error prints the usage
+    line and the message to stderr and exits 2.
+    """
+
+    def __init__(self, prog, description, options, positional=None):
+        self.prog, self.description, self.options = prog, description, options
+        self.positional = positional        # (metavar, help) of one optional positional
+
+    def _usage(self):
+        flags = "".join(f" [-{short} {metavar}]" if short else f" [--{name} {metavar}]"
+                        for short, name, metavar, *_ in self.options)
+        tail = f" [{self.positional[0]}]" if self.positional else ""
+        return f"usage: {self.prog} [-h]{flags}{tail}"
+
+    def error(self, message):
+        print(f"{self._usage()}\n{self.prog}: error: {message}", file=sys.stderr)
+        raise SystemExit(2)
+
+    def _help(self):
+        rows = [self.positional] if self.positional else []
+        rows.append(("-h, --help", "show this help message and exit"))
+        for short, name, metavar, _, _, text in self.options:
+            flag = f"--{name} {metavar}"
+            rows.append((f"-{short} {metavar}, {flag}" if short else flag, text))
+        width = max(len(flag) for flag, _ in rows) + 2
+        print("\n".join([self._usage(), "", self.description, "",
+                         *(f"  {flag:<{width}}{text}" for flag, text in rows)]))
+        raise SystemExit(0)
+
+    def parse(self, argv):
+        """Each option's value (or default) keyed by long name, and the positional or None."""
+        shorts = "h" + "".join(f"{short}:" for short, *_ in self.options if short)
+        longs = ["help"] + [f"{name}=" for _, name, *_ in self.options]
+        try:
+            pairs, positionals = getopt.gnu_getopt(argv, shorts, longs)
+        except getopt.GetoptError as exc:
+            self.error(exc.msg)
+        values = {name: default for _, name, _, _, default, _ in self.options}
+        for flag, text in pairs:
+            if flag in ("-h", "--help"):
+                self._help()
+            for short, name, _, convert, _, _ in self.options:
+                if flag in (f"-{short}", f"--{name}"):
+                    break
+            try:
+                values[name] = convert(text)
+            except ValueError as exc:
+                self.error(f"argument {f'-{short}/' if short else ''}--{name}: {exc}")
+        extra = positionals[1:] if self.positional else positionals
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return values, positionals[0] if positionals else None
+
+
+_CALC = _Parser("ga-calc", "geometric-algebra expression calculator", (
+    ("e", "expr", "EXPR", str, None, "evaluate one expression and exit"),
+    (None, "script", "FILE", str, None, "script file to evaluate (same as the positional)"),
+    (None, "algebra", "P,Q", _algebra_option, (3, 0), "signature, default 3,0"),
+    (None, "tolerance", "T", float, DEFAULT_TOLERANCE,
+     "coefficient zero threshold, default 1e-10"),
+), ("SCRIPT", "script file to evaluate"))
+
+_KEPLER = _Parser("ga-calc kepler", "integrate a Kepler orbit and write CSV", (
+    (None, "r0", "X,Y,Z", _vector3, (1.0, 0.0, 0.0), "initial position, default 1,0,0"),
+    (None, "v0", "X,Y,Z", _vector3, (0.0, 1.0, 0.0), "initial velocity, default 0,1,0"),
+    (None, "m", "M", float, 1.0, "mass, default 1"),
+    (None, "k", "K", float, 1.0, "force constant, default 1"),
+    (None, "dt", "DT", float, 1e-4, "time step, default 1e-4"),
+    (None, "steps", "STEPS", int, 10000, "number of RK4 steps, default 10000"),
+    (None, "record-every", "N", int, 1, "record every Nth step, default 1"),
+    (None, "min-radius", "MIN_RADIUS", float, 1e-8, "abort below this radius, default 1e-8"),
+    (None, "csv", "PATH", str, None, "write CSV here instead of stdout"),
+))
 
 
 def _run(session, lines, path=None, keep_going=False):
@@ -156,30 +235,17 @@ def _prompt_lines():
 
 
 def _calc_main(argv):
-    parser = argparse.ArgumentParser(
-        prog="ga-calc",
-        description="geometric-algebra expression calculator")
-    parser.add_argument("script_arg", nargs="?", metavar="SCRIPT",
-                        help="script file to evaluate")
-    parser.add_argument("-e", "--expr", metavar="EXPR",
-                        help="evaluate one expression and exit")
-    parser.add_argument("--script", metavar="FILE",
-                        help="script file to evaluate (same as the positional)")
-    parser.add_argument("--algebra", type=_algebra_option, default=(3, 0),
-                        metavar="P,Q", help="signature, default 3,0")
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                        metavar="T", help="coefficient zero threshold, default 1e-10")
-    args = parser.parse_args(argv)
-    if args.script and args.script_arg:
-        parser.error("give the script either positionally or via --script, not both")
+    args, script_arg = _CALC.parse(argv)
+    if args["script"] and script_arg:
+        _CALC.error("give the script either positionally or via --script, not both")
     try:
-        algebra = Algebra(*args.algebra, tolerance=args.tolerance)
+        algebra = Algebra(*args["algebra"], tolerance=args["tolerance"])
     except ValueError as exc:
-        parser.error(str(exc))
+        _CALC.error(str(exc))
     session = _Session(algebra)
-    if args.expr is not None:
-        return _run(session, [args.expr])
-    script = args.script or args.script_arg
+    if args["expr"] is not None:
+        return _run(session, [args["expr"]])
+    script = args["script"] or script_arg
     if script is not None:
         try:
             with open(script, encoding="utf-8") as fh:
@@ -196,40 +262,22 @@ def _calc_main(argv):
 
 
 def _kepler_main(argv):
-    parser = argparse.ArgumentParser(
-        prog="ga-calc kepler",
-        description="integrate a Kepler orbit and write CSV")
-    parser.add_argument("--r0", type=_vector3, default=(1.0, 0.0, 0.0),
-                        metavar="X,Y,Z", help="initial position, default 1,0,0")
-    parser.add_argument("--v0", type=_vector3, default=(0.0, 1.0, 0.0),
-                        metavar="X,Y,Z", help="initial velocity, default 0,1,0")
-    parser.add_argument("--m", type=float, default=1.0, help="mass, default 1")
-    parser.add_argument("--k", type=float, default=1.0,
-                        help="force constant, default 1")
-    parser.add_argument("--dt", type=float, default=1e-4,
-                        help="time step, default 1e-4")
-    parser.add_argument("--steps", type=int, default=10000,
-                        help="number of RK4 steps, default 10000")
-    parser.add_argument("--record-every", type=int, default=1, metavar="N",
-                        help="record every Nth step, default 1")
-    parser.add_argument("--min-radius", type=float, default=1e-8,
-                        help="abort below this radius, default 1e-8")
-    parser.add_argument("--csv", metavar="PATH",
-                        help="write CSV here instead of stdout")
-    args = parser.parse_args(argv)
+    from . import kepler
+
+    args, _ = _KEPLER.parse(argv)
     algebra = Algebra(3, 0)
     try:
-        state0 = kepler_mod.OrbitState(
-            algebra.vector(args.r0), algebra.vector(args.v0), args.m, args.k)
-        records = kepler_mod._integrate(
-            state0, args.dt, args.steps, args.record_every, args.min_radius)
-        lines = (kepler_mod._csv_row(*record, state0.m, state0.k, algebra.tolerance)
+        state0 = kepler.OrbitState(
+            algebra.vector(args["r0"]), algebra.vector(args["v0"]), args["m"], args["k"])
+        records = kepler._integrate(
+            state0, args["dt"], args["steps"], args["record-every"], args["min-radius"])
+        lines = (kepler._csv_row(*record, state0.m, state0.k, algebra.tolerance)
                  for record in records)
-        if args.csv:
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                kepler_mod._write_csv_lines(lines, fh)
+        if args["csv"]:
+            with open(args["csv"], "w", encoding="utf-8") as fh:
+                kepler._write_csv_lines(lines, fh)
         else:
-            kepler_mod._write_csv_lines(lines, sys.stdout)
+            kepler._write_csv_lines(lines, sys.stdout)
     except (GAError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

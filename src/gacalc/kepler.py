@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import Algebra, GAError, Multivector
+from .algebra import Algebra, GAError, Multivector, NonFiniteError
 
 CSV_HEADER = ("t", "rx", "ry", "rz", "vx", "vy", "vz",
               "L_yz", "L_zx", "L_xy", "ex", "ey", "ez", "E")
@@ -34,6 +34,8 @@ _CSV_HEAD = ",".join(CSV_HEADER) + "\n"
 _CSV_ROW = ",".join(["%r"] * len(CSV_HEADER)) + "\n"
 
 _BRANCH_EPS = 1e-12
+_INF = math.inf
+_OVERFLOW = "orbit state overflows: |r|^2, |L|^2 or E is not finite"
 
 
 class SimulationError(GAError):
@@ -89,7 +91,8 @@ class Conserved:
 
 
 def _components(mv):
-    return mv.coefficient((1,)), mv.coefficient((2,)), mv.coefficient((3,))
+    terms = mv._terms
+    return terms.get(1, 0.0), terms.get(2, 0.0), terms.get(4, 0.0)
 
 
 def conserved(state):
@@ -97,17 +100,21 @@ def conserved(state):
 
     The identity E = (m k^2 / 2 l^2)(|e|^2 - 1) is not checked here: near a
     radial orbit its factor 1/l^2 magnifies the rounding and pruning of e
-    past any useful bound. Raises SimulationError at zero radius.
+    past any useful bound. Raises SimulationError at zero radius, and
+    NonFiniteError when a coefficient, |r|^2, |L|^2 or E overflows.
     """
     r, v, m, k = state.r, state.v, state.m, state.k
-    rlen = math.sqrt(r.norm_squared())
+    rsq = r.norm_squared()
+    rlen = math.sqrt(rsq)
     if rlen <= 0.0:
         raise SimulationError("position is at the singularity")
     L = (r ^ v) * m
     ecc = (L * v) / k - r / rlen
     energy = 0.5 * m * v.norm_squared() - k / rlen
-    l = math.sqrt(L.norm_squared())
-    return Conserved(L, ecc, energy, l, not L)
+    lsq = L.norm_squared()
+    if not (rsq < _INF and lsq < _INF and -_INF < energy < _INF):
+        raise NonFiniteError(_OVERFLOW)
+    return Conserved(L, ecc, energy, math.sqrt(lsq), not L)
 
 
 def _radius_error(rsq, min2):
@@ -274,7 +281,8 @@ def _csv_row(t, rx, ry, rz, vx, vy, vz, m, k, tol):
     and sets each value that conserved() prunes to 0.0 when it is at or
     below tol, so every field equals conserved()'s bit for bit. A value that
     is not finite is kept and reaches e; conserved() is then called on the
-    state to raise the NonFiniteError it raises for that value.
+    state to raise the NonFiniteError it raises for that value. Past those,
+    an overflow of |r|^2, |L|^2 or E raises conserved()'s NonFiniteError.
     """
     rx = 0.0 if abs(rx) <= tol else rx
     ry = 0.0 if abs(ry) <= tol else ry
@@ -282,7 +290,8 @@ def _csv_row(t, rx, ry, rz, vx, vy, vz, m, k, tol):
     vx = 0.0 if abs(vx) <= tol else vx
     vy = 0.0 if abs(vy) <= tol else vy
     vz = 0.0 if abs(vz) <= tol else vz
-    rlen = math.sqrt(rx * rx + ry * ry + rz * rz)
+    rsq = rx * rx + ry * ry + rz * rz
+    rlen = math.sqrt(rsq)
     if rlen <= 0.0:
         raise SimulationError("position is at the singularity")
     # L = (r ^ v) * m, pruned after the wedge and after the scaling
@@ -328,6 +337,9 @@ def _csv_row(t, rx, ry, rz, vx, vy, vz, m, k, tol):
         conserved(OrbitState(algebra.vector((rx, ry, rz)),
                              algebra.vector((vx, vy, vz)), m, k, t))
     energy = 0.5 * m * (vx * vx + vy * vy + vz * vz) - k / rlen
+    if not (rsq < _INF and l12 * l12 + l13 * l13 + l23 * l23 < _INF
+            and -_INF < energy < _INF):
+        raise NonFiniteError(_OVERFLOW)
     return _CSV_ROW % (t, rx, ry, rz, vx, vy, vz, l23, -l13, l12, ex, ey, ez, energy)
 
 

@@ -7,12 +7,15 @@ import itertools
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gacalc import Algebra, EvalError, OrbitState, cli, simulate
 from gacalc.kepler import write_csv
+
+GOLDEN_SCRIPT = Path(__file__).parent / "data" / "golden_script.ga"
 
 
 def ga(*args, stdin=None):
@@ -85,6 +88,73 @@ def test_negative_one_liner_needs_the_long_option_form():
     r = ga("--expr=-e1")
     assert r.returncode == 0
     assert r.stdout == "-1*e1\n"
+
+
+@pytest.mark.parametrize("args", [
+    ("-e", "-e1"), ("-e-e1",), ("--expr", "-e1"), ("--ex", "-e1"),
+])
+def test_option_value_may_start_with_a_dash(args):
+    # -e -e1 used to fail: "argument -e/--expr: expected one argument"
+    r = ga(*args)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "-1*e1\n", "")
+
+
+# Each option as the help lists it, and some of the help text with its default.
+CALC_HELP = ("-h, --help", "-e EXPR, --expr EXPR", "--script FILE", "--algebra P,Q",
+             "--tolerance T", "SCRIPT", "evaluate one expression and exit",
+             "signature, default 3,0", "coefficient zero threshold, default 1e-10")
+KEPLER_HELP = ("-h, --help", "--r0 X,Y,Z", "--v0 X,Y,Z", "--m M", "--k K", "--dt DT",
+               "--steps STEPS", "--record-every N", "--min-radius MIN_RADIUS",
+               "--csv PATH", "initial position, default 1,0,0", "mass, default 1",
+               "number of RK4 steps, default 10000", "abort below this radius, default 1e-8")
+
+
+@pytest.mark.parametrize("args, listed", [
+    pytest.param(("--help",), CALC_HELP, id="calc"),
+    pytest.param(("-h",), CALC_HELP, id="calc-short"),
+    pytest.param(("kepler", "--help"), KEPLER_HELP, id="kepler"),
+])
+def test_help_lists_every_option(args, listed):
+    r = ga(*args)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout.startswith("usage: ga-calc")
+    for text in listed:
+        assert text in r.stdout
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(("--bogus", "-e", "1"), id="unknown-long"),
+    pytest.param(("-x",), id="unknown-short"),
+    pytest.param(("-e",), id="missing-value"),
+    pytest.param(("--algebra",), id="missing-long-value"),
+    pytest.param(("a.ga", "b.ga"), id="two-positionals"),
+    pytest.param(("a.ga", "--script", "b.ga"), id="positional-and-script"),
+    pytest.param(("--algebra", "3", "-e", "1"), id="bad-signature"),
+    pytest.param(("--tolerance", "small", "-e", "1"), id="bad-tolerance"),
+    pytest.param(("--tolerance", "nan", "-e", "1"), id="nan-tolerance"),
+    pytest.param(("--help=x",), id="help-value"),
+    pytest.param(("kepler", "--bogus"), id="kepler-unknown"),
+    pytest.param(("kepler", "extra"), id="kepler-positional"),
+    pytest.param(("kepler", "--r0", "1,2"), id="kepler-r0-short"),
+    pytest.param(("kepler", "--r0", "1,x,0"), id="kepler-r0-bad-number"),
+    pytest.param(("kepler", "--v0"), id="kepler-missing-value"),
+    pytest.param(("kepler", "--steps", "1.5"), id="kepler-steps-float"),
+    pytest.param(("kepler", "--dt", "fast"), id="kepler-dt"),
+])
+def test_usage_errors_exit_2(args):
+    r = ga(*args)
+    assert (r.returncode, r.stdout) == (2, "")
+    lines = r.stderr.splitlines()
+    assert lines[0].startswith("usage: ga-calc")
+    assert lines[-1].startswith("ga-calc kepler: error: " if args[0] == "kepler"
+                            else "ga-calc: error: ")
+
+
+def test_long_options_take_unique_prefixes():
+    r = ga("--alg", "1,3", "--tol=1e-3", "-e", "e2 e2 + 0.0001")
+    assert (r.returncode, r.stdout) == (0, "-1\n")
+    rows = kepler_rows("--rec", "5", "--ste=10")
+    assert [float(row[0]) for row in rows[1:]] == pytest.approx([0.0, 5e-4, 10e-4])
 
 
 # Nesting is bounded by Python's recursion limit; past it the line fails
@@ -252,6 +322,54 @@ def test_import_does_not_load_numpy():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        timeout=120)
     assert (r.returncode, r.stderr, r.stdout) == (0, "", "[1.0, 2.0, 3.0]\n")
+
+
+CALCULATOR_NEVER_LOADS = ("gacalc.kepler", "gacalc.linops", "gacalc.frames", "argparse",
+                          "dataclasses", "numpy")
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(("-e", "1"), id="one-liner"),
+    pytest.param((str(GOLDEN_SCRIPT),), id="golden-script"),
+])
+def test_calculator_loads_only_what_it_uses(args):
+    r = subprocess.run([sys.executable, "-X", "importtime", "-m", "gacalc", *args],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    imported = _imported_modules(r.stderr)
+    assert {"gacalc.cli", "gacalc.exprs", "gacalc.algebra"} <= imported
+    assert not imported & set(CALCULATOR_NEVER_LOADS)
+
+
+def test_import_gacalc_loads_no_submodule():
+    code = ("import sys, gacalc\n"
+            "print(sorted(m for m in sys.modules if m.startswith('gacalc.')))\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       timeout=120)
+    assert (r.returncode, r.stderr, r.stdout) == (0, "", "[]\n")
+
+
+def test_every_public_name_resolves():
+    code = ("import gacalc\n"
+            "names = [n for n in gacalc.__all__ if n != '__version__']\n"
+            "by_attribute = {n: getattr(gacalc, n) for n in names}\n"
+            "assert all(vars(gacalc)[n] is v for n, v in by_attribute.items())\n"
+            "namespace = {}\n"
+            "exec('from gacalc import *', namespace)\n"
+            "assert all(namespace[n] is v for n, v in by_attribute.items())\n"
+            "assert set(gacalc.__all__) <= set(namespace)\n"
+            "assert set(gacalc.__all__) <= set(dir(gacalc))\n"
+            "from gacalc import cli\n"
+            "import gacalc.kepler\n"
+            "assert gacalc.kepler.simulate is gacalc.simulate\n"
+            "try:\n"
+            "    gacalc.nope\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       timeout=120)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == "module 'gacalc' has no attribute 'nope'\n"
 
 
 def test_eval_error_exit_code():
@@ -463,6 +581,17 @@ def test_kepler_overflow_is_an_error():
     r = ga("kepler", "--r0=1e200,0,0", "--v0=0,1e200,0", "--steps", "2")
     assert r.returncode == 2
     assert r.stderr == "error: coefficient is not finite: inf\n"
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(("--r0=1,0,0", "--v0=1e160,0,0", "--steps", "1"), id="energy"),
+    pytest.param(("--r0=1e156,0,0", "--v0=0,1,0", "--steps", "1"), id="radius"),
+])
+def test_kepler_conserved_overflow_is_an_error(args):
+    # used to exit 0 with E = inf and, once |r|^2 overflowed, e = (0, 0, 0)
+    r = ga("kepler", *args)
+    assert (r.returncode, r.stderr) == (
+        2, "error: orbit state overflows: |r|^2, |L|^2 or E is not finite\n")
 
 
 @pytest.mark.parametrize("options", [

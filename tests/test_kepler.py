@@ -400,6 +400,37 @@ def test_write_csv_overflow_raises_nonfinite_error():
         write_csv([s], io.StringIO())
 
 
+OVERFLOW = "orbit state overflows: |r|^2, |L|^2 or E is not finite"
+
+
+@pytest.mark.parametrize("r, v, m, k", [
+    pytest.param((1e200, 0.0, 0.0), (0.0, 1.0, 0.0), 1.0, 1.0, id="r2"),
+    pytest.param((1e156, 0.0, 0.0), (1e160, 0.0, 0.0), 1.0, 1.0, id="r2-radial"),
+    pytest.param((1.0, 0.0, 0.0), (1e160, 0.0, 0.0), 1.0, 1.0, id="mv2"),
+    pytest.param((1.0, 0.0, 0.0), (1e100, 0.0, 0.0), 1e200, 1.0, id="mv2-mass"),
+    pytest.param((1e100, 0.0, 0.0), (0.0, 1e60, 0.0), 1.0, 1.0, id="l2"),
+    pytest.param((1e-9, 0.0, 0.0), (0.0, 0.0, 0.0), 1.0, 1e300, id="k-over-r"),
+])
+def test_overflowing_state_raises_nonfinite_error(r, v, m, k):
+    # these returned E = inf, l = inf, or (|r|^2 = inf, so r/|r| = 0) a wrong e
+    s = state(r, v, m, k)
+    with pytest.raises(NonFiniteError, match=OVERFLOW.replace("|", r"\|").replace("^", r"\^")):
+        conserved(s)
+    with pytest.raises(NonFiniteError) as raised:
+        write_csv([s], io.StringIO())
+    assert str(raised.value) == OVERFLOW
+
+
+def test_large_finite_state_is_not_an_overflow():
+    # m|v|^2 = 2.5e308 overflows, but E = (m/2)|v|^2 - k/|r| does not
+    s = state((1.0, 0.0, 0.0), (1e154, 0.0, 0.0), m=2.5)
+    cons = conserved(s)
+    assert cons.energy == 0.5 * 2.5 * (1e154 * 1e154) - 1.0
+    buf = io.StringIO()
+    write_csv([s], buf)
+    assert buf.getvalue().splitlines()[1].split(",")[-1] == repr(cons.energy)
+
+
 def test_write_csv_numpy_constants_write_plain_floats():
     # E used to be written as "np.float64(...)" for a numpy m or k
     np = pytest.importorskip("numpy")
