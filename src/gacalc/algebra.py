@@ -20,16 +20,20 @@ index passes every higher index placed before it, one sign flip per pass.
 Products run one of two branches of the same pair loop. Small products
 (fewer than _DENSE_MIN_PAIRS blade pairs, which covers every product in
 n <= 4) run in Python over the term dicts. Larger ones, when the algebra's
-2^n blades are no more than the pairs (so the array of sums is no larger
-than the work, and the keys fit int64 however large max_dimension is), run
-in numpy, which is imported only then: the keys and coefficients become
-arrays, the sign masks and parities are computed a block of rows at a
-time, and np.add.at adds each kept pair into a dense array of 2^n sums.
-The result is the Python loop's, bit for bit: np.add.at adds the pairs one
-at a time in the loop's order, the sign is an exact negation, and the
-blades are put in the order the loop first meets them (np.minimum.at of
-the pair index). The prune and every result after it are therefore the
-same whichever branch runs.
+2^n blades are no more than the pairs (so the arrays of 2^n sums and signs
+are no larger than the work, and the keys fit int64 however large
+max_dimension is), run in numpy, which is imported only then. The keys and
+coefficients become arrays and the sign masks of the left keys are computed
+once. The pair sign is read from a table of 2^n parities, +1.0 or -1.0 for
+the popcount of m & b, and multiplied in. Each block of rows keeps the pairs
+the product selects: when it keeps them all (the geometric product), the
+block's pairs are used as they are; otherwise the kept pairs are found once
+and only they are gathered, multiplied and signed. np.add.at then adds each
+kept pair into a dense array of 2^n sums. The result is the Python loop's,
+bit for bit: np.add.at adds the pairs one at a time in the loop's order,
+multiplying by +-1.0 is an exact negation, and the blades are put in the
+order the loop first meets them (np.minimum.at of the pair index). The prune
+and every result after it are therefore the same whichever branch runs.
 
 A coefficient that is NaN or infinite (an overflow, or an inf/nan input)
 raises NonFiniteError wherever terms are pruned, instead of being pruned
@@ -38,8 +42,6 @@ to zero or printed as inf.
 Multivectors and algebras are immutable values; every operation is a pure
 function and results may be shared freely across threads.
 """
-
-from __future__ import annotations
 
 import math
 from numbers import Integral, Real
@@ -55,7 +57,9 @@ _INF = math.inf
 # 0.8-1.0x as fast in numpy); from 1024 pairs numpy wins on every product
 # kind measured for n = 4..12. Above 256, so n <= 4 never loads numpy.
 _DENSE_MIN_PAIRS = 1024
-# Pairs per numpy block: keeps the block's temporaries under about 1 MB.
+# Pairs per numpy block: keeps the block's temporaries under about 1 MB. A
+# block makes about fifteen numpy calls, each one pass over its kept pairs
+# (or over all its pairs, when every pair is kept), the two scatters included.
 _DENSE_BLOCK_PAIRS = 1 << 13
 
 
@@ -182,18 +186,23 @@ class Algebra:
         """
         a, xs = _blade_key(self.n, x)
         b, ys = _blade_key(self.n, y)
-        sign = -1.0 if (_sign_mask(a, self._minus_mask) & b).bit_count() & 1 else 1.0
+        sign = -1.0 if (_sign_mask(a, self._minus_mask, self.n) & b).bit_count() & 1 else 1.0
         return _bits_to_indices(a ^ b), sign * xs * ys
 
 
-def _sign_mask(a, minus_mask):
-    """The mask m of blade a: the product a*b has sign -1 when m & b has odd popcount."""
-    mask = a & minus_mask
-    a >>= 1
-    while a:
-        mask ^= a
-        a >>= 1
-    return mask
+def _sign_mask(a, minus_mask, n):
+    """The mask m of blade a < 2^n: the product a*b has sign -1 when m & b has odd popcount.
+
+    m is (a >> 1) ^ (a >> 2) ^ ... ^ (a >> (n-1)) ^ (a & minus_mask). The
+    shifts are xored as a prefix sum in ceil(log2 n) doubling steps, the same
+    code for an int or an int64 array of blades.
+    """
+    x = a >> 1
+    shift = 1
+    while shift < n:
+        x ^= x >> shift
+        shift <<= 1
+    return x ^ (a & minus_mask)
 
 
 def _blade_key(n, indices):
@@ -238,30 +247,42 @@ def _dense_product(algebra, left, right, select):
     """
     import numpy as np
 
+    n = algebra.n
     ka = np.fromiter(left, np.int64, len(left))
     va = np.fromiter(left.values(), np.float64, len(left))
     kb = np.fromiter(right, np.int64, len(right))
     vb = np.fromiter(right.values(), np.float64, len(right))
-    masks = ka & algebra._minus_mask
-    for shift in range(1, algebra.n):
-        masks ^= ka >> shift
-    sums = np.zeros(1 << algebra.n)
-    pairs = len(ka) * len(kb)
-    first = np.full(1 << algebra.n, pairs, np.int64)
-    rows = max(1, _DENSE_BLOCK_PAIRS // len(kb))
+    masks = _sign_mask(ka, algebra._minus_mask, n)
+    sign = 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << n)) & 1)
+    sums = np.zeros(1 << n)
+    w = len(kb)
+    pairs = len(ka) * w
+    first = np.full(1 << n, pairs, np.int64)
+    rows = max(1, _DENSE_BLOCK_PAIRS // w)
     # An overflow leaves inf or NaN, silently as in the Python loop, for the
     # prune to report.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(ka), rows):
-            a = ka[start:start + rows, None]
-            f, g = select(a)
-            products = va[start:start + rows, None] * vb
-            products = np.where(np.bitwise_count(masks[start:start + rows, None] & kb) & 1,
-                                -products, products)
-            kept = np.flatnonzero(np.broadcast_to((kb & f) == g, products.shape))
-            blades = (a ^ kb).ravel()[kept]
-            np.add.at(sums, blades, products.ravel()[kept])
-            np.minimum.at(first, blades, kept + start * len(kb))
+            stop = min(start + rows, len(ka))
+            a, va_rows, mask_rows = ka[start:stop], va[start:stop], masks[start:stop]
+            f, g = select(a[:, None])
+            keep = (kb & f) == g
+            if keep.all():  # the geometric product: no gather
+                blades = (a[:, None] ^ kb).ravel()
+                products = (va_rows[:, None] * vb * sign[mask_rows[:, None] & kb]).ravel()
+                order = np.arange(start * w, stop * w)
+            else:
+                # keep is (rows, w): only the geometric product's select
+                # ignores the left blade, and it keeps every pair
+                order = keep.ravel().nonzero()[0]
+                r = order // w  # a scalar divisor: faster than np.divmod
+                c = order - r * w
+                b = kb[c]
+                blades = a[r] ^ b
+                products = va_rows[r] * vb[c] * sign[mask_rows[r] & b]
+                order += start * w
+            np.add.at(sums, blades, products)
+            np.minimum.at(first, blades, order)
     met = np.flatnonzero(first < pairs)
     met = met[np.argsort(first[met])]
     values = sums[met]
@@ -443,17 +464,18 @@ class Multivector:
         if pairs >= _DENSE_MIN_PAIRS and (1 << self.algebra.n) <= pairs:
             return _dense_product(self.algebra, self._terms, other._terms, select)
         minus_mask = self.algebra._minus_mask
+        n = self.algebra.n
         right = other._terms.items()
         raw = {}
         for ka, va in self._terms.items():
             f, g = select(ka)
-            mask = _sign_mask(ka, minus_mask)
+            mask = _sign_mask(ka, minus_mask, n)
+            nva = -va
             for kb, vb in right:
                 if kb & f != g:
                     continue
                 bits = ka ^ kb
-                sign = -1.0 if (mask & kb).bit_count() & 1 else 1.0
-                raw[bits] = raw.get(bits, 0.0) + sign * va * vb
+                raw[bits] = raw.get(bits, 0.0) + (nva if (mask & kb).bit_count() & 1 else va) * vb
         return Multivector._make(self.algebra, raw)
 
     def __mul__(self, other):

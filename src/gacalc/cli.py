@@ -19,8 +19,6 @@ text format.
 Exit codes: 0 success, 1 parse error, 2 evaluation error.
 """
 
-from __future__ import annotations
-
 import getopt
 import re
 import sys

@@ -22,8 +22,6 @@ wedge basis vectors explicitly there. Basis indices are checked against
 the algebra at parse time.
 """
 
-from __future__ import annotations
-
 import operator
 import re
 

@@ -13,10 +13,10 @@ its reciprocal is wedged once, from the blade of the subset without its top
 position, and kept: 2^k wedges per frame however often they run.
 """
 
-from __future__ import annotations
+from itertools import combinations
 
-from .algebra import (GradeError, Multivector, NotInvertible, _bits_to_indices,
-                      _blade_key, _linear_combination, _subset_wedge)
+from .algebra import (GradeError, Multivector, NotInvertible, _blade_key,
+                      _linear_combination, _subset_wedge)
 
 
 class Frame:
@@ -79,11 +79,14 @@ class Frame:
         subsets ordered by grade then lexicographically. The pairing
         <blade_I * reciprocal_blade_J>_0 = delta_IJ.
         """
-        order = sorted((bits.bit_count(), _bits_to_indices(bits), bits)
-                       for bits in range(1 << len(self.vectors)))
-        return [(subset, _subset_wedge(self.vectors, self._blades, bits),
-                 _subset_wedge(self.reciprocal, self._reciprocal_blades, bits))
-                for _, subset, bits in order]
+        # the combinations of the positions and of their bits run in step
+        k = len(self.vectors)
+        positions, bits = range(1, k + 1), [1 << i for i in range(k)]
+        return [(subset, _subset_wedge(self.vectors, self._blades, mask),
+                 _subset_wedge(self.reciprocal, self._reciprocal_blades, mask))
+                for r in range(k + 1)
+                for subset, mask in zip(combinations(positions, r),
+                                        map(sum, combinations(bits, r)))]
 
     def components(self, A):
         """Coordinates of A in the frame blade basis: subset -> <A * a^I>_0.

@@ -21,8 +21,6 @@ conserved()'s float operations, order and pruning, so its fields are
 conserved()'s bit for bit.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 

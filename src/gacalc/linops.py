@@ -12,8 +12,6 @@ numpy is imported inside that method, on its first call, so importing
 this module (and gacalc) does not load it.
 """
 
-from __future__ import annotations
-
 import math
 
 from .algebra import (GAError, GradeError, Multivector, NotInvertible,

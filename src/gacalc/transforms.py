@@ -10,8 +10,6 @@ throughout: a versor V of parity m acts on X as
 which makes every versor action grade-preserving and outermorphic.
 """
 
-from __future__ import annotations
-
 from .algebra import GradeError, Multivector, NotInvertible
 
 

@@ -5,6 +5,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from gacalc import (
@@ -225,6 +226,72 @@ def test_dense_branch_matches_the_python_loop(p, q, da, db, monkeypatch):
         assert list(dense._terms.items()) == list(sparse._terms.items())
         assert oracles.max_coeff_diff(dense.terms, oracle(a, b, alg.metric)) < 1e-12
     assert len(dense_calls) == len(products)
+
+
+def _both_branches(product, A, B, monkeypatch):
+    """product(A, B) from the numpy branch and from the Python loop."""
+    monkeypatch.setattr(algebra, "_DENSE_MIN_PAIRS", 0)
+    dense = product(A, B)
+    monkeypatch.setattr(algebra, "_DENSE_MIN_PAIRS", math.inf)
+    return dense, product(A, B)
+
+
+def test_dense_branch_with_no_kept_pair(monkeypatch):
+    alg = Algebra(8, 0)
+    rng = random.Random("no kept pair")
+    full = alg.multivector(_density_terms(alg, "full", rng))
+    high = full - full.grade(0) - full.grade(1)
+    vector = alg.vector([rng.uniform(-2, 2) for _ in range(8)])
+    # 247 x 8 blade pairs, none of which the contraction keeps
+    dense, sparse = _both_branches(Multivector.left_contract, high, vector, monkeypatch)
+    assert dense == sparse == alg.zero()
+
+
+@pytest.mark.parametrize("product", [Multivector.__mul__, Multivector.__xor__,
+                                     Multivector.left_contract, Multivector.right_contract],
+                         ids=["gp", "wedge", "lcontract", "rcontract"])
+def test_dense_branch_matches_the_python_loop_at_n14(product, monkeypatch):
+    # n = 14 takes the sign masks past three doubling steps
+    alg = Algebra(9, 5, max_dimension=14)
+    rng = random.Random("n = 14")
+    vector = alg.vector([rng.uniform(-2, 2) for _ in range(14)])
+    full = Multivector._make(alg, {bits: rng.uniform(-2, 2) for bits in range(1 << 14)})
+    for A, B in ((vector, full), (full, vector)):
+        dense, sparse = _both_branches(product, A, B, monkeypatch)
+        assert list(dense._terms.items()) == list(sparse._terms.items())
+
+
+def test_dense_filtered_pairs_report_the_first_nonfinite_sum(monkeypatch):
+    alg = Algebra(6, 0)
+    big = alg.multivector({blade: 1e200 for blade in alg.basis_blades()})
+    messages = []
+    for limit in (0, math.inf):
+        monkeypatch.setattr(algebra, "_DENSE_MIN_PAIRS", limit)
+        with pytest.raises(NonFiniteError) as err:
+            big ^ big  # 4096 blade pairs, 729 of them kept
+        messages.append(str(err.value))
+    assert messages == ["coefficient is not finite: inf"] * 2
+
+
+def _linear_sign_mask(a, minus_mask, n):
+    mask = a & minus_mask
+    for shift in range(1, n):
+        mask ^= a >> shift
+    return mask
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=20),
+    st.integers(0, (1 << n) - 1))))
+def test_sign_mask_doubling_matches_the_linear_definition(case):
+    import numpy as np
+
+    n, blades, minus_mask = case
+    want = [_linear_sign_mask(a, minus_mask, n) for a in blades]
+    assert [algebra._sign_mask(a, minus_mask, n) for a in blades] == want
+    got = algebra._sign_mask(np.array(blades, np.int64), minus_mask, n)
+    assert got.dtype == np.int64 and got.tolist() == want
 
 
 def _huge_dense_square():

@@ -325,7 +325,7 @@ def test_import_does_not_load_numpy():
 
 
 CALCULATOR_NEVER_LOADS = ("gacalc.kepler", "gacalc.linops", "gacalc.frames", "argparse",
-                          "dataclasses", "numpy")
+                          "dataclasses", "numpy", "__future__")
 
 
 @pytest.mark.parametrize("args", [

@@ -105,6 +105,17 @@ def test_blade_table_layout():
         for sj, _, rj in table:
             want = 1.0 if si == sj else 0.0
             assert abs(rj.scalar_product(bi) - want) < 1e-8
+    # every frame size lists each subset once, sorted by grade then lexicographically
+    E6 = Algebra(6, 0)
+    for k in range(1, 7):
+        f = skewed_frame(E6, rng, k)
+        table = f.blade_table()
+        subsets = [subset for subset, _, _ in table]
+        every_subset = [tuple(i + 1 for i in range(k) if bits >> i & 1) for bits in range(1 << k)]
+        assert subsets == sorted(every_subset, key=lambda s: (len(s), s))
+        for subset, blade, recip in table:
+            assert blade == f.blade(subset)
+            assert recip == f.reciprocal_blade(subset)
 
 
 def test_blade_and_reciprocal_blade_selection():
