@@ -15,41 +15,6 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Algebra",
-    "AlgebraMismatch",
-    "Conserved",
-    "EvalError",
-    "Frame",
-    "GAError",
-    "GradeError",
-    "LinearMap",
-    "Multivector",
-    "NonFiniteError",
-    "NotInvertible",
-    "OperatorError",
-    "OrbitState",
-    "ParseError",
-    "SimulationError",
-    "apply_versor",
-    "conserved",
-    "evaluate",
-    "exp_bivector",
-    "factor_isometry",
-    "format_multivector",
-    "gram_schmidt",
-    "orbit_radius",
-    "orbital_period",
-    "parse",
-    "project",
-    "reflect",
-    "reject",
-    "rotate",
-    "rotor_from_vectors",
-    "simulate",
-    "__version__",
-]
-
 # Each public name and the submodule that defines it.
 _EXPORTS = {
     **dict.fromkeys(("Algebra", "AlgebraMismatch", "GAError", "GradeError", "Multivector",
@@ -63,6 +28,8 @@ _EXPORTS = {
     **dict.fromkeys(("apply_versor", "gram_schmidt", "project", "reflect", "reject",
                      "rotate", "rotor_from_vectors"), "transforms"),
 }
+
+__all__ = [*sorted(_EXPORTS), "__version__"]
 
 
 def __getattr__(name):

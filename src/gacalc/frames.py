@@ -43,11 +43,11 @@ class Frame:
         self._blades = {0: algebra.scalar(1.0)}
         full = (1 << len(vectors)) - 1
         self.volume = _subset_wedge(vectors, self._blades, full)
-        n2 = self.volume.norm_squared()
-        if abs(n2) <= algebra.tolerance:
-            raise NotInvertible(
-                "frame volume is not invertible (dependent vectors or a null volume)")
-        volume_inverse = self.volume.inverse()
+        try:
+            volume_inverse = self.volume.inverse()
+        except NotInvertible:
+            raise NotInvertible("frame volume is not invertible (dependent vectors "
+                                "or a null volume)") from None
         self.reciprocal = tuple(
             _subset_wedge(vectors, self._blades, full ^ (1 << i)) * volume_inverse
             * (-1.0 if i & 1 else 1.0)

@@ -5,8 +5,11 @@ inverse-square law dv/dt = -(k/m) r / |r|^3 (k > 0 attractive, k < 0
 repulsive). Conserved along every trajectory:
 
     L = m r ^ v                     angular-momentum bivector (orbit plane)
-    e = (L v) / k - r/|r|           eccentricity vector (points at periapsis)
+    e = (L |. v) / k - r/|r|        eccentricity vector (points at periapsis)
     E = m |v|^2 / 2 - k / |r|       total energy
+
+with |. the right contraction. L v = L |. v + L ^ v, and L ^ v = m (r ^ v) ^ v
+is zero, so the contraction is all of L v and e has no trivector part.
 
 These satisfy E = (m k^2 / 2 l^2)(|e|^2 - 1) with l^2 = |L|^2, and the
 orbit is the conic r(theta) = (l^2/mk) / (1 + |e| cos theta) with theta
@@ -107,7 +110,7 @@ def conserved(state):
     if rlen <= 0.0:
         raise SimulationError("position is at the singularity")
     L = (r ^ v) * m
-    ecc = (L * v) / k - r / rlen
+    ecc = L.right_contract(v) / k - r / rlen
     energy = 0.5 * m * v.norm_squared() - k / rlen
     lsq = L.norm_squared()
     if not (rsq < _INF and lsq < _INF and -_INF < energy < _INF):
@@ -244,7 +247,8 @@ def orbit_radius(cons, theta, m=1.0, k=1.0):
     theta is measured from the eccentricity vector. Attractive orbits
     (k > 0) need 1 + e cos(theta) > 0; repulsive ones (k < 0) use the
     other branch, 1 + e cos(theta) < 0. Angles at or beyond the branch
-    boundary (within 1e-12) are rejected, as are radial orbits.
+    boundary (within 1e-12) are rejected, as are radial orbits. Raises
+    NonFiniteError when the radius is not finite in floating point.
     """
     if cons.radial:
         raise SimulationError("a radial orbit has no conic radius")
@@ -257,30 +261,44 @@ def orbit_radius(cons, theta, m=1.0, k=1.0):
         raise SimulationError(f"angle {theta!r} is outside the attractive branch")
     if k < 0 and denom >= -_BRANCH_EPS:
         raise SimulationError(f"angle {theta!r} is outside the repulsive branch")
-    return (cons.l * cons.l / (m * k)) / denom
+    mk = m * k
+    radius = (cons.l * cons.l / mk) / denom if mk else _INF
+    if not radius < _INF:
+        raise NonFiniteError(f"conic radius is not finite: l^2 = {cons.l * cons.l!r}, "
+                             f"m k = {mk!r}, 1 + e cos(theta) = {denom!r}")
+    return radius
 
 
 def orbital_period(cons, m=1.0, k=1.0):
     """Period of a bound orbit: 2 pi sqrt(m a^3 / k) with a = -k / 2E.
 
-    Raises SimulationError when the energy is nonnegative (unbound).
+    Raises SimulationError when the energy is nonnegative (unbound), and
+    NonFiniteError when the period is not finite in floating point.
     """
     _check_constants(m, k)
     if cons.energy >= 0.0:
         raise SimulationError(f"orbit is not bound (E = {cons.energy!r})")
     a = -k / (2.0 * cons.energy)
-    return 2.0 * math.pi * math.sqrt(m * a ** 3 / k)
+    try:
+        period = 2.0 * math.pi * math.sqrt(m * a ** 3 / k)
+    except OverflowError:
+        period = _INF
+    if not period < _INF:
+        raise NonFiniteError(f"orbital period is not finite: a = {a!r}")
+    return period
 
 
 def _csv_row(t, rx, ry, rz, vx, vy, vz, m, k, tol):
     """The CSV line of one state: t, r and v, then conserved()'s L, e and E.
 
     Runs conserved()'s float operations in its order on the coordinates,
-    and sets each value that conserved() prunes to 0.0 when it is at or
-    below tol, so every field equals conserved()'s bit for bit. A value that
-    is not finite is kept and reaches e; conserved() is then called on the
-    state to raise the NonFiniteError it raises for that value. Past those,
-    an overflow of |r|^2, |L|^2 or E raises conserved()'s NonFiniteError.
+    e = (L |. v) / k - r/|r| among them: L v has no other part, since
+    L ^ v = m (r ^ v) ^ v = 0. Sets each value that conserved() prunes to
+    0.0 when it is at or below tol, so every field equals conserved()'s bit
+    for bit. A value that is not finite is kept and reaches e; conserved()
+    is then called on the state to raise the NonFiniteError it raises for
+    that value. Past those, an overflow of |r|^2, |L|^2 or E raises
+    conserved()'s NonFiniteError.
     """
     rx = 0.0 if abs(rx) <= tol else rx
     ry = 0.0 if abs(ry) <= tol else ry
@@ -302,24 +320,17 @@ def _csv_row(t, rx, ry, rz, vx, vy, vz, m, k, tol):
     l12 = 0.0 if abs(l12) <= tol else l12
     l13 = 0.0 if abs(l13) <= tol else l13
     l23 = 0.0 if abs(l23) <= tol else l23
-    # L v, pruned, then divided by k and pruned. Its e123 part is not
-    # written, but conserved() raises if it overflows, so it is summed in the
-    # order of L's terms: that of the first r ^ v pair to meet each blade.
+    # L |. v, pruned, then divided by k and pruned
     lv1 = l12 * vy + l13 * vz
     lv2 = l23 * vz - l12 * vx
     lv3 = -l13 * vx - l23 * vy
-    if rx == 0.0 and ry and vz:     # e12, e23, e13
-        lv123 = l12 * vz + l23 * vx - l13 * vy
-    else:                           # e12 and e13 before e23
-        lv123 = l12 * vz - l13 * vy + l23 * vx
     lv1 = 0.0 if abs(lv1) <= tol else lv1 / k
     lv2 = 0.0 if abs(lv2) <= tol else lv2 / k
     lv3 = 0.0 if abs(lv3) <= tol else lv3 / k
-    lv123 = 0.0 if abs(lv123) <= tol else lv123 / k
     lv1 = 0.0 if abs(lv1) <= tol else lv1
     lv2 = 0.0 if abs(lv2) <= tol else lv2
     lv3 = 0.0 if abs(lv3) <= tol else lv3
-    # e = L v / k - r / |r|, each of the two terms pruned and then e
+    # e = L |. v / k - r / |r|, each of the two terms pruned and then e
     hx = rx / rlen
     hy = ry / rlen
     hz = rz / rlen
@@ -329,8 +340,7 @@ def _csv_row(t, rx, ry, rz, vx, vy, vz, m, k, tol):
     ex = 0.0 if abs(ex) <= tol else ex
     ey = 0.0 if abs(ey) <= tol else ey
     ez = 0.0 if abs(ez) <= tol else ez
-    if not (math.isfinite(ex) and math.isfinite(ey) and math.isfinite(ez)
-            and math.isfinite(lv123)):
+    if not (math.isfinite(ex) and math.isfinite(ey) and math.isfinite(ez)):
         algebra = Algebra(3, 0, tolerance=tol)
         conserved(OrbitState(algebra.vector((rx, ry, rz)),
                              algebra.vector((vx, vy, vz)), m, k, t))

@@ -200,11 +200,6 @@ class LinearMap:
         return [float(v) for v in values], eigenvectors
 
 
-def _reflect_vector(c, x):
-    """Reflection of the vector x along the non-null vector c: -c x c^-1."""
-    return -(c * x * c.inverse())
-
-
 def factor_isometry(F):
     """Factor an isometry into unit reflection vectors.
 
@@ -227,11 +222,12 @@ def factor_isometry(F):
     factors = []
 
     def pull_back(c):
-        """Record a reflection along c and compose it onto the working map."""
+        """Record the reflection x -> -c x c^-1 and compose it onto the working map."""
         unit = c / math.sqrt(abs(c.norm_squared()))
         factors.append(unit)
+        inverse = unit.inverse()
         for idx in range(alg.n):
-            current[idx] = _reflect_vector(unit, current[idx])
+            current[idx] = -(unit * current[idx] * inverse)
 
     for i in range(alg.n):
         target = alg.basis_vector(i + 1)

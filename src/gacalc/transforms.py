@@ -13,19 +13,22 @@ which makes every versor action grade-preserving and outermorphic.
 from .algebra import GradeError, Multivector, NotInvertible
 
 
-def _require_invertible_blade(B, what):
+def _blade_inverse(B, what):
+    """B^-1 for the blade B; what names B in the errors."""
     if not isinstance(B, Multivector):
         raise TypeError(f"{what} must be a Multivector")
     if not B.is_blade():
         raise GradeError(f"{what} must be a blade, got {B}")
-    if abs(B.norm_squared()) <= B.algebra.tolerance:
-        raise NotInvertible(f"{what} is null and cannot be inverted: {B}")
+    try:
+        return B.inverse()
+    except NotInvertible:
+        raise NotInvertible(f"{what} is null and cannot be inverted: {B}") from None
 
 
 def project(A, B):
     """Projection of A onto the subspace of the invertible blade B: (A .| B) B^-1."""
-    _require_invertible_blade(B, "projection target")
-    return A.left_contract(B) * B.inverse()
+    inverse = _blade_inverse(B, "projection target")
+    return A.left_contract(B) * inverse
 
 
 def reject(A, B):
@@ -33,8 +36,8 @@ def reject(A, B):
 
     For vectors this is A - project(A, B), the component orthogonal to B.
     """
-    _require_invertible_blade(B, "rejection target")
-    return (A ^ B) * B.inverse()
+    inverse = _blade_inverse(B, "rejection target")
+    return (A ^ B) * inverse
 
 
 def reflect(A, B):
@@ -43,10 +46,10 @@ def reflect(A, B):
     For a vector B this is the reflection along B (B flips, its orthogonal
     complement stays); for a hyperplane use the blade of the hyperplane.
     """
-    _require_invertible_blade(B, "mirror")
+    inverse = _blade_inverse(B, "mirror")
     r = next(iter(B.grades))
     moved = A.grade_involution() if r & 1 else A
-    return B * moved * B.inverse()
+    return B * moved * inverse
 
 
 def apply_versor(A, V):

@@ -97,6 +97,13 @@ def test_near_radial_orbit_is_not_radial():
     assert cons.energy == pytest.approx(0.5 * (0.25 + 1e-12) - 1.0)
 
 
+def test_eccentricity_is_a_vector():
+    # L v = L |. v + L ^ v with L ^ v = 0; the full product left a roundoff e123
+    r, v = [1e5 * x for x in (1.1, 1.1, 0.3)], [1e5 * x for x in (0.9, -0.2, 0.5)]
+    cons = conserved(state(r, v))
+    assert cons.eccentricity.grades <= {1}
+
+
 def test_conserved_rejects_zero_radius():
     with pytest.raises(SimulationError):
         conserved(state((0.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
@@ -188,6 +195,22 @@ def test_orbital_period_kepler_third_law():
     unbound = conserved(state((1.0, 0.0, 0.0), (0.0, 1.5, 0.0)))
     with pytest.raises(SimulationError):
         orbital_period(unbound)
+
+
+@pytest.mark.parametrize("m, k", [
+    pytest.param(1e-200, 1e-200, id="mk-underflows"),  # was ZeroDivisionError
+    pytest.param(1e-160, 1e-160, id="mk-subnormal"),  # returned inf
+])
+def test_orbit_radius_that_is_not_finite_raises(m, k):
+    with pytest.raises(NonFiniteError, match="conic radius is not finite"):
+        orbit_radius(conserved(CIRCLE), 0.0, m=m, k=k)
+
+
+def test_orbital_period_that_is_not_finite_raises():
+    # a ** 3 raised a bare OverflowError
+    cons = conserved(state((1e150, 0.0, 0.0), (0.0, 1e-80, 0.0)))
+    with pytest.raises(NonFiniteError, match="orbital period is not finite"):
+        orbital_period(cons)
 
 
 # -- integration -----------------------------------------------------------------------
@@ -362,7 +385,7 @@ def _coordinates(tol):
         st.sampled_from([0.0, -0.0, tol, -tol]),
         st.floats(-2 * tol, 2 * tol),
         st.builds(lambda sign, exp: sign * 10.0 ** exp,
-                  st.sampled_from([1.0, -1.0]), st.floats(-12, 4)))
+                  st.sampled_from([1.0, -1.0]), st.floats(-12, 150)))
 
 
 @st.composite
@@ -386,6 +409,11 @@ def test_csv_row_is_conserved_bit_for_bit(s):
     except SimulationError:
         with pytest.raises(SimulationError, match="singularity"):
             write_csv([s], buf)
+        return
+    except NonFiniteError as error:
+        with pytest.raises(NonFiniteError) as raised:
+            write_csv([s], buf)
+        assert str(raised.value) == str(error)
         return
     write_csv([s], buf)
     assert buf.getvalue().splitlines()[1].split(",") == want

@@ -7,6 +7,7 @@ import pytest
 
 from gacalc import (
     Algebra,
+    Frame,
     GradeError,
     NotInvertible,
     apply_versor,
@@ -100,6 +101,21 @@ def test_transform_argument_validation():
         project(STA.basis_vector(1), STA.vector([1.0, 1.0, 0.0, 0.0]))
     with pytest.raises(TypeError):
         reject(a, 2.0)
+
+
+@pytest.mark.parametrize("transform, what", [
+    (project, "projection target"), (reject, "rejection target"), (reflect, "mirror")])
+def test_null_blade_message(transform, what):
+    with pytest.raises(NotInvertible) as raised:
+        transform(STA.basis_vector(2), STA.vector([1.0, 1.0, 0.0, 0.0]))
+    assert str(raised.value) == f"{what} is null and cannot be inverted: 1*e1 + 1*e2"
+
+
+def test_null_frame_volume_message():
+    with pytest.raises(NotInvertible) as raised:
+        Frame([STA.vector([1.0, 1.0, 0.0, 0.0])])
+    assert str(raised.value) == (
+        "frame volume is not invertible (dependent vectors or a null volume)")
 
 
 def test_reflection_in_a_hyperplane():
