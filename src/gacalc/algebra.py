@@ -17,23 +17,38 @@ factor of a, and each shared factor that squares to -1 adds its metric sign
 Index tuples given at the API are sorted into blades by the same rule: each
 index passes every higher index placed before it, one sign flip per pass.
 
-Products run one of two branches of the same pair loop. Small products
-(fewer than _DENSE_MIN_PAIRS blade pairs, which covers every product in
-n <= 4) run in Python over the term dicts. Larger ones, when the algebra's
-2^n blades are no more than the pairs (so the arrays of 2^n sums and signs
-are no larger than the work, and the keys fit int64 however large
-max_dimension is), run in numpy, which is imported only then. The keys and
-coefficients become arrays and the sign masks of the left keys are computed
-once. The pair sign is read from a table of 2^n parities, +1.0 or -1.0 for
-the popcount of m & b, and multiplied in. Each block of rows keeps the pairs
-the product selects: when it keeps them all (the geometric product), the
-block's pairs are used as they are; otherwise the kept pairs are found once
-and only they are gathered, multiplied and signed. np.add.at then adds each
-kept pair into a dense array of 2^n sums. The result is the Python loop's,
-bit for bit: np.add.at adds the pairs one at a time in the loop's order,
-multiplying by +-1.0 is an exact negation, and the blades are put in the
-order the loop first meets them (np.minimum.at of the pair index). The prune
-and every result after it are therefore the same whichever branch runs.
+Products run one pair loop in one of three regimes, chosen from the operand
+sizes and the dimension:
+
+- Small products (fewer than _DENSE_MIN_PAIRS blade pairs, which covers
+  every product in n <= 4) with n <= 6 run in Python over the term dicts
+  and read each pair's sign and selection from a table of the signature and
+  product kind: row ka holds, for every blade kb, the sign of ka*kb (+1.0 or
+  -1.0) when the product keeps the pair and 0.0 when it does not. The tables
+  are built on first use and kept per signature, so fresh algebras of one
+  signature share them; all four kinds take 140 KiB and 2.3 ms to build at
+  n = 6. Multiplying by the +-1.0 entry is an exact negation, so the sums are
+  the ones the bit computation below gives, bit for bit.
+- Small products with n > 6 run the same Python loop, but work out each left
+  blade's sign mask and selection from its bits: the blade tables would take
+  0.5 MiB and 8 ms to build at n = 7 and 2 MiB and 26 ms at n = 8.
+- Larger products, when the algebra's 2^n blades are no more than the pairs
+  (so the arrays of 2^n sums and signs are no larger than the work, and the
+  keys fit int64 however large max_dimension is), run in numpy, which is
+  imported only then. The keys and coefficients become arrays and the sign
+  masks of the left keys are computed once, in ceil(log2 n) doubling steps.
+  The pair sign is read from a table of 2^n parities, +1.0 or -1.0 for the
+  popcount of m & b, and multiplied in. Each block of rows keeps the pairs
+  the product selects: when it keeps them all (the geometric product), the
+  block's pairs are used as they are; otherwise the kept pairs are found
+  once and only they are gathered, multiplied and signed. np.add.at then
+  adds each kept pair into a dense array of 2^n sums. The result is the
+  Python loop's, bit for bit: np.add.at adds the pairs one at a time in the
+  loop's order, and the blades are put in the order the loop first meets
+  them (np.minimum.at of the pair index).
+
+The prune and every result after it are therefore the same whichever regime
+runs.
 
 A coefficient that is NaN or infinite (an overflow, or an inf/nan input)
 raises NonFiniteError wherever terms are pruned, instead of being pruned
@@ -51,6 +66,17 @@ DEFAULT_TOLERANCE = 1e-10
 
 _EXP_SERIES_TERMS = 24
 _INF = math.inf
+
+# The Python loop reads each pair's sign and selection from a table of the
+# signature and product kind up to this dimension. All four kinds of one
+# signature take 140 KiB and 2.3 ms to build at n = 6; at n = 7 they would
+# take 0.5 MiB and 8 ms, at n = 8 2 MiB and 26 ms (2-CPU x86-64 VM, Python
+# 3.11), so above 6 the loop works the sign out from the blade bits.
+_TABLE_MAX_N = 6
+# (n, minus mask, select function) -> pair table. Kept per signature, not per
+# Algebra, so fresh algebras of one signature share them; at most four tables
+# for each of the 28 signatures with n <= 6.
+_PAIR_TABLES = {}
 
 # Products with at least this many blade pairs take the numpy branch. The
 # Python loop wins below about 512 pairs (a contraction at 512 pairs runs
@@ -203,6 +229,46 @@ def _sign_mask(a, minus_mask, n):
         x ^= x >> shift
         shift <<= 1
     return x ^ (a & minus_mask)
+
+
+def _gp_select(ka):
+    """Every pair: the geometric product."""
+    return 0, 0
+
+
+def _outer_select(ka):
+    """Pairs with no common factor: the outer product."""
+    return ka, 0
+
+
+def _lcontract_select(ka):
+    """Pairs whose left blade lies in the right one: the left contraction."""
+    return ka, ka
+
+
+def _rcontract_select(ka):
+    """Pairs whose right blade lies in the left one: the right contraction."""
+    return ~ka, 0
+
+
+def _pair_table(n, minus_mask, select):
+    """The pair table of a signature and product kind, built on first use.
+
+    Row ka, column kb holds the sign of the blade product ka*kb (+1.0 or
+    -1.0) when select keeps the pair, and 0.0 when it does not.
+    """
+    key = (n, minus_mask, select)
+    table = _PAIR_TABLES.get(key)
+    if table is None:
+        blades = range(1 << n)
+        rows = []
+        for ka in blades:
+            f, g = select(ka)
+            mask = _sign_mask(ka, minus_mask, n)
+            rows.append(tuple((-1.0 if (mask & kb).bit_count() & 1 else 1.0)
+                              if kb & f == g else 0.0 for kb in blades))
+        table = _PAIR_TABLES[key] = tuple(rows)
+    return table
 
 
 def _blade_key(n, indices):
@@ -456,34 +522,46 @@ class Multivector:
     def _product(self, other, select):
         """Sum of the blade products of self and other over the kept pairs.
 
-        select(ka) gives (f, g) for each left blade ka, or for a column of
-        them as an int64 array; the pair (ka, kb) is kept when kb & f == g.
+        select is one of the four module-level select functions: select(ka)
+        gives (f, g) for a left blade ka, or for a column of them as an int64
+        array, and the pair (ka, kb) is kept when kb & f == g.
         """
         other = self._coerce(other)
+        alg = self.algebra
         pairs = len(self._terms) * len(other._terms)
-        if pairs >= _DENSE_MIN_PAIRS and (1 << self.algebra.n) <= pairs:
-            return _dense_product(self.algebra, self._terms, other._terms, select)
-        minus_mask = self.algebra._minus_mask
-        n = self.algebra.n
+        if pairs >= _DENSE_MIN_PAIRS and (1 << alg.n) <= pairs:
+            return _dense_product(alg, self._terms, other._terms, select)
         right = other._terms.items()
         raw = {}
+        get = raw.get
+        if alg.n <= _TABLE_MAX_N:
+            table = _pair_table(alg.n, alg._minus_mask, select)
+            for ka, va in self._terms.items():
+                row = table[ka]
+                for kb, vb in right:
+                    s = row[kb]
+                    if s:
+                        bits = ka ^ kb
+                        raw[bits] = get(bits, 0.0) + s * va * vb
+            return Multivector._make(alg, raw)
+        minus_mask = alg._minus_mask
         for ka, va in self._terms.items():
             f, g = select(ka)
-            mask = _sign_mask(ka, minus_mask, n)
+            mask = _sign_mask(ka, minus_mask, alg.n)
             nva = -va
             for kb, vb in right:
                 if kb & f != g:
                     continue
                 bits = ka ^ kb
-                raw[bits] = raw.get(bits, 0.0) + (nva if (mask & kb).bit_count() & 1 else va) * vb
-        return Multivector._make(self.algebra, raw)
+                raw[bits] = get(bits, 0.0) + (nva if (mask & kb).bit_count() & 1 else va) * vb
+        return Multivector._make(alg, raw)
 
     def __mul__(self, other):
         if isinstance(other, Real):
             other = float(other)
             return Multivector._make(
                 self.algebra, {k: v * other for k, v in self._terms.items()})
-        return self._product(other, lambda ka: (0, 0))
+        return self._product(other, _gp_select)
 
     def __rmul__(self, other):
         if isinstance(other, Real):
@@ -494,7 +572,7 @@ class Multivector:
         """Outer product: the grade r+s parts of the blade products."""
         if isinstance(other, Real):
             return self * other
-        return self._product(other, lambda ka: (ka, 0))
+        return self._product(other, _outer_select)
 
     def __rxor__(self, other):
         if isinstance(other, Real):
@@ -503,11 +581,11 @@ class Multivector:
 
     def left_contract(self, other):
         """A .| B: the grade s-r parts of the blade products (zero when r > s)."""
-        return self._product(other, lambda ka: (ka, ka))
+        return self._product(other, _lcontract_select)
 
     def right_contract(self, other):
         """A |. B: the grade r-s parts of the blade products (zero when s > r)."""
-        return self._product(other, lambda ka: (~ka, 0))
+        return self._product(other, _rcontract_select)
 
     def scalar_product(self, other):
         """<reverse(A) B>_0, the metric pairing. Symmetric; returns a float."""

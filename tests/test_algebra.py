@@ -273,6 +273,77 @@ def test_dense_filtered_pairs_report_the_first_nonfinite_sum(monkeypatch):
     assert messages == ["coefficient is not finite: inf"] * 2
 
 
+PRODUCTS = ((Multivector.__mul__, oracles.gp, algebra._gp_select),
+            (Multivector.__xor__, oracles.outer, algebra._outer_select),
+            (Multivector.left_contract, oracles.lcontract, algebra._lcontract_select),
+            (Multivector.right_contract, oracles.rcontract, algebra._rcontract_select))
+
+
+def _operand_pairs(alg, rng):
+    """Full, sparse and cancelling operand pairs as index-tuple term dicts."""
+    blades = alg.basis_blades()
+    full = {t: rng.uniform(-2, 2) for t in blades}
+    sparse = {t: rng.uniform(-2, 2) for t in rng.sample(blades, min(3, len(blades)))}
+    # small integers and a sign-flipped copy: many sums cancel to exactly 0.0
+    ints = {t: rng.choice((-2.0, -1.0, 1.0, 2.0)) for t in blades if rng.random() < 0.5}
+    flipped = {t: -c if len(t) & 1 else c for t, c in ints.items()}
+    return [(full, full), (sparse, full), (full, sparse), (sparse, sparse),
+            (ints, ints), (ints, flipped)]
+
+
+@pytest.mark.parametrize("p, q", [(p, n - p) for n in range(7) for p in range(n + 1)])
+def test_table_loop_matches_the_bit_loop(p, q, monkeypatch):
+    rng = random.Random(f"tables {p},{q}")
+    table_max_n = algebra._TABLE_MAX_N
+    monkeypatch.setattr(algebra, "_DENSE_MIN_PAIRS", math.inf)
+    for tolerance in (algebra.DEFAULT_TOLERANCE, 0.0):
+        alg = Algebra(p, q, tolerance=tolerance)
+        for a, b in _operand_pairs(alg, rng):
+            A, B = alg.multivector(a), alg.multivector(b)
+            for product, oracle, _ in PRODUCTS:
+                monkeypatch.setattr(algebra, "_TABLE_MAX_N", -1)
+                bit_loop = product(A, B)
+                monkeypatch.setattr(algebra, "_TABLE_MAX_N", table_max_n)
+                table_loop = product(A, B)
+                # the same floats in the same key order
+                assert list(table_loop._terms.items()) == list(bit_loop._terms.items())
+                if len(a) * len(b) <= 1024:
+                    want = oracle(a, b, alg.metric)
+                    assert oracles.max_coeff_diff(table_loop.terms, want) < 1e-12
+
+
+def test_pair_tables_are_kept_per_signature(monkeypatch):
+    monkeypatch.setattr(algebra, "_PAIR_TABLES", {})
+    rng = random.Random("one table per kind")
+    for _ in range(50):
+        alg = Algebra(3, 3)
+        A = alg.vector([rng.uniform(-2, 2) for _ in range(6)])
+        B = alg.multivector({(1, 2): 1.0, (3, 4, 5): 2.0, (): 0.5})
+        for product, _, _ in PRODUCTS:
+            product(A, B)
+            product(B, A)
+    minus_mask = 0b111000
+    assert set(algebra._PAIR_TABLES) == {(6, minus_mask, select) for _, _, select in PRODUCTS}
+    for table in algebra._PAIR_TABLES.values():
+        assert len(table) == 64 and {len(row) for row in table} == {64}
+
+
+@pytest.mark.parametrize("alg", [Algebra(4, 3), Algebra(10, 10, max_dimension=20)],
+                         ids=["Cl(4,3)", "Cl(10,10)"])
+def test_no_pair_table_above_six_dimensions(alg, monkeypatch):
+    monkeypatch.setattr(algebra, "_PAIR_TABLES", {})
+    rng = random.Random(f"no table {alg}")
+    for _ in range(5):
+        # 12 terms a side: 144 pairs, so the Python loop runs, not the numpy branch
+        a, b = (dict(rng.sample(sorted(_random_terms(alg, rng).items()), 12))
+                for _ in range(2))
+        A, B = alg.multivector(a), alg.multivector(b)
+        for product, oracle, _ in PRODUCTS:
+            got = product(A, B).terms
+            assert oracles.max_coeff_diff(got, oracle(a, b, alg.metric)) < 1e-12
+    assert algebra._PAIR_TABLES == {}
+
+
 def _linear_sign_mask(a, minus_mask, n):
     mask = a & minus_mask
     for shift in range(1, n):
