@@ -269,13 +269,13 @@ def _kepler_main(argv):
             algebra.vector(args["r0"]), algebra.vector(args["v0"]), args["m"], args["k"])
         records = kepler._integrate(
             state0, args["dt"], args["steps"], args["record-every"], args["min-radius"])
-        lines = (kepler._csv_row(*record, state0.m, state0.k, algebra.tolerance)
-                 for record in records)
+        constants = (state0.m, state0.k, algebra.tolerance)
+        rows = ((*record, *constants) for record in records)
         if args["csv"]:
             with open(args["csv"], "w", encoding="utf-8") as fh:
-                kepler._write_csv_lines(lines, fh)
+                kepler._write_rows(rows, fh)
         else:
-            kepler._write_csv_lines(lines, sys.stdout)
+            kepler._write_rows(rows, sys.stdout)
     except (GAError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

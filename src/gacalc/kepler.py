@@ -19,15 +19,13 @@ a = -k / 2E.
 The integrator is fixed-step RK4 on raw coordinates and records plain
 (t, rx, ry, rz, vx, vy, vz) tuples. simulate() wraps each record in an
 OrbitState; `ga-calc kepler` writes the records to CSV without building
-any. A CSV row computes L, e and E in one pass over the coordinates with
-conserved()'s float operations, order and pruning, so its fields are
-conserved()'s bit for bit.
+any. conserved() and each CSV row take L, e and E from one float kernel.
 """
 
 import math
 from dataclasses import dataclass
 
-from .algebra import Algebra, GAError, Multivector, NonFiniteError
+from .algebra import GAError, Multivector, NonFiniteError
 
 CSV_HEADER = ("t", "rx", "ry", "rz", "vx", "vy", "vz",
               "L_yz", "L_zx", "L_xy", "ex", "ey", "ez", "E")
@@ -37,6 +35,9 @@ _CSV_ROW = ",".join(["%r"] * len(CSV_HEADER)) + "\n"
 _BRANCH_EPS = 1e-12
 _INF = math.inf
 _OVERFLOW = "orbit state overflows: |r|^2, |L|^2 or E is not finite"
+# a sum of squares below _TINY may hold subnormal squares; scaled by _UP,
+# exactly, every nonzero square is normal and no sum below _TINY overflows
+_TINY, _UP = 2.0 ** -900, 2.0 ** 600
 
 
 class SimulationError(GAError):
@@ -97,25 +98,97 @@ def _components(mv):
 
 
 def conserved(state):
-    """The conserved quantities of an orbit state.
+    """The conserved quantities of an orbit state, from _invariants().
 
     The identity E = (m k^2 / 2 l^2)(|e|^2 - 1) is not checked here: near a
     radial orbit its factor 1/l^2 magnifies the rounding and pruning of e
     past any useful bound. Raises SimulationError at zero radius, and
     NonFiniteError when a coefficient, |r|^2, |L|^2 or E overflows.
     """
-    r, v, m, k = state.r, state.v, state.m, state.k
-    rsq = r.norm_squared()
-    rlen = math.sqrt(rsq)
+    if not isinstance(state, OrbitState):
+        raise SimulationError(f"expected an OrbitState, got {type(state).__name__}")
+    algebra = state.r.algebra
+    *_, l_yz, l_zx, l_xy, ex, ey, ez, energy, l = _invariants(
+        *_components(state.r), *_components(state.v), state.m, state.k, algebra.tolerance)
+    return Conserved(Multivector._make(algebra, {3: l_xy, 5: -l_zx, 6: l_yz}),
+                     Multivector._make(algebra, {1: ex, 2: ey, 4: ez}), energy, l, l == 0.0)
+
+
+def _small_norm(x, y, z):
+    """sqrt(x^2 + y^2 + z^2) for a sum of squares below _TINY, summed at scale _UP."""
+    x, y, z = x * _UP, y * _UP, z * _UP
+    return math.sqrt(x * x + y * y + z * z) / _UP
+
+
+def _invariants(rx, ry, rz, vx, vy, vz, m, k, tol):
+    """A state's CSV fields after t, then l: r, v, L_yz, L_zx, L_xy, e, E, l.
+
+    Runs the steps of L = m r ^ v and e = (L |. v) / k - r/|r| on floats and
+    sets to 0.0 each value that the Multivector step would prune (|x| <=
+    tol), so L, e and E are the Multivector results bit for bit. |r| and l
+    = |L| come from a sum of squares, rescaled where it is below _TINY.
+    """
+    m, k = float(m), float(k)
+    rx = 0.0 if abs(rx) <= tol else rx
+    ry = 0.0 if abs(ry) <= tol else ry
+    rz = 0.0 if abs(rz) <= tol else rz
+    vx = 0.0 if abs(vx) <= tol else vx
+    vy = 0.0 if abs(vy) <= tol else vy
+    vz = 0.0 if abs(vz) <= tol else vz
+    rsq = rx * rx + ry * ry + rz * rz
+    rlen = math.sqrt(rsq) if rsq >= _TINY else _small_norm(rx, ry, rz)
     if rlen <= 0.0:
         raise SimulationError("position is at the singularity")
-    L = (r ^ v) * m
-    ecc = L.right_contract(v) / k - r / rlen
-    energy = 0.5 * m * v.norm_squared() - k / rlen
-    lsq = L.norm_squared()
-    if not (rsq < _INF and lsq < _INF and -_INF < energy < _INF):
-        raise NonFiniteError(_OVERFLOW)
-    return Conserved(L, ecc, energy, math.sqrt(lsq), not L)
+    # L = (r ^ v) * m, pruned after the wedge and after the scaling
+    w12 = rx * vy - ry * vx
+    w13 = rx * vz - rz * vx
+    w23 = ry * vz - rz * vy
+    l12 = 0.0 if abs(w12) <= tol or abs(w12 * m) <= tol else w12 * m
+    l13 = 0.0 if abs(w13) <= tol or abs(w13 * m) <= tol else w13 * m
+    l23 = 0.0 if abs(w23) <= tol or abs(w23 * m) <= tol else w23 * m
+    # L |. v, pruned, then divided by k and pruned
+    c1 = l12 * vy + l13 * vz
+    c2 = l23 * vz - l12 * vx
+    c3 = -l13 * vx - l23 * vy
+    lv1 = 0.0 if abs(c1) <= tol or abs(c1 / k) <= tol else c1 / k
+    lv2 = 0.0 if abs(c2) <= tol or abs(c2 / k) <= tol else c2 / k
+    lv3 = 0.0 if abs(c3) <= tol or abs(c3 / k) <= tol else c3 / k
+    # e = L |. v / k - r / |r|, each of the two terms pruned and then e
+    hx, hy, hz = rx / rlen, ry / rlen, rz / rlen
+    ex = lv1 - (0.0 if abs(hx) <= tol else hx)
+    ey = lv2 - (0.0 if abs(hy) <= tol else hy)
+    ez = lv3 - (0.0 if abs(hz) <= tol else hz)
+    ex = 0.0 if abs(ex) <= tol else ex
+    ey = 0.0 if abs(ey) <= tol else ey
+    ez = 0.0 if abs(ez) <= tol else ez
+    energy = 0.5 * m * (vx * vx + vy * vy + vz * vz) - k / rlen
+    lsq = l12 * l12 + l13 * l13 + l23 * l23
+    l = math.sqrt(lsq) if lsq >= _TINY else _small_norm(l12, l13, l23)
+    # a coefficient that is not finite is kept by every step and reaches e
+    if not (math.isfinite(ex) and math.isfinite(ey) and math.isfinite(ez)
+            and rsq < _INF and lsq < _INF and -_INF < energy < _INF):
+        raise _nonfinite_error((rx, ry, rz), (vx, vy, vz), (
+            {3: w12, 5: w13, 6: w23}, {3: l12, 5: l13, 6: l23},
+            {1: c1, 2: c2, 4: c3}, {1: lv1, 2: lv2, 4: lv3}))
+    return rx, ry, rz, vx, vy, vz, l23, -l13, l12, ex, ey, ez, energy, l
+
+
+def _nonfinite_error(r, v, steps):
+    """The error for a state whose e, |r|^2, |L|^2 or E is not finite.
+
+    The first value that is not finite in steps (r ^ v, L, L |. v, L |. v / k),
+    in the order the Multivector product loop meets their blades; else _OVERFLOW.
+    """
+    def met(left, right, keep):
+        return list(dict.fromkeys(a ^ b for a in left for b in right if keep(a, b)))
+    rb, vb = ([b for b, x in zip((1, 2, 4), u) if x] for u in (r, v))
+    wedge = met(rb, vb, lambda a, b: not a & b)
+    axes = met([b for b in wedge if steps[1][b]], vb, lambda a, b: a & b == b)
+    for order, values in zip((wedge, wedge, axes, axes), steps):
+        for x in (values[b] for b in order):
+            if not math.isfinite(x):
+                return NonFiniteError(f"coefficient is not finite: {x!r}")
+    return NonFiniteError(_OVERFLOW)
 
 
 def _radius_error(rsq, min2):
@@ -173,36 +246,24 @@ def _integrate(state0, dt, steps, record_every, min_radius):
             raise _radius_error(rsq, min2)
         f = -km / rcube
         a1x, a1y, a1z = rx * f, ry * f, rz * f
-        r1x = rx + h2 * vx
-        r1y = ry + h2 * vy
-        r1z = rz + h2 * vz
-        v1x = vx + h2 * a1x
-        v1y = vy + h2 * a1y
-        v1z = vz + h2 * a1z
+        r1x, r1y, r1z = rx + h2 * vx, ry + h2 * vy, rz + h2 * vz
+        v1x, v1y, v1z = vx + h2 * a1x, vy + h2 * a1y, vz + h2 * a1z
         rsq = r1x * r1x + r1y * r1y + r1z * r1z
         rcube = rsq * sqrt(rsq)
         if not (rsq >= min2 and rcube > 0.0):
             raise _radius_error(rsq, min2)
         f = -km / rcube
         a2x, a2y, a2z = r1x * f, r1y * f, r1z * f
-        r2x = rx + h2 * v1x
-        r2y = ry + h2 * v1y
-        r2z = rz + h2 * v1z
-        v2x = vx + h2 * a2x
-        v2y = vy + h2 * a2y
-        v2z = vz + h2 * a2z
+        r2x, r2y, r2z = rx + h2 * v1x, ry + h2 * v1y, rz + h2 * v1z
+        v2x, v2y, v2z = vx + h2 * a2x, vy + h2 * a2y, vz + h2 * a2z
         rsq = r2x * r2x + r2y * r2y + r2z * r2z
         rcube = rsq * sqrt(rsq)
         if not (rsq >= min2 and rcube > 0.0):
             raise _radius_error(rsq, min2)
         f = -km / rcube
         a3x, a3y, a3z = r2x * f, r2y * f, r2z * f
-        r3x = rx + dt * v2x
-        r3y = ry + dt * v2y
-        r3z = rz + dt * v2z
-        v3x = vx + dt * a3x
-        v3y = vy + dt * a3y
-        v3z = vz + dt * a3z
+        r3x, r3y, r3z = rx + dt * v2x, ry + dt * v2y, rz + dt * v2z
+        v3x, v3y, v3z = vx + dt * a3x, vy + dt * a3y, vz + dt * a3z
         rsq = r3x * r3x + r3y * r3y + r3z * r3z
         rcube = rsq * sqrt(rsq)
         if not (rsq >= min2 and rcube > 0.0):
@@ -248,7 +309,8 @@ def orbit_radius(cons, theta, m=1.0, k=1.0):
     (k > 0) need 1 + e cos(theta) > 0; repulsive ones (k < 0) use the
     other branch, 1 + e cos(theta) < 0. Angles at or beyond the branch
     boundary (within 1e-12) are rejected, as are radial orbits. Raises
-    NonFiniteError when the radius is not finite in floating point.
+    NonFiniteError when the radius is not finite in floating point, or
+    underflows to 0.0 for an orbit that is not radial.
     """
     if cons.radial:
         raise SimulationError("a radial orbit has no conic radius")
@@ -263,8 +325,9 @@ def orbit_radius(cons, theta, m=1.0, k=1.0):
         raise SimulationError(f"angle {theta!r} is outside the repulsive branch")
     mk = m * k
     radius = (cons.l * cons.l / mk) / denom if mk else _INF
-    if not radius < _INF:
-        raise NonFiniteError(f"conic radius is not finite: l^2 = {cons.l * cons.l!r}, "
+    if not 0.0 < radius < _INF:
+        what = "underflows to 0.0" if radius == 0.0 else "is not finite"
+        raise NonFiniteError(f"conic radius {what}: l^2 = {cons.l * cons.l!r}, "
                              f"m k = {mk!r}, 1 + e cos(theta) = {denom!r}")
     return radius
 
@@ -288,85 +351,21 @@ def orbital_period(cons, m=1.0, k=1.0):
     return period
 
 
-def _csv_row(t, rx, ry, rz, vx, vy, vz, m, k, tol):
-    """The CSV line of one state: t, r and v, then conserved()'s L, e and E.
-
-    Runs conserved()'s float operations in its order on the coordinates,
-    e = (L |. v) / k - r/|r| among them: L v has no other part, since
-    L ^ v = m (r ^ v) ^ v = 0. Sets each value that conserved() prunes to
-    0.0 when it is at or below tol, so every field equals conserved()'s bit
-    for bit. A value that is not finite is kept and reaches e; conserved()
-    is then called on the state to raise the NonFiniteError it raises for
-    that value. Past those, an overflow of |r|^2, |L|^2 or E raises
-    conserved()'s NonFiniteError.
-    """
-    rx = 0.0 if abs(rx) <= tol else rx
-    ry = 0.0 if abs(ry) <= tol else ry
-    rz = 0.0 if abs(rz) <= tol else rz
-    vx = 0.0 if abs(vx) <= tol else vx
-    vy = 0.0 if abs(vy) <= tol else vy
-    vz = 0.0 if abs(vz) <= tol else vz
-    rsq = rx * rx + ry * ry + rz * rz
-    rlen = math.sqrt(rsq)
-    if rlen <= 0.0:
-        raise SimulationError("position is at the singularity")
-    # L = (r ^ v) * m, pruned after the wedge and after the scaling
-    l12 = rx * vy - ry * vx
-    l13 = rx * vz - rz * vx
-    l23 = ry * vz - rz * vy
-    l12 = 0.0 if abs(l12) <= tol else l12 * m
-    l13 = 0.0 if abs(l13) <= tol else l13 * m
-    l23 = 0.0 if abs(l23) <= tol else l23 * m
-    l12 = 0.0 if abs(l12) <= tol else l12
-    l13 = 0.0 if abs(l13) <= tol else l13
-    l23 = 0.0 if abs(l23) <= tol else l23
-    # L |. v, pruned, then divided by k and pruned
-    lv1 = l12 * vy + l13 * vz
-    lv2 = l23 * vz - l12 * vx
-    lv3 = -l13 * vx - l23 * vy
-    lv1 = 0.0 if abs(lv1) <= tol else lv1 / k
-    lv2 = 0.0 if abs(lv2) <= tol else lv2 / k
-    lv3 = 0.0 if abs(lv3) <= tol else lv3 / k
-    lv1 = 0.0 if abs(lv1) <= tol else lv1
-    lv2 = 0.0 if abs(lv2) <= tol else lv2
-    lv3 = 0.0 if abs(lv3) <= tol else lv3
-    # e = L |. v / k - r / |r|, each of the two terms pruned and then e
-    hx = rx / rlen
-    hy = ry / rlen
-    hz = rz / rlen
-    ex = lv1 - (0.0 if abs(hx) <= tol else hx)
-    ey = lv2 - (0.0 if abs(hy) <= tol else hy)
-    ez = lv3 - (0.0 if abs(hz) <= tol else hz)
-    ex = 0.0 if abs(ex) <= tol else ex
-    ey = 0.0 if abs(ey) <= tol else ey
-    ez = 0.0 if abs(ez) <= tol else ez
-    if not (math.isfinite(ex) and math.isfinite(ey) and math.isfinite(ez)):
-        algebra = Algebra(3, 0, tolerance=tol)
-        conserved(OrbitState(algebra.vector((rx, ry, rz)),
-                             algebra.vector((vx, vy, vz)), m, k, t))
-    energy = 0.5 * m * (vx * vx + vy * vy + vz * vz) - k / rlen
-    if not (rsq < _INF and l12 * l12 + l13 * l13 + l23 * l23 < _INF
-            and -_INF < energy < _INF):
-        raise NonFiniteError(_OVERFLOW)
-    return _CSV_ROW % (t, rx, ry, rz, vx, vy, vz, l23, -l13, l12, ex, ey, ez, energy)
-
-
-def _write_csv_lines(lines, stream):
-    """Write the CSV header, then the lines made by _csv_row."""
+def _write_rows(rows, stream):
+    """Write the CSV header, then for each (t, rx, ry, rz, vx, vy, vz, m, k, tol)
+    row the line of t and _invariants()'s fields but l."""
     stream.write(_CSV_HEAD)
-    stream.writelines(lines)
+    stream.writelines(_CSV_ROW % (row[0], *_invariants(*row[1:])[:13]) for row in rows)
 
 
 def write_csv(states, stream):
     """Write recorded states with their conserved quantities as CSV.
 
     One line per state: t, r, v, L, e and E, each field the Python repr of
-    the float, so it reads back exactly. r and v are the state's components,
-    and L, e and E equal conserved()'s, pruned to the algebra tolerance.
-    Bivector components follow the dual-axis convention: L_yz = L[e23],
-    L_zx = -L[e13] (written -0.0 when L[e13] is zero), L_xy = L[e12].
+    the float, so it reads back exactly. L, e and E are conserved()'s, and
+    a state on which conserved() raises raises here. Bivector components
+    follow the dual-axis convention: L_yz = L[e23], L_zx = -L[e13] (written
+    -0.0 when L[e13] is zero), L_xy = L[e12].
     """
-    _write_csv_lines(
-        (_csv_row(s.t, *_components(s.r), *_components(s.v), float(s.m), float(s.k),
-                  s.r.algebra.tolerance) for s in states),
-        stream)
+    _write_rows(((s.t, *_components(s.r), *_components(s.v), s.m, s.k,
+                  s.r.algebra.tolerance) for s in states), stream)

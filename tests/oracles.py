@@ -5,9 +5,15 @@ e.g. {(): 1.0, (1, 2): -0.5} for 1 - 0.5*e1e2, and reduces products by
 expanding blades into words of basis vectors and bubbling adjacent
 transpositions. Deliberately slow and deliberately independent of the
 package under test.
+
+The one exception is kepler_conserved(), which states the Kepler invariants
+with the package's Multivector operations, so that the float kernel behind
+gacalc.conserved() and the CSV writer is checked against geometric algebra
+and not against itself.
 """
 
 import itertools
+import math
 
 Terms = dict  # tuple[int, ...] -> float
 
@@ -157,3 +163,31 @@ def cross3(u, v):
 def max_coeff_diff(a: Terms, b: Terms) -> float:
     keys = set(a) | set(b)
     return max((abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys), default=0.0)
+
+
+KEPLER_OVERFLOW = "orbit state overflows: |r|^2, |L|^2 or E is not finite"
+
+
+def kepler_conserved(state):
+    """L = m r ^ v, e = (L |. v)/k - r/|r| and E = m|v|^2/2 - k/|r| of an orbit state.
+
+    Every step is a Multivector operation, pruned to the algebra tolerance.
+    Raises SimulationError at zero |r| = sqrt(|r|^2) (so also where |r|^2
+    underflows), NonFiniteError from the first stage whose coefficient is not
+    finite, and NonFiniteError(KEPLER_OVERFLOW) when |r|^2, |L|^2 or E is.
+    """
+    from gacalc.algebra import NonFiniteError
+    from gacalc.kepler import Conserved, SimulationError
+
+    r, v, m, k = state.r, state.v, state.m, state.k
+    rsq = r.norm_squared()
+    rlen = math.sqrt(rsq)
+    if rlen <= 0.0:
+        raise SimulationError("position is at the singularity")
+    L = (r ^ v) * m
+    ecc = L.right_contract(v) / k - r / rlen
+    energy = 0.5 * m * v.norm_squared() - k / rlen
+    lsq = L.norm_squared()
+    if not (rsq < math.inf and lsq < math.inf and -math.inf < energy < math.inf):
+        raise NonFiniteError(KEPLER_OVERFLOW)
+    return Conserved(L, ecc, energy, math.sqrt(lsq), not L)

@@ -109,6 +109,12 @@ def test_conserved_rejects_zero_radius():
         conserved(state((0.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
 
 
+def test_conserved_rejects_what_is_not_a_state():
+    # conserved() reads the coordinates of r and v that an OrbitState checked
+    with pytest.raises(SimulationError, match="expected an OrbitState, got tuple"):
+        conserved((E3.basis_vector(1), E3.basis_vector(2)))
+
+
 def test_angular_momentum_dual_is_the_cross_product():
     rng = random.Random(60)
     for _ in range(25):
@@ -372,8 +378,8 @@ def test_write_csv_bivector_component_signs():
 
 
 def _csv_fields(s):
-    """The fields of s's CSV row, computed through conserved()."""
-    cons = conserved(s)
+    """The fields of s's CSV row, computed with Multivector operations."""
+    cons = oracles.kepler_conserved(s)
     L, e = cons.angular_momentum, cons.eccentricity
     vector = lambda mv: [mv.coefficient((i,)) for i in (1, 2, 3)]
     return [s.t, *vector(s.r), *vector(s.v), L.coefficient((2, 3)),
@@ -417,6 +423,117 @@ def test_csv_row_is_conserved_bit_for_bit(s):
         return
     write_csv([s], buf)
     assert buf.getvalue().splitlines()[1].split(",") == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(_states())
+def test_conserved_matches_the_oracle(s):
+    # the float kernel against the Multivector formulas: L, e and E bit for
+    # bit; l = |L| is summed e12, e13, e23, where the formulas sum L's terms
+    # in the order r ^ v made them, e12, e23, e13 when rx is pruned
+    try:
+        want = oracles.kepler_conserved(s)
+    except (SimulationError, NonFiniteError) as error:
+        with pytest.raises(type(error)) as raised:
+            conserved(s)
+        assert str(raised.value) == str(error)
+        return
+    got = conserved(s)
+    assert got.angular_momentum._terms == want.angular_momentum._terms
+    assert got.eccentricity._terms == want.eccentricity._terms
+    assert got.energy == want.energy
+    assert got.radial == want.radial == (got.l == 0.0)
+    if s.r.coefficient((1,)):
+        assert got.l == want.l
+    else:
+        assert abs(got.l - want.l) <= math.ulp(want.l)
+
+
+TINY = Algebra(3, 0, tolerance=1e-300)
+
+
+def _tiny_state(r, v, m=1.0, k=1.0):
+    return OrbitState(TINY.vector(r), TINY.vector(v), m, k)
+
+
+def _row_values(s):
+    buf = io.StringIO()
+    write_csv([s], buf)
+    return [float(x) for x in buf.getvalue().splitlines()[1].split(",")]
+
+
+@pytest.mark.parametrize("rx", [
+    pytest.param(3e-162, id="r2-subnormal"),  # e was -0.954 e1
+    pytest.param(-1e-170, id="r2-zero"),  # raised "position is at the singularity"
+])
+def test_tiny_position_keeps_its_length(rx):
+    # |r|^2 underflows; |r| must not
+    s = _tiny_state((rx, 0.0, 0.0), (0.0, 0.0, 0.0), k=1e-300)
+    cons = conserved(s)
+    sign = math.copysign(1.0, rx)
+    assert cons.eccentricity == TINY.vector((-sign, 0.0, 0.0))
+    assert cons.energy == -1e-300 / abs(rx)
+    row = _row_values(s)
+    assert row[10:] == [-sign, 0.0, 0.0, cons.energy]
+
+
+def test_tiny_angular_momentum_keeps_its_length():
+    # |L|^2 = 1e-340 underflows: l was 0.0 with radial False, and
+    # orbit_radius() then returned 0.0
+    s = _tiny_state((1e-150, 0.0, 0.0), (0.0, 1e-20, 0.0))
+    cons = conserved(s)
+    assert cons.l == cons.angular_momentum.coefficient((1, 2)) == 1e-150 * 1e-20
+    assert not cons.radial
+    with pytest.raises(NonFiniteError, match="conic radius underflows to 0.0"):
+        orbit_radius(cons, 0.0)
+    assert _row_values(s)[7:10] == [0.0, -0.0, cons.l]
+
+
+def test_radial_is_exactly_zero_angular_momentum():
+    for r, v in [((1e-160, 0.0, 0.0), (1e-20, 0.0, 0.0)),
+                 ((1e-160, 0.0, 0.0), (0.0, 0.0, 1e-200)),
+                 ((3e-200, 4e-200, 0.0), (0.0, 0.0, 1e-120))]:
+        cons = conserved(_tiny_state(r, v))
+        assert cons.radial == (cons.l == 0.0) == (not cons.angular_momentum)
+
+
+def _tiny_coordinates(low, high):
+    return st.one_of(
+        st.just(0.0),
+        st.builds(lambda sign, exp: sign * 10.0 ** exp,
+                  st.sampled_from([1.0, -1.0]), st.floats(low, high)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.tuples(*[_tiny_coordinates(-200, -140)] * 3),
+       v=st.tuples(*[_tiny_coordinates(-20, 0)] * 3),
+       m=st.floats(-3, 3).map(lambda x: 10.0 ** x),
+       k=st.floats(-3, 3).map(lambda x: 10.0 ** x) | st.floats(-3, 3).map(lambda x: -10.0 ** x),
+       j=st.integers(1, 600))
+def test_tiny_states_scale_exactly(r, v, m, k, j):
+    # r -> 2^j r, k -> 2^j k leaves e and E unchanged and scales L and l by
+    # 2^j; at 1e-200..1e-140, |r|^2 and |L|^2 underflow while L, e, E do not
+    if not any(r):
+        return
+    scale = 2.0 ** j
+    small = conserved(_tiny_state(r, v, m, k))
+    big = conserved(_tiny_state([x * scale for x in r], v, m, k * scale))
+    assert big.eccentricity == small.eccentricity
+    assert big.energy == small.energy
+    assert big.angular_momentum._terms == {
+        blade: x * scale for blade, x in small.angular_momentum._terms.items()}
+    assert big.l == small.l * scale
+    assert small.radial == big.radial == (small.l == 0.0)
+
+
+def test_conserved_numpy_constants_give_plain_floats():
+    # E was np.float64(-1.56) for a numpy m or k
+    np = pytest.importorskip("numpy")
+    cons = conserved(state((1.0, 0.0, 0.0), (0.0, 1.2, 0.0),
+                           m=np.float64(2.0), k=np.float64(3.0)))
+    want = conserved(state((1.0, 0.0, 0.0), (0.0, 1.2, 0.0), m=2.0, k=3.0))
+    assert type(cons.energy) is float and type(cons.l) is float
+    assert (cons.energy, cons.l) == (want.energy, want.l)
 
 
 def test_write_csv_overflow_raises_nonfinite_error():
