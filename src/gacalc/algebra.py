@@ -50,6 +50,13 @@ sizes and the dimension:
 The prune and every result after it are therefore the same whichever regime
 runs.
 
+exp(B) takes a closed form when B ^ B, the grade-4 part of B B, is roundoff.
+Any other bivector sums its power series in a twin of the algebra with
+tolerance 0 and is pruned once, on return, so that R reverse(R) is scalar to
+roundoff. A residue (A ^ A, the non-scalar part of A reverse(A), B ^ B, or
+|A|^2 in inverse()) is roundoff when it is at most tol * max(1, sum of A's
+squared coefficients).
+
 A coefficient that is NaN or infinite (an overflow, or an inf/nan input)
 raises NonFiniteError wherever terms are pruned, instead of being pruned
 to zero or printed as inf.
@@ -120,8 +127,7 @@ class Algebra:
         metric: tuple of +-1.0 metric entries, length n.
     """
 
-    __slots__ = ("p", "q", "n", "tolerance", "metric", "_minus_mask",
-                 "_volume", "_volume_inverse")
+    __slots__ = ("p", "q", "n", "tolerance", "metric", "_minus_mask")
 
     def __init__(self, p, q, tolerance=DEFAULT_TOLERANCE, max_dimension=MAX_DIMENSION):
         if not (isinstance(p, Integral) and isinstance(q, Integral)):
@@ -139,8 +145,6 @@ class Algebra:
         self.tolerance = float(tolerance)
         self.metric = (1.0,) * self.p + (-1.0,) * self.q
         self._minus_mask = ((1 << self.q) - 1) << self.p
-        self._volume = None
-        self._volume_inverse = None
 
     def __eq__(self, other):
         if not isinstance(other, Algebra):
@@ -186,15 +190,15 @@ class Algebra:
         """The volume element e1 e2 ... en."""
         if self.n == 0:
             raise GAError("a scalar-only algebra has no volume element")
-        if self._volume is None:
-            self._volume = Multivector._make(self, {(1 << self.n) - 1: 1.0})
-        return self._volume
+        return Multivector._make(self, {(1 << self.n) - 1: 1.0})
 
     @property
     def I_inverse(self):
-        if self._volume_inverse is None:
-            self._volume_inverse = self.I.inverse()
-        return self._volume_inverse
+        """I^-1 = +-I: reversing I gives (-1)^(n(n-1)/2), and I reverse(I) = (-1)^q."""
+        volume = self.I
+        if not volume:  # a tolerance of 1 or more prunes I
+            raise NotInvertible(f"null versor has no inverse: {volume}")
+        return -volume if (self.n * (self.n - 1) // 2 + self.q) & 1 else volume
 
     def basis_blades(self):
         """All 2^n basis blades as index tuples, ordered by grade then lexicographically."""
@@ -301,6 +305,14 @@ def _pruned(raw, tol):
             if not math.isfinite(v):
                 raise NonFiniteError(f"coefficient is not finite: {v!r}")
     return terms
+
+
+def _negligible(residue, a):
+    """True when no value in residue exceeds tol * max(1, sum of a_i^2)."""
+    if not residue:  # the common case forms no sum
+        return True
+    size = math.hypot(*a._terms.values())
+    return max(map(abs, residue)) <= a.algebra.tolerance * max(1.0, size * size)
 
 
 def _dense_product(algebra, left, right, select):
@@ -441,12 +453,7 @@ class Multivector:
 
     def isclose(self, other, tol=None):
         """True when every coefficient of self - other is within tol."""
-        other = self._coerce(other)
-        if tol is None:
-            tol = self.algebra.tolerance
-        keys = self._terms.keys() | other._terms.keys()
-        return all(abs(self._terms.get(k, 0.0) - other._terms.get(k, 0.0)) <= tol
-                   for k in keys)
+        return self.max_coeff_diff(other) <= (self.algebra.tolerance if tol is None else tol)
 
     def max_coeff_diff(self, other):
         other = self._coerce(other)
@@ -652,10 +659,10 @@ class Multivector:
     def inverse(self):
         """Versor inverse reverse(A)/|A|^2. The caller asserts A is a versor.
 
-        Raises NotInvertible when |A|^2 is within tolerance of zero.
+        Raises NotInvertible when |A|^2 is roundoff by the residue rule.
         """
         n2 = self.norm_squared()
-        if abs(n2) <= self.algebra.tolerance:
+        if _negligible((n2,), self):
             raise NotInvertible(f"null versor has no inverse: {self}")
         return self.reverse() / n2
 
@@ -673,47 +680,41 @@ class Multivector:
         return len(self.grades) <= 1
 
     def is_blade(self):
-        """Practical blade test: homogeneous, A^A = 0, and A reverse(A) scalar.
+        """Practical blade test: homogeneous, A^A roundoff, and a versor.
 
         In dimensions <= 3 every homogeneous multivector passes, as it should.
         """
-        if not self._terms:
-            return True
-        if len(self.grades) != 1:
-            return False
-        if self ^ self:
-            return False
-        return not (self * self.reverse()).grade_nonscalar()
+        return not self._terms or (
+            len(self.grades) == 1 and _negligible((self ^ self)._terms.values(), self)
+            and self.is_versor())
 
     def grade_nonscalar(self):
         return Multivector._make(
             self.algebra, {k: v for k, v in self._terms.items() if k})
 
     def is_versor(self):
-        """Practical versor test: single grade parity and A reverse(A) scalar."""
-        if not self._terms:
+        """Practical versor test: single grade parity and A reverse(A) scalar to roundoff."""
+        if len({k.bit_count() & 1 for k in self._terms}) != 1:  # zero has no parity
             return False
-        parities = {k.bit_count() & 1 for k in self._terms}
-        if len(parities) != 1:
-            return False
-        return not (self * self.reverse()).grade_nonscalar()
+        return _negligible((self * self.reverse()).grade_nonscalar()._terms.values(), self)
 
     # -- exponential ------------------------------------------------------------
 
     def exp(self):
         """Exponential of a bivector.
 
-        Blades (B^B = 0) get the closed forms driven by the sign of B^2;
-        non-blade bivectors fall back to a scaled-and-squared power series.
+        Blades (B^B, the grade-4 part of B B, is roundoff) get the closed forms
+        driven by the sign of B^2; other bivectors take the power series.
         Raises GradeError for anything that is not a pure bivector, and
-        NonFiniteError when the result overflows.
+        NonFiniteError when B B or the result overflows.
         """
         if self._terms and self.grades != frozenset({2}):
             raise GradeError(f"exp is defined here for bivectors only, got grades "
                              f"{sorted(self.grades)}")
         one = self.algebra.scalar(1.0)
-        if not (self ^ self):
-            beta = (self * self).scalar_part
+        square = self * self
+        if _negligible(square.grade(4)._terms.values(), self):
+            beta = square.scalar_part
             tol = self.algebra.tolerance
             if beta > tol:
                 w = math.sqrt(beta)
@@ -728,20 +729,21 @@ class Multivector:
         return self._exp_series()
 
     def _exp_series(self):
+        alg = self.algebra
+        exact = Algebra(alg.p, alg.q, tolerance=0.0, max_dimension=alg.n)
         biggest = max(abs(v) for v in self._terms.values())
         halvings = 0
         while biggest > 0.5:
             biggest /= 2.0
             halvings += 1
-        base = self * math.ldexp(1.0, -halvings)
-        acc = self.algebra.scalar(1.0)
-        term = self.algebra.scalar(1.0)
+        base = Multivector._make(exact, self._terms) * math.ldexp(1.0, -halvings)
+        acc = term = exact.scalar(1.0)
         for i in range(1, _EXP_SERIES_TERMS + 1):
             term = term * base / float(i)
             acc = acc + term
         for _ in range(halvings):
             acc = acc * acc
-        return acc
+        return Multivector._make(alg, acc._terms)
 
 
 def _subset_wedge(vectors, memo, bits):
@@ -766,12 +768,7 @@ def _linear_combination(algebra, pairs):
 
 
 def exp_bivector(B, theta):
-    """The rotor exp(-B theta / 2) for a bivector B.
-
-    2-blades use closed forms: cosine/sine when B^2 < 0, hyperbolic when
-    B^2 > 0, and exactly 1 - (theta/2) B when B^2 = 0. Non-blade bivectors
-    use the power series. Raises GradeError for non-bivector input.
-    """
+    """The rotor exp(-B theta / 2) by Multivector.exp; GradeError unless B is a bivector."""
     if not isinstance(B, Multivector):
         raise TypeError("exp_bivector needs a Multivector")
     if B and B.grades != frozenset({2}):

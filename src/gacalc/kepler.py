@@ -323,12 +323,16 @@ def orbit_radius(cons, theta, m=1.0, k=1.0):
         raise SimulationError(f"angle {theta!r} is outside the attractive branch")
     if k < 0 and denom >= -_BRANCH_EPS:
         raise SimulationError(f"angle {theta!r} is outside the repulsive branch")
-    mk = m * k
-    radius = (cons.l * cons.l / mk) / denom if mk else _INF
+    # l^2 and m k may underflow where the radius does not: scale by 2^j apart
+    (lf, lj), (mf, mj), (kf, kj), (df, dj) = map(math.frexp, (cons.l, m, k, denom))
+    try:
+        radius = math.ldexp(lf * lf / (mf * kf * df), 2 * lj - mj - kj - dj)
+    except OverflowError:
+        radius = _INF
     if not 0.0 < radius < _INF:
         what = "underflows to 0.0" if radius == 0.0 else "is not finite"
-        raise NonFiniteError(f"conic radius {what}: l^2 = {cons.l * cons.l!r}, "
-                             f"m k = {mk!r}, 1 + e cos(theta) = {denom!r}")
+        raise NonFiniteError(f"conic radius {what}: l = {cons.l!r}, m = {m!r}, "
+                             f"k = {k!r}, 1 + e cos(theta) = {denom!r}")
     return radius
 
 

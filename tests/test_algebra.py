@@ -7,6 +7,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gen
 import oracles
 from gacalc import (
     Algebra,
@@ -642,6 +643,128 @@ def test_exp_rejects_non_bivectors():
     with pytest.raises(GradeError):
         (1 + E3.blade((1, 2), 1.0)).exp()
     assert E3.zero().exp() == E3.scalar(1.0)
+
+
+@pytest.mark.parametrize("p, q, plane_sets", [
+    (4, 0, [[(1, 2), (3, 4)]]),
+    (2, 2, [[(1, 2), (3, 4)], [(1, 3), (2, 4)]]),
+    (3, 3, [[(1, 2), (3, 4), (5, 6)], [(1, 4), (2, 5), (3, 6)]]),
+])
+def test_exp_of_commuting_planes_factors(p, q, plane_sets):
+    # orthogonal planes commute, so exp of their sum is the product of the
+    # closed-form exps; at the default tolerance the series once fell 1e-10
+    # short of it
+    alg = Algebra(p, q)
+    rng = random.Random(p + 10 * q)
+    for planes in plane_sets:
+        for _ in range(10):
+            parts = [alg.blade(plane, rng.uniform(-3, 3)) for plane in planes]
+            want = alg.scalar(1.0)
+            for part in parts:
+                want = want * part.exp()
+            got = sum(parts[1:], parts[0]).exp()
+            scale = max(abs(c) for c in want.terms.values())
+            assert got.max_coeff_diff(want) <= 1e-12 * scale
+
+
+def _series_pruned_per_term(bivector):
+    """exp as summed before: every term and partial sum pruned at the tolerance."""
+    biggest = max(abs(c) for c in bivector.terms.values())
+    halvings = 0
+    while biggest > 0.5:
+        biggest /= 2.0
+        halvings += 1
+    base = bivector * math.ldexp(1.0, -halvings)
+    acc = term = bivector.algebra.scalar(1.0)
+    for i in range(1, 25):
+        term = term * base / float(i)
+        acc = acc + term
+    for _ in range(halvings):
+        acc = acc * acc
+    return acc
+
+
+def _absolute_is_versor(a):
+    """is_versor as stated before: the residue compared with the bare tolerance."""
+    return (bool(a) and len({g & 1 for g in a.grades}) == 1
+            and not (a * a.reverse()).grade_nonscalar())
+
+
+def _absolute_is_blade(a):
+    """is_blade as stated before: A ^ A and the residue against the bare tolerance."""
+    return not a or (len(a.grades) == 1 and not (a ^ a)
+                     and not (a * a.reverse()).grade_nonscalar())
+
+
+@pytest.mark.parametrize("spread", [1.0, 10.0])
+def test_exp_agrees_with_the_series_pruned_per_term(spread):
+    compared = 0
+    for p, q in ((4, 0), (3, 1), (2, 2), (5, 0), (4, 1), (3, 3)):
+        alg = Algebra(p, q)
+        rng = random.Random(p + 10 * q)
+        planes = [b for b in alg.basis_blades() if len(b) == 2]
+        for _ in range(20):
+            bivector = alg.multivector({b: rng.uniform(-spread, spread) for b in planes})
+            before = _series_pruned_per_term(bivector)
+            if _absolute_is_versor(before):
+                scale = max(1.0, max(abs(c) for c in before.terms.values()))
+                assert bivector.exp().max_coeff_diff(before) <= 1e-8 * scale
+                compared += 1
+    assert compared  # the old series gave a rotor on some draws of each spread
+
+
+def _unit_scale(mv):
+    """mv scaled so that its squared coefficients sum to at most 1."""
+    size = math.sqrt(sum(c * c for c in mv.terms.values()))
+    return mv / (1.01 * size) if size > 1.0 else mv
+
+
+SIGNATURES_UP_TO_6 = [(p, n - p) for n in range(1, 7) for p in range(n + 1)]
+
+
+@pytest.mark.parametrize("p, q", SIGNATURES_UP_TO_6)
+def test_blade_exps_duals_and_predicates_keep_their_terms(p, q):
+    # the closed forms, I^-1, the duals and the blade and versor answers as
+    # stated before B.B was formed once and I^-1 became +-I: the same terms in
+    # the same order, bit for bit, for inputs whose squares sum to at most 1
+    alg = Algebra(p, q)
+    rng = random.Random(p + 10 * q)
+
+    def same(got, want):
+        return list(got.terms.items()) == list(want.terms.items())
+
+    volume_inverse = alg.I.reverse() / alg.I.norm_squared()
+    assert same(alg.I, alg.blade(range(1, alg.n + 1)))
+    assert same(alg.I_inverse, volume_inverse)
+    one = alg.scalar(1.0)
+    for _ in range(20):
+        a = gen.rand_mv(alg, rng)
+        assert same(a.dual(), a * volume_inverse)
+        assert same(a.inverse_dual(), a * alg.I)
+        for candidate in (a, _unit_scale(a), _unit_scale(gen.rand_blade(alg, rng, 2)),
+                          _unit_scale(gen.rand_versor(alg, rng, rng.randrange(1, 4))),
+                          _unit_scale(gen.rand_blade(alg, rng, rng.randrange(1, alg.n + 1)))):
+            if sum(c * c for c in candidate.terms.values()) <= 1.0:
+                assert candidate.is_blade() == _absolute_is_blade(candidate)
+                assert candidate.is_versor() == _absolute_is_versor(candidate)
+        if alg.n < 2:
+            continue
+        x, y = gen.rand_vector(alg, rng), gen.rand_vector(alg, rng)
+        for blade in (_unit_scale(x ^ y), alg.blade((1, 2), rng.uniform(-5, 5))):
+            beta = (blade * blade).scalar_part
+            w = math.sqrt(abs(beta))
+            if beta > alg.tolerance:
+                want = one * math.cosh(w) + blade * (math.sinh(w) / w)
+            elif beta < -alg.tolerance:
+                want = one * math.cos(w) + blade * (math.sin(w) / w)
+            else:
+                want = one + blade
+            assert same(blade.exp(), want)
+    if p and q:  # e1 + e_n is null, so its wedge with any e_k squares to 0
+        null = alg.basis_vector(1) + alg.basis_vector(alg.n)
+        for other in range(2, alg.n):
+            plane = null ^ alg.basis_vector(other)
+            assert same(plane.exp(), one + plane)
 
 
 def test_rotor_rotates_by_twice_the_half_angle():

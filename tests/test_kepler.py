@@ -489,6 +489,16 @@ def test_tiny_angular_momentum_keeps_its_length():
     assert _row_values(s)[7:10] == [0.0, -0.0, cons.l]
 
 
+def test_tiny_circular_orbit_keeps_its_radius():
+    # l^2 = 1e-420 and m k = 1e-320 underflow, while the radius is 1e-100:
+    # orbit_radius raised "conic radius underflows to 0.0"
+    s = _tiny_state((1e-100, 0.0, 0.0), (0.0, 1e-10, 0.0), m=1e-100, k=1e-220)
+    cons = conserved(s)
+    assert not cons.eccentricity
+    for theta in (0.0, 1.0, math.pi):
+        assert orbit_radius(cons, theta, m=1e-100, k=1e-220) == pytest.approx(1e-100, rel=1e-15)
+
+
 def test_radial_is_exactly_zero_angular_momentum():
     for r, v in [((1e-160, 0.0, 0.0), (1e-20, 0.0, 0.0)),
                  ((1e-160, 0.0, 0.0), (0.0, 0.0, 1e-200)),

@@ -224,6 +224,75 @@ def test_apply_versor_validation():
         apply_versor(E3.basis_vector(1), 1 + E3.blade((1, 2, 3), 1.0))
 
 
+@pytest.mark.parametrize("scale", [10.0, 30.0])
+def test_large_blades_and_versors_pass_the_residue_tests(scale):
+    # a ^ b ^ c has coefficients near scale^3, and the roundoff in A ^ A and
+    # A reverse(A) grows with them: an absolute residue test rejected 101 of
+    # these 200 blades at +-10 and all of them at +-30
+    alg = Algebra(5, 0)
+    rng = random.Random(3)
+    e1 = alg.basis_vector(1)
+    for _ in range(200):
+        a, b, c = (alg.vector([rng.uniform(-scale, scale) for _ in range(5)])
+                   for _ in range(3))
+        blade = a ^ b ^ c
+        size = blade.norm_squared()
+        inside, outside = project(e1, blade), reject(e1, blade)
+        assert inside.grades <= {1} and outside.grades <= {1}
+        assert (inside + outside).max_coeff_diff(e1) < 1e-9
+        assert (inside ^ blade).max_coeff_diff(alg.zero()) < 1e-9 * size
+        assert outside.left_contract(blade).max_coeff_diff(alg.zero()) < 1e-9 * size
+        mirrored = reflect(e1, blade)
+        assert mirrored.grades == {1}
+        assert abs(mirrored.norm_squared() - 1.0) < 1e-9
+        x = alg.vector([rng.uniform(-1, 1) for _ in range(5)])
+        moved = apply_versor(x, a * b * c)
+        assert moved.grades <= {1}
+        assert abs(moved.norm_squared() - x.norm_squared()) < 1e-9
+
+
+BIVECTOR_SIGNATURES = [(p, n - p) for n in range(2, 7) for p in range(n + 1)]
+
+
+@pytest.mark.parametrize("p, q", BIVECTOR_SIGNATURES)
+def test_exp_of_any_bivector_is_a_rotor(p, q):
+    # a series pruned after every term left R reverse(R) a ~1e-10 non-scalar
+    # residue, and rotate rejected most dense bivectors from n = 4 on
+    alg = Algebra(p, q)
+    rng = random.Random(10 * p + q)
+    planes = [b for b in alg.basis_blades() if len(b) == 2]
+    for _ in range(10):
+        bivector = alg.multivector({b: rng.uniform(-1, 1) for b in planes})
+        rotor = bivector.exp()
+        x = alg.vector([rng.uniform(-1, 1) for _ in range(alg.n)])
+        size = max(1.0, sum(c * c for c in rotor.terms.values())) ** 2
+        for moved in (rotate(x, rotor), apply_versor(x, rotor)):
+            assert moved.grades <= {1}
+            assert abs(moved.norm_squared() - x.norm_squared()) < 1e-9 * size
+
+
+def test_rotations_by_huge_boosts_raise_or_are_isometries():
+    # exp of a bivector with coefficients near +-10 in Cl(3,3) has coefficients
+    # near 1e10, so R reverse(R) = 1 is left after cancelling terms near 1e20:
+    # the residue rule accepts R, and |R|^2 must be tested by the same rule, or
+    # the sandwich is divided by roundoff (14 of these 50 were off by up to 5%)
+    alg = Algebra(3, 3)
+    rng = random.Random(7)
+    planes = [b for b in alg.basis_blades() if len(b) == 2]
+    raised = 0
+    for _ in range(50):
+        rotor = alg.multivector({b: rng.uniform(-10, 10) for b in planes}).exp()
+        x = alg.vector([rng.uniform(-1, 1) for _ in range(6)])
+        try:
+            moved = rotate(x, rotor)
+        except NotInvertible:
+            raised += 1
+            continue
+        size = sum(c * c for c in moved.terms.values())
+        assert abs(moved.norm_squared() - x.norm_squared()) <= 1e-6 * max(1.0, size)
+    assert raised
+
+
 def test_gram_schmidt_orthogonalizes():
     rng = random.Random(52)
     for alg in (E2, E3, Algebra(5, 0)):
@@ -261,3 +330,4 @@ def test_gram_schmidt_rejects_dependent_vectors():
 def test_gram_schmidt_rejects_null_intermediates():
     with pytest.raises(NotInvertible):
         gram_schmidt([STA.vector([1.0, 1.0, 0.0, 0.0]), STA.basis_vector(3)])
+
