@@ -17,35 +17,40 @@ factor of a, and each shared factor that squares to -1 adds its metric sign
 Index tuples given at the API are sorted into blades by the same rule: each
 index passes every higher index placed before it, one sign flip per pass.
 
-Products run one pair loop in one of three regimes, chosen from the operand
-sizes and the dimension:
+Products run one pair loop in one of three regimes, chosen first from the
+dimension and then, above n = 6, from the operand sizes:
 
-- Small products (fewer than _DENSE_MIN_PAIRS blade pairs, which covers
-  every product in n <= 4) with n <= 6 run in Python over the term dicts
-  and read each pair's sign and selection from a table of the signature and
-  product kind: row ka holds, for every blade kb, the sign of ka*kb (+1.0 or
-  -1.0) when the product keeps the pair and 0.0 when it does not. The tables
-  are built on first use and kept per signature, so fresh algebras of one
+- With n <= 6, every product runs in Python over the term dicts and reads
+  each pair's sign and selection from a table of the signature and product
+  kind: row ka holds, for every blade kb, the sign of ka*kb (+1.0 or -1.0)
+  when the product keeps the pair and 0.0 when it does not. The tables are
+  built on first use and kept per signature, so fresh algebras of one
   signature share them; all four kinds take 140 KiB and 2.3 ms to build at
   n = 6. Multiplying by the +-1.0 entry is an exact negation, so the sums are
-  the ones the bit computation below gives, bit for bit.
-- Small products with n > 6 run the same Python loop, but work out each left
-  blade's sign mask and selection from its bits: the blade tables would take
-  0.5 MiB and 8 ms to build at n = 7 and 2 MiB and 26 ms at n = 8.
-- Larger products, when the algebra's 2^n blades are no more than the pairs
-  (so the arrays of 2^n sums and signs are no larger than the work, and the
-  keys fit int64 however large max_dimension is), run in numpy, which is
-  imported only then. The keys and coefficients become arrays and the sign
-  masks of the left keys are computed once, in ceil(log2 n) doubling steps.
-  The pair sign is read from a table of 2^n parities, +1.0 or -1.0 for the
-  popcount of m & b, and multiplied in. Each block of rows keeps the pairs
-  the product selects: when it keeps them all (the geometric product), the
-  block's pairs are used as they are; otherwise the kept pairs are found
-  once and only they are gathered, multiplied and signed. np.add.at then
-  adds each kept pair into a dense array of 2^n sums. The result is the
-  Python loop's, bit for bit: np.add.at adds the pairs one at a time in the
-  loop's order, and the blades are put in the order the loop first meets
-  them (np.minimum.at of the pair index).
+  the ones the bit computation below gives, bit for bit. These algebras
+  never import numpy: its import (80-110 ms) costs about as much as a
+  hundred of the largest products there, 64 x 64 blades, which take 0.4-0.9
+  ms each in the loop against 0.1 ms in numpy (2-CPU x86-64 VM).
+- With n >= 7, small products (fewer than _DENSE_MIN_PAIRS blade pairs, or
+  fewer pairs than the algebra has blades) run the same Python loop, but
+  work out each left blade's sign mask and selection from its bits: the
+  blade tables would take 0.5 MiB and 8 ms to build at n = 7 and 2 MiB and
+  26 ms at n = 8.
+- With n >= 7, larger products, where the algebra's 2^n blades are no more
+  than the pairs (so the arrays of 2^n sums and signs are no larger than the
+  work, and the keys fit int64 however large max_dimension is), run in
+  numpy, which is imported only then. The keys and coefficients become
+  arrays and the sign masks of the left keys are computed once, in
+  ceil(log2 n) doubling steps. The pair sign is read from a table of 2^n
+  parities, +1.0 or -1.0 for the popcount of m & b, and multiplied in. Each
+  block of rows keeps the pairs the product selects: when it keeps them all
+  (the geometric product), the block's pairs are used as they are;
+  otherwise the kept pairs are found once and only they are gathered,
+  multiplied and signed. np.add.at then adds each kept pair into a dense
+  array of 2^n sums. The result is the Python loop's, bit for bit:
+  np.add.at adds the pairs one at a time in the loop's order, and the
+  blades are put in the order the loop first meets them (np.minimum.at of
+  the pair index).
 
 The prune and every result after it are therefore the same whichever regime
 runs.
@@ -74,21 +79,24 @@ DEFAULT_TOLERANCE = 1e-10
 _EXP_SERIES_TERMS = 24
 _INF = math.inf
 
-# The Python loop reads each pair's sign and selection from a table of the
-# signature and product kind up to this dimension. All four kinds of one
-# signature take 140 KiB and 2.3 ms to build at n = 6; at n = 7 they would
-# take 0.5 MiB and 8 ms, at n = 8 2 MiB and 26 ms (2-CPU x86-64 VM, Python
-# 3.11), so above 6 the loop works the sign out from the blade bits.
+# Every product up to this dimension runs in the Python loop and reads each
+# pair's sign and selection from a table of the signature and product kind.
+# All four kinds of one signature take 140 KiB and 2.3 ms to build at n = 6;
+# at n = 7 they would take 0.5 MiB and 8 ms, at n = 8 2 MiB and 26 ms (2-CPU
+# x86-64 VM, Python 3.11), so above 6 the loop works the sign out from the
+# blade bits.
 _TABLE_MAX_N = 6
 # (n, minus mask, select function) -> pair table. Kept per signature, not per
 # Algebra, so fresh algebras of one signature share them; at most four tables
 # for each of the 28 signatures with n <= 6.
 _PAIR_TABLES = {}
 
-# Products with at least this many blade pairs take the numpy branch. The
-# Python loop wins below about 512 pairs (a contraction at 512 pairs runs
-# 0.8-1.0x as fast in numpy); from 1024 pairs numpy wins on every product
-# kind measured for n = 4..12. Above 256, so n <= 4 never loads numpy.
+# Above _TABLE_MAX_N, products with at least this many blade pairs take the
+# numpy branch. The bit loop wins below about 512 pairs (a contraction at 512
+# pairs runs 0.8-1.0x as fast in numpy); from 1024 pairs numpy wins on every
+# product kind measured for n = 7..12. Up to _TABLE_MAX_N the table loop runs
+# whatever the pair count: 1024 pairs take it 0.1-0.2 ms against 0.06-0.1 ms
+# in numpy, whose import costs 80-110 ms.
 _DENSE_MIN_PAIRS = 1024
 # Pairs per numpy block: keeps the block's temporaries under about 1 MB. A
 # block makes about fifteen numpy calls, each one pass over its kept pairs
@@ -535,9 +543,6 @@ class Multivector:
         """
         other = self._coerce(other)
         alg = self.algebra
-        pairs = len(self._terms) * len(other._terms)
-        if pairs >= _DENSE_MIN_PAIRS and (1 << alg.n) <= pairs:
-            return _dense_product(alg, self._terms, other._terms, select)
         right = other._terms.items()
         raw = {}
         get = raw.get
@@ -551,6 +556,9 @@ class Multivector:
                         bits = ka ^ kb
                         raw[bits] = get(bits, 0.0) + s * va * vb
             return Multivector._make(alg, raw)
+        pairs = len(self._terms) * len(right)
+        if pairs >= _DENSE_MIN_PAIRS and (1 << alg.n) <= pairs:
+            return _dense_product(alg, self._terms, other._terms, select)
         minus_mask = alg._minus_mask
         for ka, va in self._terms.items():
             f, g = select(ka)
@@ -659,9 +667,12 @@ class Multivector:
     def inverse(self):
         """Versor inverse reverse(A)/|A|^2. The caller asserts A is a versor.
 
-        Raises NotInvertible when |A|^2 is roundoff by the residue rule.
+        Raises NonFiniteError when |A|^2 overflows, and NotInvertible when it
+        is roundoff by the residue rule.
         """
         n2 = self.norm_squared()
+        if not -_INF < n2 < _INF:  # NaN too
+            raise NonFiniteError(f"|A|^2 is not finite: {n2!r}")
         if _negligible((n2,), self):
             raise NotInvertible(f"null versor has no inverse: {self}")
         return self.reverse() / n2
@@ -680,13 +691,31 @@ class Multivector:
         return len(self.grades) <= 1
 
     def is_blade(self):
-        """Practical blade test: homogeneous, A^A roundoff, and a versor.
+        """Practical blade test: homogeneous, A^A roundoff, a versor, and it factors.
 
         In dimensions <= 3 every homogeneous multivector passes, as it should.
+        The first three tests suffice for grades r <= 2 and r >= n - 2. For
+        3 <= r <= n - 3 they pass e123 + e456 in Cl(6,0), so A must also
+        factor: with e_E the basis blade of A's largest coefficient, each of
+        the r vectors u = e_(E-i) .| A, i in E, must divide A, that is u ^ A
+        must be roundoff (the Pluecker relations). The u are independent, as
+        their e_i parts are, so then A is a multiple of their wedge (Dorst,
+        Fontijne & Mann, section 21.6).
         """
-        return not self._terms or (
-            len(self.grades) == 1 and _negligible((self ^ self)._terms.values(), self)
-            and self.is_versor())
+        if not self._terms:
+            return True
+        if not (len(self.grades) == 1 and _negligible((self ^ self)._terms.values(), self)
+                and self.is_versor()):
+            return False
+        alg = self.algebra
+        if not 3 <= next(iter(self.grades)) <= alg.n - 3:
+            return True
+        top = max(self._terms, key=lambda k: abs(self._terms[k]))
+        for bit in (1 << i for i in range(alg.n) if top >> i & 1):
+            u = Multivector._make(alg, {top ^ bit: 1.0}).left_contract(self)
+            if not _negligible((u ^ self)._terms.values(), self):
+                return False
+        return True
 
     def grade_nonscalar(self):
         return Multivector._make(

@@ -270,12 +270,11 @@ def _kepler_main(argv):
         records = kepler._integrate(
             state0, args["dt"], args["steps"], args["record-every"], args["min-radius"])
         constants = (state0.m, state0.k, algebra.tolerance)
-        rows = ((*record, *constants) for record in records)
         if args["csv"]:
             with open(args["csv"], "w", encoding="utf-8") as fh:
-                kepler._write_rows(rows, fh)
+                kepler._write_rows(records, *constants, fh)
         else:
-            kepler._write_rows(rows, sys.stdout)
+            kepler._write_rows(records, *constants, sys.stdout)
     except (GAError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -98,7 +98,7 @@ def _components(mv):
 
 
 def conserved(state):
-    """The conserved quantities of an orbit state, from _invariants().
+    """The conserved quantities of an orbit state, from its CSV row.
 
     The identity E = (m k^2 / 2 l^2)(|e|^2 - 1) is not checked here: near a
     radial orbit its factor 1/l^2 magnifies the rounding and pruning of e
@@ -108,8 +108,12 @@ def conserved(state):
     if not isinstance(state, OrbitState):
         raise SimulationError(f"expected an OrbitState, got {type(state).__name__}")
     algebra = state.r.algebra
-    *_, l_yz, l_zx, l_xy, ex, ey, ez, energy, l = _invariants(
-        *_components(state.r), *_components(state.v), state.m, state.k, algebra.tolerance)
+    *_, l_yz, l_zx, l_xy, ex, ey, ez, energy = _csv_row(
+        state.t, *_components(state.r), *_components(state.v), state.m, state.k,
+        algebra.tolerance)
+    # the row checked that this sum is finite
+    lsq = l_xy * l_xy + l_zx * l_zx + l_yz * l_yz
+    l = math.sqrt(lsq) if lsq >= _TINY else _small_norm(l_xy, l_zx, l_yz)
     return Conserved(Multivector._make(algebra, {3: l_xy, 5: -l_zx, 6: l_yz}),
                      Multivector._make(algebra, {1: ex, 2: ey, 4: ez}), energy, l, l == 0.0)
 
@@ -120,13 +124,14 @@ def _small_norm(x, y, z):
     return math.sqrt(x * x + y * y + z * z) / _UP
 
 
-def _invariants(rx, ry, rz, vx, vy, vz, m, k, tol):
-    """A state's CSV fields after t, then l: r, v, L_yz, L_zx, L_xy, e, E, l.
+def _csv_row(t, rx, ry, rz, vx, vy, vz, m, k, tol):
+    """A state's CSV fields: t, r, v, L_yz, L_zx, L_xy, e and E.
 
     Runs the steps of L = m r ^ v and e = (L |. v) / k - r/|r| on floats and
     sets to 0.0 each value that the Multivector step would prune (|x| <=
-    tol), so L, e and E are the Multivector results bit for bit. |r| and l
-    = |L| come from a sum of squares, rescaled where it is below _TINY.
+    tol), so L, e and E are the Multivector results bit for bit. |r| comes
+    from a sum of squares, rescaled where it is below _TINY. Raises
+    NonFiniteError when e, |r|^2, |L|^2 or E is not finite.
     """
     m, k = float(m), float(k)
     rx = 0.0 if abs(rx) <= tol else rx
@@ -163,14 +168,13 @@ def _invariants(rx, ry, rz, vx, vy, vz, m, k, tol):
     ez = 0.0 if abs(ez) <= tol else ez
     energy = 0.5 * m * (vx * vx + vy * vy + vz * vz) - k / rlen
     lsq = l12 * l12 + l13 * l13 + l23 * l23
-    l = math.sqrt(lsq) if lsq >= _TINY else _small_norm(l12, l13, l23)
     # a coefficient that is not finite is kept by every step and reaches e
     if not (math.isfinite(ex) and math.isfinite(ey) and math.isfinite(ez)
             and rsq < _INF and lsq < _INF and -_INF < energy < _INF):
         raise _nonfinite_error((rx, ry, rz), (vx, vy, vz), (
             {3: w12, 5: w13, 6: w23}, {3: l12, 5: l13, 6: l23},
             {1: c1, 2: c2, 4: c3}, {1: lv1, 2: lv2, 4: lv3}))
-    return rx, ry, rz, vx, vy, vz, l23, -l13, l12, ex, ey, ez, energy, l
+    return t, rx, ry, rz, vx, vy, vz, l23, -l13, l12, ex, ey, ez, energy
 
 
 def _nonfinite_error(r, v, steps):
@@ -355,11 +359,11 @@ def orbital_period(cons, m=1.0, k=1.0):
     return period
 
 
-def _write_rows(rows, stream):
-    """Write the CSV header, then for each (t, rx, ry, rz, vx, vy, vz, m, k, tol)
-    row the line of t and _invariants()'s fields but l."""
+def _write_rows(records, m, k, tol, stream):
+    """Write the CSV header, then the row of each (t, rx, ry, rz, vx, vy, vz) record."""
     stream.write(_CSV_HEAD)
-    stream.writelines(_CSV_ROW % (row[0], *_invariants(*row[1:])[:13]) for row in rows)
+    stream.writelines(_CSV_ROW % _csv_row(t, rx, ry, rz, vx, vy, vz, m, k, tol)
+                      for t, rx, ry, rz, vx, vy, vz in records)
 
 
 def write_csv(states, stream):
@@ -371,5 +375,6 @@ def write_csv(states, stream):
     follow the dual-axis convention: L_yz = L[e23], L_zx = -L[e13] (written
     -0.0 when L[e13] is zero), L_xy = L[e12].
     """
-    _write_rows(((s.t, *_components(s.r), *_components(s.v), s.m, s.k,
-                  s.r.algebra.tolerance) for s in states), stream)
+    stream.write(_CSV_HEAD)
+    stream.writelines(_CSV_ROW % _csv_row(s.t, *_components(s.r), *_components(s.v), s.m,
+                                          s.k, s.r.algebra.tolerance) for s in states)

@@ -194,8 +194,9 @@ def _density_terms(alg, density, rng):
             if grade_ok(len(blade))}
 
 
-# Operands of 2048 to 49,152 blade pairs, past the crossover to the numpy branch.
-DENSE_SHAPES = [(6, 0, "full", "full"), (3, 3, "rotor", "full"),
+# Operands of 3584 to 49,152 blade pairs, past the crossover to the numpy
+# branch, in n >= 7: below that every product runs in the table loop.
+DENSE_SHAPES = [(7, 0, "full", "full"), (4, 3, "rotor", "full"),
                 (4, 4, "bivector", "rotor"), (5, 5, "vector", "rotor"),
                 (8, 0, "rotor", "bivector"), (12, 0, "vector", "full")]
 
@@ -263,13 +264,13 @@ def test_dense_branch_matches_the_python_loop_at_n14(product, monkeypatch):
 
 
 def test_dense_filtered_pairs_report_the_first_nonfinite_sum(monkeypatch):
-    alg = Algebra(6, 0)
+    alg = Algebra(7, 0)
     big = alg.multivector({blade: 1e200 for blade in alg.basis_blades()})
     messages = []
     for limit in (0, math.inf):
         monkeypatch.setattr(algebra, "_DENSE_MIN_PAIRS", limit)
         with pytest.raises(NonFiniteError) as err:
-            big ^ big  # 4096 blade pairs, 729 of them kept
+            big ^ big  # 16,384 blade pairs, 2187 of them kept
         messages.append(str(err.value))
     assert messages == ["coefficient is not finite: inf"] * 2
 
@@ -345,6 +346,23 @@ def test_no_pair_table_above_six_dimensions(alg, monkeypatch):
     assert algebra._PAIR_TABLES == {}
 
 
+@pytest.mark.parametrize("p, q", [(p, n - p) for n in range(7) for p in range(n + 1)])
+def test_small_algebras_never_take_the_numpy_branch(p, q, monkeypatch):
+    # from n = 7 the same products, with the threshold at 0, take it
+    def dense_product(*args):
+        raise AssertionError(f"numpy branch in Cl({p},{q})")
+
+    monkeypatch.setattr(algebra, "_dense_product", dense_product)
+    monkeypatch.setattr(algebra, "_DENSE_MIN_PAIRS", 0)
+    rng = random.Random(f"no numpy {p},{q}")
+    alg = Algebra(p, q)
+    full = {blade: rng.uniform(-2, 2) for blade in alg.basis_blades()}
+    A = alg.multivector(full)
+    for product, oracle, _ in PRODUCTS:
+        got = product(A, A).terms
+        assert oracles.max_coeff_diff(got, oracle(full, full, alg.metric)) < 1e-12
+
+
 def _linear_sign_mask(a, minus_mask, n):
     mask = a & minus_mask
     for shift in range(1, n):
@@ -367,9 +385,9 @@ def test_sign_mask_doubling_matches_the_linear_definition(case):
 
 
 def _huge_dense_square():
-    alg = Algebra(6, 0)
+    alg = Algebra(7, 0)
     big = alg.multivector({blade: 1e200 for blade in alg.basis_blades()})
-    return big * big  # 4096 blade pairs: the numpy branch
+    return big * big  # 16,384 blade pairs: the numpy branch
 
 
 @pytest.mark.parametrize("make", [
@@ -541,6 +559,17 @@ def test_null_vector_not_invertible():
         E3.zero().inverse()
 
 
+@pytest.mark.parametrize("A, norm", [
+    (E3.vector([1e155, 1e155, 0.0]), "inf"),
+    (E3.blade((1, 2), 1e200), "inf"),
+    (STA.vector([1e200, 1e200, 1e200, 0.0]), "nan"),  # inf - inf
+], ids=["vector", "bivector", "mixed"])
+def test_inverse_of_an_overflowing_norm_is_nonfinite(A, norm):
+    # an infinite |A|^2 passed the residue rule as roundoff: "null versor has no inverse"
+    with pytest.raises(NonFiniteError, match=rf"^\|A\|\^2 is not finite: {norm}$"):
+        A.inverse()
+
+
 def test_volume_element():
     assert str(E3.I) == "1*e123"
     assert (E3.I * E3.I).scalar_part == -1.0
@@ -576,6 +605,22 @@ def test_is_blade():
     assert not E3.scalar(2.0).is_blade()
     assert not (1 + e1).is_blade()
     assert E3.zero().is_blade()  # zero is the degenerate blade of any grade
+
+
+@pytest.mark.parametrize("p, q", [(6, 0), (3, 3), (4, 2), (7, 0), (4, 3), (4, 4)])
+def test_is_blade_needs_a_factorization_in_the_middle_grades(p, q):
+    # e123 + e456 has A ^ A = 0 and A reverse(A) = 2, and used to pass
+    alg = Algebra(p, q)
+    rng = random.Random(f"middle grades {p},{q}")
+    assert not (alg.blade((1, 2, 3)) + alg.blade((4, 5, 6))).is_blade()
+    assert not (alg.blade((1, 2, 3)) + alg.blade((1, 5, 6))).is_blade()
+    assert (alg.blade((1, 2, 3)) + alg.blade((1, 2, 6))).is_blade()
+    for r in range(3, alg.n - 2):
+        for _ in range(5):
+            blade = gen.rand_blade(alg, rng, r)
+            other = gen.rand_blade(alg, rng, r)
+            assert blade.is_blade() and (blade * 1e3).is_blade()
+            assert not (blade + other).is_blade()
 
 
 def test_is_versor():

@@ -271,20 +271,32 @@ def test_nonfinite_result_is_an_evaluation_error(args, err):
     assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {err}\n")
 
 
+@pytest.mark.parametrize("call, what", [("proj", "projection target"),
+                                        ("reflect", "mirror")])
+def test_a_sum_of_blades_is_not_a_blade(call, what):
+    # e123 + e456 passed the blade test: proj printed 0.5*e1 - 0.5*e23456
+    r = ga("--algebra", "6,0", "-e", f"{call}(e1, e123 + e456)")
+    assert (r.returncode, r.stdout, r.stderr) == (
+        2, "", f"error: {what} must be a blade, got 1*e123 + 1*e456\n")
+
+
 def _imported_modules(stderr):
     """Module names from the report of python -X importtime."""
     return {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
             if line.startswith("import time:")}
 
 
-@pytest.mark.parametrize("algebra", ["3,0", "1,3", "2,2"])
-def test_small_algebras_do_not_load_numpy(algebra):
-    # full x full is the largest product in n <= 4: 256 blade pairs, below
-    # the crossover to the numpy branch
-    n = sum(int(c) for c in algebra.split(","))
+def _full_expression(n):
+    """The sum of all 2^n basis blades of dimension n, in parentheses."""
     blades = ["1"] + ["e" + "".join(map(str, c)) for r in range(1, n + 1)
                       for c in itertools.combinations(range(1, n + 1), r)]
-    full = "(" + " + ".join(blades) + ")"
+    return "(" + " + ".join(blades) + ")"
+
+
+@pytest.mark.parametrize("algebra", ["3,0", "1,3", "2,2"])
+def test_small_algebras_do_not_load_numpy(algebra):
+    # full x full is the largest product in n <= 4: 256 blade pairs
+    full = _full_expression(sum(int(c) for c in algebra.split(",")))
     expr = " + ".join(f"({full} {op} {full})" for op in ("*", "^", "<|", "|>"))
     r = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "gacalc", "--algebra", algebra,
@@ -311,6 +323,99 @@ def test_small_algebras_do_not_load_numpy(algebra):
     assert (r.returncode, r.stderr) == (0, "")
 
 
+# Every product, frame, outermorphism and rotation below runs with n <= 6, where
+# no code path may import numpy; the results are checked against the oracles.
+_WITHOUT_NUMPY = """
+import itertools, math, random, sys
+sys.modules["numpy"] = None  # "import numpy" now raises ImportError
+sys.path.insert(0, sys.argv[1])
+import oracles
+from gacalc import Algebra, Frame, LinearMap, apply_versor, factor_isometry, rotate
+from gacalc.algebra import Multivector
+
+PRODUCTS = ((Multivector.__mul__, oracles.gp), (Multivector.__xor__, oracles.outer),
+            (Multivector.left_contract, oracles.lcontract),
+            (Multivector.right_contract, oracles.rcontract))
+
+def close(got, want, tol=1e-9):
+    return oracles.max_coeff_diff(got.terms, want) <= tol
+
+def leibniz_det(m):
+    n = len(m)
+    return sum(oracles.perm_parity(s) * math.prod(m[i][s[i]] for i in range(n))
+               for s in itertools.permutations(range(n)))
+
+def sandwich(v, x):
+    # v ghat(x) v^-1 through the oracle, for the versor v
+    metric = v.algebra.metric
+    vt, xt = v.terms, x.terms
+    if min(v.grades) & 1:
+        xt = oracles.grade_involution(xt)
+    moved = oracles.gp(oracles.gp(vt, xt, metric), oracles.reverse(vt), metric)
+    return {k: c / oracles.scalar_product(vt, vt, metric) for k, c in moved.items()}
+
+for p, q in ((6, 0), (4, 1), (3, 3)):
+    alg = Algebra(p, q)
+    metric = alg.metric
+    rng = random.Random(f"without numpy {p},{q}")
+    def vector():
+        while True:
+            v = alg.vector([rng.uniform(-2, 2) for _ in range(alg.n)])
+            if abs(v.norm_squared()) > 0.5:
+                return v
+    a, b = ({t: rng.uniform(-2, 2) for t in alg.basis_blades()} for _ in range(2))
+    A, B = alg.multivector(a), alg.multivector(b)
+    for product, oracle in PRODUCTS:  # 2^n x 2^n blade pairs
+        assert close(product(A, B), oracle(a, b, metric), 1e-12)
+
+    vectors = [vector() for _ in range(alg.n)]
+    columns = [[v.coefficient((i + 1,)) for v in vectors] for i in range(alg.n)]
+    det = leibniz_det(columns)
+    full = tuple(range(1, alg.n + 1))
+    frame = Frame(vectors)
+    assert close(frame.volume, {full: det})
+    for i, v in enumerate(vectors):
+        for j, r in enumerate(frame.reciprocal):
+            dot = oracles.lcontract(v.terms, r.terms, metric)
+            assert oracles.max_coeff_diff(dot, {(): float(i == j)}) <= 1e-9
+    assert frame.expand(frame.components(A)).isclose(A, tol=1e-9)
+
+    F = LinearMap(alg, vectors)
+    want = {}
+    for t, c in a.items():
+        image = {(): c}
+        for i in t:
+            image = oracles.outer(image, vectors[i - 1].terms, metric)
+        want = oracles.add(want, image)
+    assert close(F(A), want, 1e-9 * max(1.0, abs(det)))
+    assert math.isclose(F.determinant(), det, rel_tol=1e-12)
+    assert F.inverse()(F(A)).isclose(A, tol=1e-9)
+
+    V = vectors[0] * vectors[1] * vectors[2]
+    G = LinearMap(alg, [apply_versor(alg.basis_vector(i + 1), V) for i in range(alg.n)])
+    for i, image in enumerate(G.images):
+        assert close(image, sandwich(V, alg.basis_vector(i + 1)))
+    W, _ = factor_isometry(G)
+    for i, image in enumerate(G.images):
+        assert close(image, sandwich(W, alg.basis_vector(i + 1)))
+
+    bivector = alg.multivector({t: rng.uniform(-1, 1) for t in alg.basis_blades()
+                                if len(t) == 2})
+    x = vector()
+    R = bivector.exp()
+    assert close(rotate(x, R), sandwich(R, x))
+
+assert sys.modules.pop("numpy") is None and "numpy" not in sys.modules
+print("ok")
+"""
+
+
+def test_small_algebras_run_without_numpy():
+    r = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, str(Path(__file__).parent)],
+                       capture_output=True, text=True, timeout=300)
+    assert (r.returncode, r.stderr, r.stdout) == (0, "", "ok\n")
+
+
 def test_import_does_not_load_numpy():
     code = ("import sys, gacalc\n"
             "assert 'numpy' not in sys.modules\n"
@@ -331,6 +436,11 @@ CALCULATOR_NEVER_LOADS = ("gacalc.kepler", "gacalc.linops", "gacalc.frames", "ar
 @pytest.mark.parametrize("args", [
     pytest.param(("-e", "1"), id="one-liner"),
     pytest.param((str(GOLDEN_SCRIPT),), id="golden-script"),
+    # 1024 and 4096 blade pairs: every product with n <= 6 runs in the table loop
+    pytest.param(("--algebra", "4,1", "-e", f"{_full_expression(5)} * {_full_expression(5)}"),
+                 id="full-product-4,1"),
+    pytest.param(("--algebra", "6,0", "-e", f"{_full_expression(6)} * {_full_expression(6)}"),
+                 id="full-product-6,0"),
 ])
 def test_calculator_loads_only_what_it_uses(args):
     r = subprocess.run([sys.executable, "-X", "importtime", "-m", "gacalc", *args],
