@@ -58,9 +58,10 @@ runs.
 exp(B) takes a closed form when B ^ B, the grade-4 part of B B, is roundoff.
 Any other bivector sums its power series in a twin of the algebra with
 tolerance 0 and is pruned once, on return, so that R reverse(R) is scalar to
-roundoff. A residue (A ^ A, the non-scalar part of A reverse(A), B ^ B, or
-|A|^2 in inverse()) is roundoff when it is at most tol * max(1, sum of A's
-squared coefficients).
+roundoff. A residue (u ^ A in is_blade, the non-scalar part of A reverse(A),
+B ^ B, or |A|^2 in inverse()) is roundoff when it is at most tol * (sum of
+A's squared coefficients). is_blade and is_versor form theirs from A scaled
+by a power of two to a sum of at least 1, so the prune cannot hide them.
 
 A coefficient that is NaN or infinite (an overflow, or an inf/nan input)
 raises NonFiniteError wherever terms are pruned, instead of being pruned
@@ -316,11 +317,17 @@ def _pruned(raw, tol):
 
 
 def _negligible(residue, a):
-    """True when no value in residue exceeds tol * max(1, sum of a_i^2)."""
+    """True when no value in residue exceeds tol * (sum of a_i^2)."""
     if not residue:  # the common case forms no sum
         return True
     size = math.hypot(*a._terms.values())
-    return max(map(abs, residue)) <= a.algebra.tolerance * max(1.0, size * size)
+    return max(map(abs, residue)) <= a.algebra.tolerance * size * size
+
+
+def _unit_scaled(a):
+    """a scaled exactly, by a power of two, to sum a_i^2 in [1, 4) when that sum is below 1."""
+    size = math.hypot(*a._terms.values())
+    return a * math.ldexp(1.0, 1 - math.frexp(size)[1]) if size < 1.0 else a
 
 
 def _dense_product(algebra, left, right, select):
@@ -691,29 +698,24 @@ class Multivector:
         return len(self.grades) <= 1
 
     def is_blade(self):
-        """Practical blade test: homogeneous, A^A roundoff, a versor, and it factors.
+        """Blade test: A factors into vectors (Dorst, Fontijne & Mann, section 21.6).
 
-        In dimensions <= 3 every homogeneous multivector passes, as it should.
-        The first three tests suffice for grades r <= 2 and r >= n - 2. For
-        3 <= r <= n - 3 they pass e123 + e456 in Cl(6,0), so A must also
-        factor: with e_E the basis blade of A's largest coefficient, each of
-        the r vectors u = e_(E-i) .| A, i in E, must divide A, that is u ^ A
-        must be roundoff (the Pluecker relations). The u are independent, as
-        their e_i parts are, so then A is a multiple of their wedge (Dorst,
-        Fontijne & Mann, section 21.6).
+        Zero is a blade; nonzero scalars and mixed-grade A are not; grades 1,
+        n - 1 and n always factor. Otherwise, with e_E the basis blade of A's
+        largest coefficient, each of the r vectors u = e_(E-i) .| A, i in E,
+        must divide A: u ^ A must be roundoff (the Pluecker relations). The u
+        are independent, as their e_i parts are, so A is a multiple of their wedge.
         """
-        if not self._terms:
-            return True
-        if not (len(self.grades) == 1 and _negligible((self ^ self)._terms.values(), self)
-                and self.is_versor()):
+        grades, n = self.grades, self.algebra.n
+        if len(grades) > 1 or 0 in grades:
             return False
-        alg = self.algebra
-        if not 3 <= next(iter(self.grades)) <= alg.n - 3:
+        if not grades or grades & {1, n - 1, n}:
             return True
-        top = max(self._terms, key=lambda k: abs(self._terms[k]))
-        for bit in (1 << i for i in range(alg.n) if top >> i & 1):
-            u = Multivector._make(alg, {top ^ bit: 1.0}).left_contract(self)
-            if not _negligible((u ^ self)._terms.values(), self):
+        a = _unit_scaled(self)
+        top = max(a._terms, key=lambda k: abs(a._terms[k]))
+        for bit in (1 << i for i in range(n) if top >> i & 1):
+            u = Multivector._make(a.algebra, {top ^ bit: 1.0}).left_contract(a)
+            if not _negligible((u ^ a)._terms.values(), a):
                 return False
         return True
 
@@ -725,7 +727,8 @@ class Multivector:
         """Practical versor test: single grade parity and A reverse(A) scalar to roundoff."""
         if len({k.bit_count() & 1 for k in self._terms}) != 1:  # zero has no parity
             return False
-        return _negligible((self * self.reverse()).grade_nonscalar()._terms.values(), self)
+        a = _unit_scaled(self)
+        return _negligible((a * a.reverse()).grade_nonscalar()._terms.values(), a)
 
     # -- exponential ------------------------------------------------------------
 

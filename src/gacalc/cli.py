@@ -245,13 +245,8 @@ def _calc_main(argv):
         return _run(session, [args["expr"]])
     script = args["script"] or script_arg
     if script is not None:
-        try:
-            with open(script, encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return _run(session, lines, path=script)
+        with open(script, encoding="utf-8") as fh:
+            return _run(session, fh.read().splitlines(), path=script)
     try:
         return _run(session, _prompt_lines(), keep_going=True)
     except KeyboardInterrupt:
@@ -264,28 +259,28 @@ def _kepler_main(argv):
 
     args, _ = _KEPLER.parse(argv)
     algebra = Algebra(3, 0)
-    try:
-        state0 = kepler.OrbitState(
-            algebra.vector(args["r0"]), algebra.vector(args["v0"]), args["m"], args["k"])
-        records = kepler._integrate(
-            state0, args["dt"], args["steps"], args["record-every"], args["min-radius"])
-        constants = (state0.m, state0.k, algebra.tolerance)
-        if args["csv"]:
-            with open(args["csv"], "w", encoding="utf-8") as fh:
-                kepler._write_rows(records, *constants, fh)
-        else:
-            kepler._write_rows(records, *constants, sys.stdout)
-    except (GAError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    state0 = kepler.OrbitState(
+        algebra.vector(args["r0"]), algebra.vector(args["v0"]), args["m"], args["k"])
+    records = kepler._integrate(
+        state0, args["dt"], args["steps"], args["record-every"], args["min-radius"])
+    constants = (state0.m, state0.k, algebra.tolerance)
+    if args["csv"]:
+        with open(args["csv"], "w", encoding="utf-8") as fh:
+            kepler._write_rows(records, *constants, fh)
+    else:
+        kepler._write_rows(records, *constants, sys.stdout)
     return 0
 
 
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "kepler":
-        return _kepler_main(argv[1:])
-    return _calc_main(argv)
+    try:
+        if argv and argv[0] == "kepler":
+            return _kepler_main(argv[1:])
+        return _calc_main(argv)
+    except (GAError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -4,18 +4,19 @@ A LinearMap is stored as the images of the orthonormal basis vectors. It
 acts on blades by wedging images (the unique outermorphism extension) and
 linearly on everything else, so it is grade-preserving by construction.
 Each blade image F(e_S) = F(e_(S without max S)) ^ F(e_max S) is wedged once and kept.
-The adjoint, determinant, adjugate inverse, and the factorization of an
-isometry into reflections are all computed through the algebra rather
-than through matrix decompositions; the one exception is the eigenframe
-of a symmetric map, which delegates to numpy's symmetric eigensolver.
+The adjoint, determinant, inverse (read off the reciprocal frame of the
+images) and the factorization of an isometry into reflections are computed
+through the algebra rather than through matrix decompositions; the one
+exception is the eigenframe of a symmetric map, which delegates to numpy's
+symmetric eigensolver.
 numpy is imported inside that method, on its first call, so importing
 this module (and gacalc) does not load it.
 """
 
 import math
 
-from .algebra import (GAError, GradeError, Multivector, NotInvertible,
-                      _linear_combination, _subset_wedge)
+from .algebra import GAError, GradeError, Multivector, _linear_combination, _subset_wedge
+from .frames import Frame
 
 _ISOMETRY_SLACK = 1e4
 
@@ -144,7 +145,7 @@ class LinearMap:
         return _subset_wedge(self.images, self._blade_images, full)._terms.get(full, 0.0)
 
     def inverse(self):
-        """The inverse map, via the adjugate: F^-1(x) = Fbar(x I) I^-1 / det F.
+        """F^-1(x) = sum_k (x . f^k) e_k, with f^k the reciprocal frame of the F(e_k).
 
         Raises OperatorError when det F is within tolerance of zero.
         """
@@ -152,10 +153,10 @@ class LinearMap:
         det = self.determinant()
         if abs(det) <= alg.tolerance:
             raise OperatorError(f"map is singular (det = {det!r})")
-        adj = self.adjoint()
-        images = [adj(alg.basis_vector(i).inverse_dual()).dual() / det
-                  for i in range(1, alg.n + 1)]
-        return LinearMap(alg, images)
+        reciprocal = Frame(self.images).reciprocal if alg.n else ()
+        return LinearMap.from_matrix(alg, [  # row k holds e_i . f^k
+            [m * f._terms.get(1 << i, 0.0) for i, m in enumerate(alg.metric)]
+            for f in reciprocal])
 
     # -- eigenstructure -----------------------------------------------------------
 

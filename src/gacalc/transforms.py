@@ -10,7 +10,7 @@ throughout: a versor V of parity m acts on X as
 which makes every versor action grade-preserving and outermorphic.
 """
 
-from .algebra import GradeError, Multivector, NotInvertible
+from .algebra import GradeError, Multivector, NotInvertible, _negligible
 
 
 def _blade_inverse(B, what):
@@ -78,7 +78,7 @@ def rotor_from_vectors(m, n):
     for v, name in ((m, "m"), (n, "n")):
         if v.grades - {1}:
             raise GradeError(f"rotor factor {name} must be a vector, got {v}")
-        if abs(v.norm_squared()) <= v.algebra.tolerance:
+        if _negligible((v.norm_squared(),), v):
             raise NotInvertible(f"rotor factor {name} is null: {v}")
     return m * n
 
@@ -114,6 +114,6 @@ def gram_schmidt(vectors):
             raise NotInvertible("vectors are linearly dependent")
         out.append(b)
         blade = b if blade is None else blade ^ b
-        if abs(blade.norm_squared()) <= blade.algebra.tolerance:
+        if _negligible((blade.norm_squared(),), blade):
             raise NotInvertible("intermediate blade is null; cannot continue")
     return out

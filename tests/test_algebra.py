@@ -552,6 +552,11 @@ def test_versor_inverse():
     assert (v * v.inverse()).isclose(E3.scalar(1.0), tol=1e-12)
 
 
+def test_a_small_vector_inverts():
+    # |A|^2 = 1e-12 met the bare tolerance: "null versor has no inverse"
+    assert str((E3.basis_vector(1) * 1e-6).inverse()) == "1000000*e1"
+
+
 def test_null_vector_not_invertible():
     with pytest.raises(NotInvertible):
         STA.vector([1.0, 1.0, 0.0, 0.0]).inverse()
@@ -810,6 +815,35 @@ def test_blade_exps_duals_and_predicates_keep_their_terms(p, q):
         for other in range(2, alg.n):
             plane = null ^ alg.basis_vector(other)
             assert same(plane.exp(), one + plane)
+
+
+def _scale_free_answers(a):
+    """is_blade(), is_versor() and whether inverse() succeeds."""
+    try:
+        a.inverse()
+    except NotInvertible:
+        return a.is_blade(), a.is_versor(), False
+    return a.is_blade(), a.is_versor(), True
+
+
+@pytest.mark.parametrize("p, q", SIGNATURES_UP_TO_6)
+def test_blade_versor_and_inverse_answers_do_not_depend_on_scale(p, q):
+    # the prune hid the residues of a small A, and |A|^2 met the bare
+    # tolerance below 1: 2^-30 e1 had no inverse, and a small enough sum of
+    # blades passed is_blade
+    alg = Algebra(p, q)
+    rng = random.Random(f"scale {p},{q}")
+    for _ in range(6):
+        r = rng.randrange(1, alg.n + 1)
+        for a in (gen.rand_blade(alg, rng, r),
+                  gen.rand_versor(alg, rng, rng.randrange(1, 4)),
+                  gen.rand_blade(alg, rng, r) + gen.rand_blade(alg, rng, r),
+                  gen.rand_mv(alg, rng)):
+            want = _scale_free_answers(a)
+            for j in (-30, -20, -10, 10, 30, *rng.sample(range(-29, 30), 4)):
+                scaled = a * math.ldexp(1.0, j)
+                if len(scaled.terms) == len(a.terms):  # no coefficient fell to the prune
+                    assert _scale_free_answers(scaled) == want, (a, j)
 
 
 def test_rotor_rotates_by_twice_the_half_angle():

@@ -271,13 +271,26 @@ def test_nonfinite_result_is_an_evaluation_error(args, err):
     assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {err}\n")
 
 
-@pytest.mark.parametrize("call, what", [("proj", "projection target"),
-                                        ("reflect", "mirror")])
-def test_a_sum_of_blades_is_not_a_blade(call, what):
-    # e123 + e456 passed the blade test: proj printed 0.5*e1 - 0.5*e23456
-    r = ga("--algebra", "6,0", "-e", f"{call}(e1, e123 + e456)")
+@pytest.mark.parametrize("call, what, scale, shown", [
+    pytest.param("proj", "projection target", "", "1", id="proj-projection target"),
+    pytest.param("reflect", "mirror", "", "1", id="reflect-mirror"),
+    *(pytest.param(call, what, f"{scale} ", shown, id=f"{call}-{scale}")
+      for call, what in (("proj", "projection target"), ("reflect", "mirror"))
+      for scale, shown in (("8e-6", "8e-06"), ("1e-6", "1e-06"))),
+])
+def test_a_sum_of_blades_is_not_a_blade(call, what, scale, shown):
+    # e123 + e456 passed the blade test: proj printed 0.5*e1 - 0.5*e23456.
+    # At 8e-6 the prune hid u ^ A and it still did; at 1e-6 the projection
+    # target was rejected as null instead
+    r = ga("--algebra", "6,0", "-e", f"{call}(e1, {scale}e123 + {scale}e456)")
     assert (r.returncode, r.stdout, r.stderr) == (
-        2, "", f"error: {what} must be a blade, got 1*e123 + 1*e456\n")
+        2, "", f"error: {what} must be a blade, got {shown}*e123 + {shown}*e456\n")
+
+
+def test_a_small_vector_inverts():
+    # inv(1e-6 e1) was rejected: "null versor has no inverse"
+    r = ga("-e", "inv(1e-6 e1)")
+    assert (r.returncode, r.stdout, r.stderr) == (0, "1000000*e1\n", "")
 
 
 def _imported_modules(stderr):
@@ -529,6 +542,19 @@ def test_missing_script():
     assert r.returncode == 2
 
 
+class _BrokenStream(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_broken_stdout_is_an_error():
+    # an OSError while printing a result was a traceback in the calculator
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_BrokenStream()), contextlib.redirect_stderr(err):
+        code = cli.main(["-e", "e1"])
+    assert (code, err.getvalue()) == (2, "error: [Errno 32] Broken pipe\n")
+
+
 def test_algebra_switch_clears_variables(tmp_path):
     script = tmp_path / "demo.ga"
     script.write_text(
@@ -630,6 +656,14 @@ def test_kepler_csv_file(tmp_path):
     assert r.stdout == ""
     rows = list(csv.reader(out.read_text().splitlines()))
     assert len(rows) == 12
+
+
+def test_kepler_unwritable_csv_path_is_an_error(tmp_path):
+    out = tmp_path / "missing" / "orbit.csv"
+    r = ga("kepler", "--steps", "10", "--csv", str(out))
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.startswith("error: [Errno 2] No such file or directory")
+    assert str(out) in r.stderr and not out.exists()
 
 
 def test_kepler_rejects_bad_input():

@@ -37,6 +37,14 @@ def test_two_vector_example():
     assert f.volume == (e1 ^ (e1 + e2))
 
 
+def test_a_small_frame_builds_and_round_trips():
+    # the volume 1e-9 e123 has |V|^2 = 1e-18, which met the bare tolerance
+    f = Frame([E3.basis_vector(i) * 1e-3 for i in (1, 2, 3)])
+    assert f.reciprocal == tuple(E3.basis_vector(i) * 1e3 for i in (1, 2, 3))
+    a = E3.multivector({(): 1.0, (1,): 2.0, (1, 2): 3.0, (1, 2, 3): 4.0})
+    assert f.expand(f.components(a)).isclose(a, tol=1e-12)
+
+
 def test_dependent_vectors_rejected():
     e1 = E2.basis_vector(1)
     with pytest.raises(NotInvertible):

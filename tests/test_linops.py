@@ -207,6 +207,15 @@ def test_inverse_example():
     assert inv(E3.basis_vector(2)).max_coeff_diff(E3.basis_vector(2) * 0.25) < 1e-12
 
 
+def test_a_small_diagonal_map_inverts():
+    f = LinearMap.diagonal(E3, [1e-3] * 3)
+    inv = f.inverse()
+    for i, row in enumerate(inv.matrix()):
+        assert row == pytest.approx([1e3 if j == i else 0.0 for j in range(3)], rel=1e-12)
+    a = E3.multivector({(): 1.0, (1,): 2.0, (1, 2): 3.0, (1, 2, 3): 4.0})
+    assert inv(f(a)).isclose(a, tol=1e-12) and f(inv(a)).isclose(a, tol=1e-12)
+
+
 def test_singular_map_has_no_inverse():
     f = LinearMap.diagonal(E3, [1.0, 1.0, 0.0])
     assert f.determinant() == 0.0

@@ -224,6 +224,15 @@ def test_apply_versor_validation():
         apply_versor(E3.basis_vector(1), 1 + E3.blade((1, 2, 3), 1.0))
 
 
+def test_small_blades_and_vectors_are_not_null():
+    # each raised NotInvertible: |A|^2 was compared with the bare tolerance
+    e1, e2 = E3.basis_vector(1), E3.basis_vector(2)
+    assert project(e1, E3.blade((1, 2), 1e-6)) == e1
+    rotor = rotor_from_vectors(e1, e1 * 1e-6)
+    assert rotor == E3.scalar(1e-6) and rotate(e2, rotor) == e2
+    assert gram_schmidt([e1 * 1e-4, (e1 + e2) * 1e-4]) == [e1 * 1e-4, e2 * 1e-4]
+
+
 @pytest.mark.parametrize("scale", [10.0, 30.0])
 def test_large_blades_and_versors_pass_the_residue_tests(scale):
     # a ^ b ^ c has coefficients near scale^3, and the roundoff in A ^ A and
