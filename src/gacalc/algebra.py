@@ -80,6 +80,15 @@ DEFAULT_TOLERANCE = 1e-10
 _EXP_SERIES_TERMS = 24
 _INF = math.inf
 
+# The sign of each involution on a grade-r blade, indexed by r % 4: all three
+# repeat with period 4 in r.
+_GRADE_INVOLUTION_SIGNS = (1.0, -1.0, 1.0, -1.0)
+_REVERSE_SIGNS = (1.0, 1.0, -1.0, -1.0)
+_CLIFFORD_CONJUGATE_SIGNS = (1.0, -1.0, -1.0, 1.0)
+# Bits 1, 3, 5, ...: the set positions of bits sum to an odd number exactly
+# when bits & _ODD_POSITIONS has an odd number of bits.
+_ODD_POSITIONS = int("10" * 32, 2)
+
 # Every product up to this dimension runs in the Python loop and reads each
 # pair's sign and selection from a table of the signature and product kind.
 # All four kinds of one signature take 140 KiB and 2.3 ms to build at n = 6;
@@ -413,7 +422,9 @@ class Multivector:
     where terms maps index tuples (any order, no repeats) to coefficients.
     """
 
-    __slots__ = ("algebra", "_terms")
+    # _versor_inverse is set by transforms.apply_versor once V passes its
+    # versor check, and read by nothing else; unset on every other object.
+    __slots__ = ("algebra", "_terms", "_versor_inverse")
 
     def __init__(self, algebra, terms):
         raw = {}
@@ -610,8 +621,17 @@ class Multivector:
         return self._product(other, _rcontract_select)
 
     def scalar_product(self, other):
-        """<reverse(A) B>_0, the metric pairing. Symmetric; returns a float."""
-        other = self._coerce(other)
+        """<reverse(A) B>_0, the metric pairing. Symmetric; returns a float.
+
+        Raises NonFiniteError when the sum overflows or is NaN.
+        """
+        total = self._pairing(self._coerce(other))
+        if not -_INF < total < _INF:
+            raise NonFiniteError(f"coefficient is not finite: {total!r}")
+        return total
+
+    def _pairing(self, other):
+        """The sum of scalar_product, unchecked."""
         minus_mask = self.algebra._minus_mask
         total = 0.0
         for k, v in self._terms.items():
@@ -646,29 +666,32 @@ class Multivector:
             self.algebra,
             {k: v for k, v in self._terms.items() if k.bit_count() & 1})
 
-    def _involute(self, sign_of_grade):
+    def _involute(self, signs):
+        """Each grade-r term times signs[r % 4]."""
         return Multivector._make(
-            self.algebra,
-            {k: sign_of_grade(k.bit_count()) * v for k, v in self._terms.items()})
+            self.algebra, {k: signs[k.bit_count() & 3] * v for k, v in self._terms.items()})
 
     def grade_involution(self):
         """Negate odd grades: (-1)^r per grade."""
-        return self._involute(lambda r: -1.0 if r & 1 else 1.0)
+        return self._involute(_GRADE_INVOLUTION_SIGNS)
 
     def reverse(self):
         """Reverse the factors of each blade: (-1)^(r(r-1)/2) per grade."""
-        return self._involute(lambda r: -1.0 if (r * (r - 1) // 2) & 1 else 1.0)
+        return self._involute(_REVERSE_SIGNS)
 
     __invert__ = reverse
 
     def clifford_conjugate(self):
         """Grade involution composed with reversion: (-1)^(r(r+1)/2) per grade."""
-        return self._involute(lambda r: -1.0 if (r * (r + 1) // 2) & 1 else 1.0)
+        return self._involute(_CLIFFORD_CONJUGATE_SIGNS)
 
     # -- norms, inverses, duality ---------------------------------------------
 
     def norm_squared(self):
-        """|A|^2 = <reverse(A) A>_0; may be negative in mixed signature."""
+        """|A|^2 = <reverse(A) A>_0; may be negative in mixed signature.
+
+        Raises NonFiniteError when it overflows or is NaN.
+        """
         return self.scalar_product(self)
 
     def inverse(self):
@@ -677,7 +700,7 @@ class Multivector:
         Raises NonFiniteError when |A|^2 overflows, and NotInvertible when it
         is roundoff by the residue rule.
         """
-        n2 = self.norm_squared()
+        n2 = self._pairing(self)
         if not -_INF < n2 < _INF:  # NaN too
             raise NonFiniteError(f"|A|^2 is not finite: {n2!r}")
         if _negligible((n2,), self):
@@ -788,6 +811,25 @@ def _subset_wedge(vectors, memo, bits):
         top = bits.bit_length() - 1
         memo[bits] = _subset_wedge(vectors, memo, bits ^ (1 << top)) ^ vectors[top]
     return memo[bits]
+
+
+def _dual_sign(bits):
+    """(-1)^(sum of the set bit positions of bits), the sign in _reciprocal_blade."""
+    return -1.0 if (bits & _ODD_POSITIONS).bit_count() & 1 else 1.0
+
+
+def _reciprocal_blade(vectors, memo, volume_inverse, bits):
+    """The wedge of the reciprocal vectors a^i of vectors over the set bits i of bits.
+
+    By duality (Dorst, Fontijne & Mann, section 3.8) it is
+    _dual_sign(bits) a_C V^-1, with a_C = _subset_wedge(vectors, memo, C)
+    over the positions C not in bits and V^-1 the inverse of the wedge of
+    all the vectors; for one position i that is the reciprocal vector
+    a^i = (-1)^i a_C V^-1, counting from 0.
+    """
+    full = (1 << len(vectors)) - 1
+    blade = _subset_wedge(vectors, memo, full ^ bits) * volume_inverse
+    return blade if _dual_sign(bits) > 0 else -blade
 
 
 def _linear_combination(algebra, pairs):

@@ -6,24 +6,31 @@ satisfies a^i . a_j = delta_ij and is built eagerly at construction:
 
     a^i = (-1)^(i-1) (a_1 ^ ... ^ a_(i-1) ^ a_(i+1) ^ ... ^ a_k) V^-1
 
-with V the frame volume. Subsets of the frame wedge into a blade basis for
-the subalgebra the frame spans; components/expand convert multivectors to
-and from coordinates in that basis. Each subset blade of the frame and of
-its reciprocal is wedged once, from the blade of the subset without its top
-position, and kept: 2^k wedges per frame however often they run.
+with V the frame volume. Subsets I of the frame wedge into a blade basis a_I
+for the subalgebra the frame spans, and the reciprocal blades a^I pair with
+it: a_I.scalar_product(a^J) = <reverse(a_I) a^J>_0 = delta_IJ. Only the
+frame blades are wedged, each once, from the blade of the subset without its
+top position, and kept: 2^k wedges per frame however often they run. The
+reciprocal blades follow from them by duality (Dorst, Fontijne & Mann,
+section 3.8), with I^c the positions not in I:
+
+    a^I = (-1)^(sum of (i - 1) over i in I) a_(I^c) V^-1
+
+so components(A), the pairings of A with every a^I, takes one product
+D = A reverse(V^-1) and then one scalar product of D with each a_(I^c).
 """
 
+import math
 from itertools import combinations
 
-from .algebra import (GradeError, Multivector, NotInvertible, _blade_key,
-                      _linear_combination, _subset_wedge)
+from .algebra import (GradeError, Multivector, NotInvertible, _blade_key, _dual_sign,
+                      _linear_combination, _reciprocal_blade, _subset_wedge)
 
 
 class Frame:
     """An ordered independent vector frame with its reciprocal frame."""
 
-    __slots__ = ("algebra", "vectors", "reciprocal", "volume", "_blades",
-                 "_reciprocal_blades")
+    __slots__ = ("algebra", "vectors", "reciprocal", "volume", "_blades", "_volume_inverse")
 
     def __init__(self, vectors):
         vectors = tuple(vectors)
@@ -41,18 +48,15 @@ class Frame:
         self.algebra = algebra
         self.vectors = vectors
         self._blades = {0: algebra.scalar(1.0)}
-        full = (1 << len(vectors)) - 1
-        self.volume = _subset_wedge(vectors, self._blades, full)
+        self.volume = _subset_wedge(vectors, self._blades, (1 << len(vectors)) - 1)
         try:
-            volume_inverse = self.volume.inverse()
+            self._volume_inverse = self.volume.inverse()
         except NotInvertible:
             raise NotInvertible("frame volume is not invertible (dependent vectors "
                                 "or a null volume)") from None
         self.reciprocal = tuple(
-            _subset_wedge(vectors, self._blades, full ^ (1 << i)) * volume_inverse
-            * (-1.0 if i & 1 else 1.0)
+            _reciprocal_blade(vectors, self._blades, self._volume_inverse, 1 << i)
             for i in range(len(vectors)))
-        self._reciprocal_blades = {0: self._blades[0]}
 
     def __len__(self):
         return len(self.vectors)
@@ -69,34 +73,48 @@ class Frame:
     def reciprocal_blade(self, subset):
         """Wedge of the reciprocal vectors with the given 1-based positions, in order."""
         bits, sign = _blade_key(len(self), subset)
-        blade = _subset_wedge(self.reciprocal, self._reciprocal_blades, bits)
+        blade = _reciprocal_blade(self.vectors, self._blades, self._volume_inverse, bits)
         return blade if sign > 0 else -blade
+
+    def _subsets(self):
+        """(ascending subset, its bits) for every subset, by grade then lexicographically."""
+        # the combinations of the positions and of their bits run in step
+        k = len(self.vectors)
+        positions, bits = range(1, k + 1), [1 << i for i in range(k)]
+        for r in range(k + 1):
+            yield from zip(combinations(positions, r), map(sum, combinations(bits, r)))
 
     def blade_table(self):
         """All 2^k frame blades with their reciprocals.
 
         Returns a list of (subset, blade, reciprocal_blade) with ascending
         subsets ordered by grade then lexicographically. The pairing
-        <blade_I * reciprocal_blade_J>_0 = delta_IJ.
+        blade_I.scalar_product(reciprocal_blade_J) = <reverse(blade_I)
+        reciprocal_blade_J>_0 = delta_IJ.
         """
-        # the combinations of the positions and of their bits run in step
-        k = len(self.vectors)
-        positions, bits = range(1, k + 1), [1 << i for i in range(k)]
         return [(subset, _subset_wedge(self.vectors, self._blades, mask),
-                 _subset_wedge(self.reciprocal, self._reciprocal_blades, mask))
-                for r in range(k + 1)
-                for subset, mask in zip(combinations(positions, r),
-                                        map(sum, combinations(bits, r)))]
+                 _reciprocal_blade(self.vectors, self._blades, self._volume_inverse, mask))
+                for subset, mask in self._subsets()]
 
     def components(self, A):
-        """Coordinates of A in the frame blade basis: subset -> <A * a^I>_0.
+        """Coordinates of A in the frame blade basis: subset I -> A.scalar_product(a^I).
 
+        That is <reverse(A) a^I>_0, which moves round to
+        +-<reverse(A reverse(V^-1)) a_(I^c)>_0, so one product D =
+        A reverse(V^-1) serves every I. D is formed with V^-1 scaled by a
+        power of two to a unit size and the pairings are scaled back, which
+        is exact: the prune cannot empty D however large the frame volume.
         Faithful (expand inverts it) when A lies in the subalgebra the frame
         spans; for a full frame that is every multivector.
         """
+        w = self._volume_inverse.reverse()
+        exponent = math.frexp(math.hypot(*w._terms.values()))[1]
+        D = A * (w * math.ldexp(1.0, -exponent))
+        full = (1 << len(self.vectors)) - 1
         out = {}
-        for subset, _, recip in self.blade_table():
-            c = A.scalar_product(recip)
+        for subset, mask in self._subsets():
+            blade = _subset_wedge(self.vectors, self._blades, full ^ mask)
+            c = math.ldexp(_dual_sign(mask) * D.scalar_product(blade), exponent)
             if abs(c) > self.algebra.tolerance:
                 out[subset] = c
         return out

@@ -4,9 +4,11 @@ A LinearMap is stored as the images of the orthonormal basis vectors. It
 acts on blades by wedging images (the unique outermorphism extension) and
 linearly on everything else, so it is grade-preserving by construction.
 Each blade image F(e_S) = F(e_(S without max S)) ^ F(e_max S) is wedged once and kept.
-The adjoint, determinant, inverse (read off the reciprocal frame of the
-images) and the factorization of an isometry into reflections are computed
-through the algebra rather than through matrix decompositions; the one
+The adjoint, determinant, inverse and the factorization of an isometry into
+reflections are computed through the algebra rather than through matrix
+decompositions. The inverse is read off the reciprocal frame of the images,
+f^k = (-1)^(k-1) F(e_([n] without k)) F(I)^-1, formed from the kept blade
+images by the expression Frame uses for its reciprocal vectors. The one
 exception is the eigenframe of a symmetric map, which delegates to numpy's
 symmetric eigensolver.
 numpy is imported inside that method, on its first call, so importing
@@ -15,8 +17,8 @@ this module (and gacalc) does not load it.
 
 import math
 
-from .algebra import GAError, GradeError, Multivector, _linear_combination, _subset_wedge
-from .frames import Frame
+from .algebra import (GAError, GradeError, Multivector, _linear_combination,
+                      _reciprocal_blade, _subset_wedge)
 
 _ISOMETRY_SLACK = 1e4
 
@@ -153,7 +155,10 @@ class LinearMap:
         det = self.determinant()
         if abs(det) <= alg.tolerance:
             raise OperatorError(f"map is singular (det = {det!r})")
-        reciprocal = Frame(self.images).reciprocal if alg.n else ()
+        blades = self._blade_images
+        volume_inverse = _subset_wedge(self.images, blades, (1 << alg.n) - 1).inverse()
+        reciprocal = (_reciprocal_blade(self.images, blades, volume_inverse, 1 << k)
+                      for k in range(alg.n))
         return LinearMap.from_matrix(alg, [  # row k holds e_i . f^k
             [m * f._terms.get(1 << i, 0.0) for i, m in enumerate(alg.metric)]
             for f in reciprocal])

@@ -8,6 +8,12 @@ throughout: a versor V of parity m acts on X as
     V(X) = V ghat(X) V^-1      (m odd, ghat = grade involution)
 
 which makes every versor action grade-preserving and outermorphic.
+
+apply_versor (and so rotate) checks V and inverts it on its first call with
+that object and keeps V^-1 in V's private _versor_inverse slot, so that
+transforming many multivectors by one versor checks and inverts it once. A
+V that fails the check or has no inverse keeps nothing and raises again on
+every call. Nothing else reads the slot, and nothing is kept by value.
 """
 
 from .algebra import GradeError, Multivector, NotInvertible, _negligible
@@ -56,16 +62,20 @@ def apply_versor(A, V):
     """Versor action on A: V A V^-1 (even V) or V ghat(A) V^-1 (odd V).
 
     Raises GradeError when V mixes parities or V reverse(V) is not scalar,
-    NotInvertible when V is null.
+    NotInvertible when V is null. V^-1 is kept on V once V passes, so
+    later calls with the same V skip the check and the inversion.
     """
     if not isinstance(V, Multivector):
         raise TypeError("versor must be a Multivector")
-    if not V:
-        raise NotInvertible("the zero multivector is not a versor")
-    if not V.is_versor():
-        raise GradeError(f"not a versor (mixed parity, or V reverse(V) is not scalar): {V}")
+    inverse = getattr(V, "_versor_inverse", None)
+    if inverse is None:
+        if not V:
+            raise NotInvertible("the zero multivector is not a versor")
+        if not V.is_versor():
+            raise GradeError(f"not a versor (mixed parity, or V reverse(V) is not scalar): {V}")
+        inverse = V._versor_inverse = V.inverse()
     moved = A.grade_involution() if min(V.grades) & 1 else A
-    return V * moved * V.inverse()
+    return V * moved * inverse
 
 
 def rotor_from_vectors(m, n):

@@ -179,15 +179,23 @@ def kepler_conserved(state):
     from gacalc.algebra import NonFiniteError
     from gacalc.kepler import Conserved, SimulationError
 
+    def norm_squared(x):
+        # norm_squared() raises on overflow; these squares are positive, so
+        # the only non-finite value is inf, which the check below reports
+        try:
+            return x.norm_squared()
+        except NonFiniteError:
+            return math.inf
+
     r, v, m, k = state.r, state.v, state.m, state.k
-    rsq = r.norm_squared()
+    rsq = norm_squared(r)
     rlen = math.sqrt(rsq)
     if rlen <= 0.0:
         raise SimulationError("position is at the singularity")
     L = (r ^ v) * m
     ecc = L.right_contract(v) / k - r / rlen
-    energy = 0.5 * m * v.norm_squared() - k / rlen
-    lsq = L.norm_squared()
+    energy = 0.5 * m * norm_squared(v) - k / rlen
+    lsq = norm_squared(L)
     if not (rsq < math.inf and lsq < math.inf and -math.inf < energy < math.inf):
         raise NonFiniteError(KEPLER_OVERFLOW)
     return Conserved(L, ecc, energy, math.sqrt(lsq), not L)

@@ -533,6 +533,18 @@ def test_clifford_conjugate_is_both():
         assert m.clifford_conjugate() == (~m).grade_involution()
 
 
+def test_involutions_match_their_grade_formulas_at_every_grade():
+    # one blade of every grade r <= 20, against (-1)^r, (-1)^(r(r-1)/2) and
+    # (-1)^(r(r+1)/2), terms in order and bit for bit
+    big = Algebra(20, 0, max_dimension=20)
+    m = big.multivector({tuple(range(1, r + 1)): 1.0 + r / 7 for r in range(21)})
+    for result, sign in ((m.grade_involution(), lambda r: r & 1),
+                         (m.reverse(), lambda r: r * (r - 1) // 2 & 1),
+                         (m.clifford_conjugate(), lambda r: r * (r + 1) // 2 & 1)):
+        want = [(k, -v if sign(k.bit_count()) else v) for k, v in m._terms.items()]
+        assert list(result._terms.items()) == want
+
+
 # -- norm, inverse, duality -------------------------------------------------------
 
 def test_norm_squared_examples():
@@ -573,6 +585,19 @@ def test_inverse_of_an_overflowing_norm_is_nonfinite(A, norm):
     # an infinite |A|^2 passed the residue rule as roundoff: "null versor has no inverse"
     with pytest.raises(NonFiniteError, match=rf"^\|A\|\^2 is not finite: {norm}$"):
         A.inverse()
+
+
+@pytest.mark.parametrize("A, value", [
+    (E3.blade((2, 3), 1e160), "inf"),
+    (Algebra(3, 1).vector([1e200, 0.0, 0.0, 1e200]), "nan"),  # inf - inf
+], ids=["overflow", "nan"])
+def test_an_overflowing_norm_or_scalar_product_is_nonfinite(A, value):
+    # norm_squared() returned inf and nan, which the null tests read as zero
+    message = rf"^coefficient is not finite: {value}$"
+    with pytest.raises(NonFiniteError, match=message):
+        A.norm_squared()
+    with pytest.raises(NonFiniteError, match=message):
+        A.scalar_product(A)
 
 
 def test_volume_element():

@@ -8,6 +8,7 @@ import pytest
 
 from gacalc import (
     Algebra,
+    Frame,
     LinearMap,
     OperatorError,
     apply_versor,
@@ -214,6 +215,28 @@ def test_a_small_diagonal_map_inverts():
         assert row == pytest.approx([1e3 if j == i else 0.0 for j in range(3)], rel=1e-12)
     a = E3.multivector({(): 1.0, (1,): 2.0, (1, 2): 3.0, (1, 2, 3): 4.0})
     assert inv(f(a)).isclose(a, tol=1e-12) and f(inv(a)).isclose(a, tol=1e-12)
+
+
+def test_inverse_is_the_frame_route_bit_for_bit():
+    # the inverse reads the reciprocal vectors off its own blade images with
+    # the expression Frame uses; building a Frame of the images gives the
+    # same terms in the same order
+    rng = random.Random(16)
+    for n in range(1, 7):
+        for q in range(n + 1):
+            alg = Algebra(n - q, q)
+            for scale in (1e-2, 1.0, 10.0):
+                F = LinearMap(alg, [gen.rand_vector(alg, rng) * scale for _ in range(n)])
+                F(gen.rand_mv(alg, rng))  # the inverse also works from a filled memo
+                try:
+                    got = F.inverse()
+                except OperatorError:
+                    continue
+                want = LinearMap.from_matrix(alg, [
+                    [m * f._terms.get(1 << i, 0.0) for i, m in enumerate(alg.metric)]
+                    for f in Frame(F.images).reciprocal])
+                assert ([list(img._terms.items()) for img in got.images]
+                        == [list(img._terms.items()) for img in want.images])
 
 
 def test_singular_map_has_no_inverse():

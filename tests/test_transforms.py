@@ -9,6 +9,8 @@ from gacalc import (
     Algebra,
     Frame,
     GradeError,
+    Multivector,
+    NonFiniteError,
     NotInvertible,
     apply_versor,
     exp_bivector,
@@ -24,6 +26,7 @@ import gen
 
 E2 = Algebra(2, 0)
 E3 = Algebra(3, 0)
+E4 = Algebra(4, 0)
 STA = Algebra(1, 3)
 
 
@@ -222,6 +225,78 @@ def test_apply_versor_validation():
         apply_versor(E3.basis_vector(1), 1 + E3.basis_vector(1))  # mixed parity
     with pytest.raises(GradeError):
         apply_versor(E3.basis_vector(1), 1 + E3.blade((1, 2, 3), 1.0))
+
+
+def test_apply_versor_checks_and_inverts_a_versor_once(monkeypatch):
+    checks = []
+    is_versor = Multivector.is_versor
+    monkeypatch.setattr(Multivector, "is_versor",
+                        lambda self: checks.append(self) or is_versor(self))
+    rng = random.Random(16)
+    alg = Algebra(6, 0)
+    versor = gen.rand_versor(alg, rng, 6)
+    images = [apply_versor(alg.basis_vector(i), versor) for i in range(1, 7)]
+    assert checks == [versor]
+    rotor = gen.rand_versor(alg, rng, 2)
+    x = gen.rand_mv(alg, rng)
+    rotate(x, rotor)
+    rotate(x, rotor)
+    assert checks == [versor, rotor]
+    # the kept inverse changes no result, and no value-level view of V
+    for i, image in enumerate(images, start=1):
+        want = versor * alg.basis_vector(i) * versor.inverse()  # six mirrors: even
+        assert list(image._terms.items()) == list(want._terms.items())
+    copy = Multivector._make(alg, dict(versor._terms))
+    assert versor == copy and hash(versor) == hash(copy)
+    assert versor.terms == copy.terms
+    assert list(versor.inverse()._terms.items()) == list(copy.inverse()._terms.items())
+
+
+def test_apply_versor_results_match_the_sandwich_bit_for_bit():
+    rng = random.Random(61)
+    for n in range(1, 7):
+        for q in range(n + 1):
+            alg = Algebra(n - q, q)
+            for count in range(1, n + 1):
+                versor = gen.rand_versor(alg, rng, count)
+                inverse = versor.inverse()
+                for x in [gen.rand_mv(alg, rng) for _ in range(3)]:
+                    moved = x.grade_involution() if count & 1 else x
+                    want = versor * moved * inverse
+                    for _ in range(2):  # first call checks V, the second reads the kept inverse
+                        got = apply_versor(x, versor)
+                        assert list(got._terms.items()) == list(want._terms.items())
+                        if not count & 1:
+                            got = rotate(x, versor)
+                            assert list(got._terms.items()) == list(want._terms.items())
+
+
+def test_a_failed_versor_check_is_not_kept(monkeypatch):
+    checks = []
+    is_versor = Multivector.is_versor
+    monkeypatch.setattr(Multivector, "is_versor",
+                        lambda self: checks.append(self) or is_versor(self))
+    e1, e2 = E3.basis_vector(1), E3.basis_vector(2)
+    not_versor = 1 + e1
+    null = STA.vector([1.0, 1.0, 0.0, 0.0])
+    for _ in range(3):
+        with pytest.raises(GradeError):
+            apply_versor(e2, not_versor)
+        with pytest.raises(GradeError):
+            rotate(E4.basis_vector(1), 1 + E4.I)  # R ~R = 2 + 2 e1234
+        with pytest.raises(NotInvertible):
+            apply_versor(STA.basis_vector(1), null)
+    assert len(checks) == 9
+
+
+def test_rotor_and_gram_schmidt_overflow_is_nonfinite():
+    # |m|^2 = inf passed the null test's residue rule as roundoff: "rotor
+    # factor m is null", and "intermediate blade is null"
+    e1, e2 = E3.basis_vector(1), E3.basis_vector(2)
+    with pytest.raises(NonFiniteError, match="^coefficient is not finite: inf$"):
+        rotor_from_vectors(e1 * 1e160, e2)
+    with pytest.raises(NonFiniteError, match="^coefficient is not finite: inf$"):
+        gram_schmidt([e1 * 1e160, e2])
 
 
 def test_small_blades_and_vectors_are_not_null():
