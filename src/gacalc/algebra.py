@@ -55,13 +55,17 @@ dimension and then, above n = 6, from the operand sizes:
 The prune and every result after it are therefore the same whichever regime
 runs.
 
-exp(B) takes a closed form when B ^ B, the grade-4 part of B B, is roundoff.
-Any other bivector sums its power series in a twin of the algebra with
-tolerance 0 and is pruned once, on return, so that R reverse(R) is scalar to
-roundoff. A residue (u ^ A in is_blade, the non-scalar part of A reverse(A),
-B ^ B, or |A|^2 in inverse()) is roundoff when it is at most tol * (sum of
-A's squared coefficients). is_blade and is_versor form theirs from A scaled
-by a power of two to a sum of at least 1, so the prune cannot hide them.
+A composite (the exp series of a bivector that is not a blade, the blades of
+a frame or of a LinearMap's images, the running blade of gram_schmidt) is
+built in the algebra's twin with tolerance 0 and pruned once, on return.
+Twin objects never reach a residue test, which would read tolerance 0. A
+residue (u ^ A in is_blade, the non-scalar part of A reverse(A), B ^ B, or
+|A|^2 in inverse()) is roundoff when it is at most tol * (sum of A's squared
+coefficients). The wedge V of vectors v_i is singular when it is null by
+that rule, or when the vectors are dependent, |V| <= tol * prod |v_i|, with
+Hadamard's bound prod |v_i| on |V| and |.| the coefficient norm. is_blade and
+is_versor form their residues from A scaled by a power of two to a sum of at
+least 1, so the prune cannot hide them.
 
 A coefficient that is NaN or infinite (an overflow, or an inf/nan input)
 raises NonFiniteError wherever terms are pruned, instead of being pruned
@@ -785,7 +789,7 @@ class Multivector:
 
     def _exp_series(self):
         alg = self.algebra
-        exact = Algebra(alg.p, alg.q, tolerance=0.0, max_dimension=alg.n)
+        exact = _twin(alg)
         biggest = max(abs(v) for v in self._terms.values())
         halvings = 0
         while biggest > 0.5:
@@ -801,16 +805,48 @@ class Multivector:
         return Multivector._make(alg, acc._terms)
 
 
-def _subset_wedge(vectors, memo, bits):
-    """The wedge of vectors[i] over the set bits i of bits, in ascending order.
+def _twin(algebra):
+    """The algebra with tolerance 0, where composites are built."""
+    return Algebra(algebra.p, algebra.q, tolerance=0.0, max_dimension=algebra.n)
 
-    Each blade is blade(S without max S) ^ vectors[max S], kept in memo,
-    which starts as {0: scalar 1}.
+
+def _blade_memo(algebra, vectors):
+    """The memo of _subset_wedge: 1 and each vector at its bit, moved into the twin.
+
+    Raises AlgebraMismatch for a vector from another algebra.
+    """
+    twin, zero = _twin(algebra), algebra.zero()
+    memo = {1 << i: Multivector._make(twin, zero._coerce(v)._terms)
+            for i, v in enumerate(vectors)}
+    memo[0] = twin.scalar(1.0)
+    return memo
+
+
+def _subset_wedge(memo, bits):
+    """The wedge of the memo's vectors at the set bits of bits, in ascending order.
+
+    Each blade is blade(S without max S) ^ (vector max S), wedged once and kept in memo.
     """
     if bits not in memo:
-        top = bits.bit_length() - 1
-        memo[bits] = _subset_wedge(vectors, memo, bits ^ (1 << top)) ^ vectors[top]
+        top = 1 << (bits.bit_length() - 1)
+        memo[bits] = _subset_wedge(memo, bits ^ top) ^ memo[top]
     return memo[bits]
+
+
+def _volume_inverse(memo, vectors, tol):
+    """V^-1 for V the memo's wedge at the bits of vectors, or None when V is singular.
+
+    With |.| the coefficient norm, V is singular when the vectors are
+    dependent, |V| <= tol * prod |v_i| (Hadamard's bound on |V|), or when V
+    is null by the inverse() rule, |<reverse(V) V>_0| <= tol * |V|^2.
+    """
+    volume = _subset_wedge(memo, (1 << len(vectors)) - 1)
+    n2 = volume.norm_squared()
+    size = math.hypot(*volume._terms.values())
+    bound = math.prod(math.hypot(*v._terms.values()) for v in vectors)
+    if size <= tol * bound or abs(n2) <= tol * size * size:
+        return None
+    return volume.reverse() / n2
 
 
 def _dual_sign(bits):
@@ -818,17 +854,15 @@ def _dual_sign(bits):
     return -1.0 if (bits & _ODD_POSITIONS).bit_count() & 1 else 1.0
 
 
-def _reciprocal_blade(vectors, memo, volume_inverse, bits):
-    """The wedge of the reciprocal vectors a^i of vectors over the set bits i of bits.
+def _reciprocal_blade(memo, volume_inverse, full, bits):
+    """The wedge of the reciprocal vectors a^i of the memo's vectors at the set bits i of bits.
 
     By duality (Dorst, Fontijne & Mann, section 3.8) it is
-    _dual_sign(bits) a_C V^-1, with a_C = _subset_wedge(vectors, memo, C)
-    over the positions C not in bits and V^-1 the inverse of the wedge of
-    all the vectors; for one position i that is the reciprocal vector
-    a^i = (-1)^i a_C V^-1, counting from 0.
+    _dual_sign(bits) a_C V^-1, with a_C = _subset_wedge(memo, C) over the
+    bits C of full not in bits and V^-1 the inverse of the wedge over full;
+    for one bit i that is the reciprocal vector a^i = (-1)^i a_C V^-1.
     """
-    full = (1 << len(vectors)) - 1
-    blade = _subset_wedge(vectors, memo, full ^ bits) * volume_inverse
+    blade = _subset_wedge(memo, full ^ bits) * volume_inverse
     return blade if _dual_sign(bits) > 0 else -blade
 
 

@@ -1,30 +1,28 @@
 """Frames of vectors, reciprocal frames, and coordinates in a blade basis.
 
-A frame is an ordered, linearly independent list of vectors a_1..a_k whose
-wedge (the frame volume) is invertible. The reciprocal frame a^1..a^k
-satisfies a^i . a_j = delta_ij and is built eagerly at construction:
-
-    a^i = (-1)^(i-1) (a_1 ^ ... ^ a_(i-1) ^ a_(i+1) ^ ... ^ a_k) V^-1
-
-with V the frame volume. Subsets I of the frame wedge into a blade basis a_I
-for the subalgebra the frame spans, and the reciprocal blades a^I pair with
-it: a_I.scalar_product(a^J) = <reverse(a_I) a^J>_0 = delta_IJ. Only the
-frame blades are wedged, each once, from the blade of the subset without its
-top position, and kept: 2^k wedges per frame however often they run. The
-reciprocal blades follow from them by duality (Dorst, Fontijne & Mann,
-section 3.8), with I^c the positions not in I:
+A frame is an ordered, linearly independent list of vectors a_1..a_k. Each
+subset I wedges into a blade a_I of a basis of the subalgebra the frame
+spans: once, from the blade of the subset without its top position, in the
+algebra's tolerance-0 twin, and kept. The reciprocal blades follow from them
+by duality (Dorst, Fontijne & Mann, section 3.8), with V = a_1 ^ ... ^ a_k
+the frame volume and I^c the positions not in I:
 
     a^I = (-1)^(sum of (i - 1) over i in I) a_(I^c) V^-1
 
-so components(A), the pairings of A with every a^I, takes one product
-D = A reverse(V^-1) and then one scalar product of D with each a_(I^c).
+They pair with the frame blades, a_I.scalar_product(a^J) = delta_IJ, and
+I = {i} gives the reciprocal vectors a^i. A blade is pruned once, when it
+leaves the twin, so the volume of a small frame can read 0 though the frame
+is built from the exact one. The frame raises when V is singular by the
+wedge rule of the algebra module: the vectors are dependent, |V| <= tol *
+prod |a_i| in coefficient norms, or V is null.
 """
 
 import math
 from itertools import combinations
 
-from .algebra import (GradeError, Multivector, NotInvertible, _blade_key, _dual_sign,
-                      _linear_combination, _reciprocal_blade, _subset_wedge)
+from .algebra import (GradeError, Multivector, NotInvertible, _blade_key, _blade_memo,
+                      _dual_sign, _linear_combination, _reciprocal_blade, _subset_wedge,
+                      _volume_inverse)
 
 
 class Frame:
@@ -47,16 +45,14 @@ class Frame:
                 f"{len(vectors)} vectors cannot be independent in dimension {algebra.n}")
         self.algebra = algebra
         self.vectors = vectors
-        self._blades = {0: algebra.scalar(1.0)}
-        self.volume = _subset_wedge(vectors, self._blades, (1 << len(vectors)) - 1)
-        try:
-            self._volume_inverse = self.volume.inverse()
-        except NotInvertible:
+        self._blades = _blade_memo(algebra, vectors)
+        self._volume_inverse = _volume_inverse(self._blades, vectors, algebra.tolerance)
+        if self._volume_inverse is None:
             raise NotInvertible("frame volume is not invertible (dependent vectors "
-                                "or a null volume)") from None
-        self.reciprocal = tuple(
-            _reciprocal_blade(vectors, self._blades, self._volume_inverse, 1 << i)
-            for i in range(len(vectors)))
+                                "or a null volume)")
+        positions = range(1, len(vectors) + 1)
+        self.volume = self.blade(positions)
+        self.reciprocal = tuple(self.reciprocal_blade((i,)) for i in positions)
 
     def __len__(self):
         return len(self.vectors)
@@ -66,15 +62,13 @@ class Frame:
 
     def blade(self, subset):
         """Wedge of the frame vectors with the given 1-based positions, in order."""
-        bits, sign = _blade_key(len(self), subset)
-        blade = _subset_wedge(self.vectors, self._blades, bits)
-        return blade if sign > 0 else -blade
+        return self.expand({tuple(subset): 1.0})
 
     def reciprocal_blade(self, subset):
         """Wedge of the reciprocal vectors with the given 1-based positions, in order."""
         bits, sign = _blade_key(len(self), subset)
-        blade = _reciprocal_blade(self.vectors, self._blades, self._volume_inverse, bits)
-        return blade if sign > 0 else -blade
+        blade = _reciprocal_blade(self._blades, self._volume_inverse, (1 << len(self)) - 1, bits)
+        return _linear_combination(self.algebra, [(sign, blade._terms)])
 
     def _subsets(self):
         """(ascending subset, its bits) for every subset, by grade then lexicographically."""
@@ -92,38 +86,35 @@ class Frame:
         blade_I.scalar_product(reciprocal_blade_J) = <reverse(blade_I)
         reciprocal_blade_J>_0 = delta_IJ.
         """
-        return [(subset, _subset_wedge(self.vectors, self._blades, mask),
-                 _reciprocal_blade(self.vectors, self._blades, self._volume_inverse, mask))
-                for subset, mask in self._subsets()]
+        return [(subset, self.blade(subset), self.reciprocal_blade(subset))
+                for subset, _ in self._subsets()]
 
     def components(self, A):
         """Coordinates of A in the frame blade basis: subset I -> A.scalar_product(a^I).
 
         That is <reverse(A) a^I>_0, which moves round to
         +-<reverse(A reverse(V^-1)) a_(I^c)>_0, so one product D =
-        A reverse(V^-1) serves every I. D is formed with V^-1 scaled by a
-        power of two to a unit size and the pairings are scaled back, which
-        is exact: the prune cannot empty D however large the frame volume.
+        A reverse(V^-1) serves every I. A coordinate c_I is dropped when
+        |c_I| |a_I|, the size of its term in A, is within tolerance.
         Faithful (expand inverts it) when A lies in the subalgebra the frame
         spans; for a full frame that is every multivector.
         """
         w = self._volume_inverse.reverse()
-        exponent = math.frexp(math.hypot(*w._terms.values()))[1]
-        D = A * (w * math.ldexp(1.0, -exponent))
-        full = (1 << len(self.vectors)) - 1
+        D = Multivector._make(w.algebra, self.volume._coerce(A)._terms) * w
+        full = (1 << len(self)) - 1
         out = {}
         for subset, mask in self._subsets():
-            blade = _subset_wedge(self.vectors, self._blades, full ^ mask)
-            c = math.ldexp(_dual_sign(mask) * D.scalar_product(blade), exponent)
-            if abs(c) > self.algebra.tolerance:
+            c = _dual_sign(mask) * D.scalar_product(_subset_wedge(self._blades, full ^ mask))
+            size = math.hypot(*_subset_wedge(self._blades, mask)._terms.values())
+            if abs(c) * size > self.algebra.tolerance:
                 out[subset] = c
         return out
 
     def expand(self, components):
         """Rebuild a multivector from blade-basis coordinates (subset -> coeff)."""
+        keys = ((_blade_key(len(self), tuple(s)), float(c)) for s, c in components.items())
         return _linear_combination(self.algebra, (
-            (float(coeff), self.blade(tuple(subset))._terms)
-            for subset, coeff in components.items()))
+            (sign * c, _subset_wedge(self._blades, bits)._terms) for (bits, sign), c in keys))
 
     def expand_by_vectors(self, A):
         """The sum over i of a^i ^ (a_i .| A) for homogeneous A of grade r.

@@ -3,22 +3,21 @@
 A LinearMap is stored as the images of the orthonormal basis vectors. It
 acts on blades by wedging images (the unique outermorphism extension) and
 linearly on everything else, so it is grade-preserving by construction.
-Each blade image F(e_S) = F(e_(S without max S)) ^ F(e_max S) is wedged once and kept.
-The adjoint, determinant, inverse and the factorization of an isometry into
-reflections are computed through the algebra rather than through matrix
-decompositions. The inverse is read off the reciprocal frame of the images,
-f^k = (-1)^(k-1) F(e_([n] without k)) F(I)^-1, formed from the kept blade
-images by the expression Frame uses for its reciprocal vectors. The one
-exception is the eigenframe of a symmetric map, which delegates to numpy's
-symmetric eigensolver.
-numpy is imported inside that method, on its first call, so importing
-this module (and gacalc) does not load it.
+Each blade image F(e_S) = F(e_(S without max S)) ^ F(e_max S) is wedged
+once, in the algebra's tolerance-0 twin, and kept; results are pruned once.
+The determinant is the twin's coefficient of F(I) = det(F) I. The inverse is
+read off the reciprocal frame of the images, f^k = (-1)^(k-1)
+F(e_([n] without k)) F(I)^-1, with Frame's expression and singularity rule.
+Everything is computed through the algebra rather than through matrix
+decompositions, except the eigenframe of a symmetric map, which delegates to
+numpy's symmetric eigensolver. numpy is imported inside that method, on its
+first call, so importing this module (and gacalc) does not load it.
 """
 
 import math
 
-from .algebra import (GAError, GradeError, Multivector, _linear_combination,
-                      _reciprocal_blade, _subset_wedge)
+from .algebra import (GAError, GradeError, Multivector, _blade_memo, _linear_combination,
+                      _reciprocal_blade, _subset_wedge, _volume_inverse)
 
 _ISOMETRY_SLACK = 1e4
 
@@ -45,7 +44,7 @@ class LinearMap:
                 raise GradeError(f"basis images must be vectors, got {img}")
         self.algebra = algebra
         self.images = images
-        self._blade_images = {0: algebra.scalar(1.0)}
+        self._blade_images = None
 
     @classmethod
     def identity(cls, algebra):
@@ -80,9 +79,15 @@ class LinearMap:
             raise TypeError("LinearMap applies to Multivectors")
         if A.algebra != self.algebra:
             raise ValueError("multivector from a different algebra")
+        blades = self._blades()
         return _linear_combination(self.algebra, (
-            (coeff, _subset_wedge(self.images, self._blade_images, bits)._terms)
-            for bits, coeff in A._terms.items()))
+            (coeff, _subset_wedge(blades, bits)._terms) for bits, coeff in A._terms.items()))
+
+    def _blades(self):
+        """The memo of the blade images F(e_S), moved into the twin on first use."""
+        if self._blade_images is None:
+            self._blade_images = _blade_memo(self.algebra, self.images)
+        return self._blade_images
 
     def compose(self, other):
         """self after other: (self.compose(other))(x) = self(other(x))."""
@@ -144,20 +149,20 @@ class LinearMap:
     def determinant(self):
         """det F, read off from F(I) = det(F) I."""
         full = (1 << self.algebra.n) - 1
-        return _subset_wedge(self.images, self._blade_images, full)._terms.get(full, 0.0)
+        return _subset_wedge(self._blades(), full)._terms.get(full, 0.0)
 
     def inverse(self):
         """F^-1(x) = sum_k (x . f^k) e_k, with f^k the reciprocal frame of the F(e_k).
 
-        Raises OperatorError when det F is within tolerance of zero.
+        Raises OperatorError when F(I) is singular by the rule Frame uses for its volume.
         """
         alg = self.algebra
-        det = self.determinant()
-        if abs(det) <= alg.tolerance:
-            raise OperatorError(f"map is singular (det = {det!r})")
-        blades = self._blade_images
-        volume_inverse = _subset_wedge(self.images, blades, (1 << alg.n) - 1).inverse()
-        reciprocal = (_reciprocal_blade(self.images, blades, volume_inverse, 1 << k)
+        blades = self._blades()
+        volume_inverse = _volume_inverse(blades, self.images, alg.tolerance)
+        if volume_inverse is None:
+            raise OperatorError(f"map is singular (det = {self.determinant()!r})")
+        full = (1 << alg.n) - 1
+        reciprocal = (_reciprocal_blade(blades, volume_inverse, full, 1 << k)
                       for k in range(alg.n))
         return LinearMap.from_matrix(alg, [  # row k holds e_i . f^k
             [m * f._terms.get(1 << i, 0.0) for i, m in enumerate(alg.metric)]

@@ -14,9 +14,11 @@ that object and keeps V^-1 in V's private _versor_inverse slot, so that
 transforming many multivectors by one versor checks and inverts it once. A
 V that fails the check or has no inverse keeps nothing and raises again on
 every call. Nothing else reads the slot, and nothing is kept by value.
+gram_schmidt works in the algebra's tolerance-0 twin and prunes each output once.
 """
 
-from .algebra import GradeError, Multivector, NotInvertible, _negligible
+from .algebra import (GradeError, Multivector, NotInvertible, _blade_memo, _negligible,
+                      _volume_inverse)
 
 
 def _blade_inverse(B, what):
@@ -103,27 +105,23 @@ def rotate(A, R):
 def gram_schmidt(vectors):
     """Orthogonalize vectors by successive rejection.
 
-    b_1 = a_1 and b_(j+1) = reject(a_(j+1), b_1 ^ ... ^ b_j); the outputs
-    are mutually orthogonal and wedge to the same blade as the inputs.
-    Raises NotInvertible when the inputs are dependent or an intermediate
-    blade is null (possible in mixed signature).
+    b_1 = a_1 and b_(j+1) = <(a_(j+1) ^ B_j) B_j^-1>_1 with B_j = b_1 ^ ... ^ b_j;
+    the outputs are mutually orthogonal and wedge to the same blades as the
+    inputs. Raises NotInvertible when a B_j is singular by Frame's volume
+    rule: the inputs are dependent, or B_j is null (possible in mixed signature).
     """
     vectors = list(vectors)
-    if not vectors:
-        return []
-    out = []
-    blade = None
     for a in vectors:
         if a.grades - {1}:
             raise GradeError(f"gram_schmidt needs vectors, got {a}")
-        if blade is None:
-            b = a
-        else:
-            b = reject(a, blade)
-        if not b:
-            raise NotInvertible("vectors are linearly dependent")
-        out.append(b)
-        blade = b if blade is None else blade ^ b
-        if _negligible((blade.norm_squared(),), blade):
-            raise NotInvertible("intermediate blade is null; cannot continue")
-    return out
+    if not vectors:
+        return []
+    alg = vectors[0].algebra
+    memo = _blade_memo(alg, vectors)
+    for j in range(len(vectors)):
+        if j:
+            memo[1 << j] = ((memo[1 << j] ^ memo[(1 << j) - 1]) * inverse).grade(1)
+        inverse = _volume_inverse(memo, vectors[:j + 1], alg.tolerance)
+        if inverse is None:
+            raise NotInvertible("vectors are linearly dependent, or span a null blade")
+    return [Multivector._make(alg, memo[1 << j]._terms) for j in range(len(vectors))]

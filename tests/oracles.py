@@ -165,6 +165,34 @@ def max_coeff_diff(a: Terms, b: Terms) -> float:
     return max((abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys), default=0.0)
 
 
+def inverse_and_determinant(matrix):
+    """(inverse, determinant) of a square matrix by Gauss-Jordan elimination.
+
+    Partial pivoting on plain floats: rows are swapped so that each pivot is
+    the largest entry left in its column. The inverse is None when a pivot
+    is exactly zero.
+    """
+    n = len(matrix)
+    rows = [list(map(float, row)) + [float(i == j) for j in range(n)]
+            for i, row in enumerate(matrix)]
+    det = 1.0
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(rows[r][col]))
+        if rows[pivot][col] == 0.0:
+            return None, 0.0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        head = rows[col][col]
+        det *= head
+        rows[col] = [x / head for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0.0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows], det
+
+
 KEPLER_OVERFLOW = "orbit state overflows: |r|^2, |L|^2 or E is not finite"
 
 

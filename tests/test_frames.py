@@ -2,12 +2,14 @@
 
 import functools
 import itertools
+import math
 import operator
 import random
 
 import pytest
 
-from gacalc import Algebra, Frame, GradeError, Multivector, NotInvertible
+from gacalc import (Algebra, Frame, GradeError, LinearMap, Multivector, NotInvertible,
+                    OperatorError, gram_schmidt)
 
 import gen
 
@@ -45,10 +47,49 @@ def test_a_small_frame_builds_and_round_trips():
     assert f.expand(f.components(a)).isclose(a, tol=1e-12)
 
 
+def test_a_small_frame_builds_at_the_default_tolerance():
+    # the volume 1e-18 e123456 fell to the prune, and the frame raised
+    alg = Algebra(6, 0)
+    f = Frame([alg.basis_vector(i) * 1e-3 for i in range(1, 7)])
+    assert not f.volume  # 1e-18 e123456 is pruned on output, after the frame is built
+    assert all(r.isclose(alg.basis_vector(i) * 1e3, tol=1e-9)
+               for i, r in enumerate(f.reciprocal, start=1))
+    a = alg.multivector({b: 0.5 + len(b) for b in alg.basis_blades()})
+    assert _relative_diff(f.expand(f.components(a)), a) < 1e-12
+
+
 def test_dependent_vectors_rejected():
     e1 = E2.basis_vector(1)
     with pytest.raises(NotInvertible):
         Frame([e1, 2 * e1])
+
+
+def test_nearly_parallel_vectors_are_independent():
+    # |e1 ^ (e1 + 1e-6 e2)| = 1e-6 is far above roundoff; a rule comparing
+    # |V|^2 with tol * prod |v_i|^2 refused it as dependent
+    e1, e2 = E2.basis_vector(1), E2.basis_vector(2)
+    vectors = [e1, e1 + e2 * 1e-6]
+    f = Frame(vectors)
+    assert f.reciprocal[0].isclose(e1 - e2 * 1e6, tol=1e-6)
+    assert f.reciprocal[1].isclose(e2 * 1e6, tol=1e-6)
+    a = E2.multivector({(): 1.0, (1,): -2.0, (2,): 0.5, (1, 2): 3.0})
+    assert _relative_diff(f.expand(f.components(a)), a) < 1e-9
+    rows = LinearMap(E2, vectors).inverse().matrix()
+    assert rows[0] == pytest.approx([1.0, -1e6], rel=1e-9)
+    assert rows[1] == pytest.approx([0.0, 1e6], rel=1e-9)
+    assert gram_schmidt(vectors) == [e1, e2 * 1e-6]
+
+
+def test_a_volume_null_to_roundoff_is_rejected():
+    # (cos 1.6 e1 + sin 1.6 e2 + e3)^2 is -1.1e-16 in Cl(2,1), not 0: the
+    # null test of the wedge rule refuses it, not a division by zero
+    alg = Algebra(2, 1)
+    v = alg.vector([math.cos(1.6), math.sin(1.6), 1.0])
+    assert v.norm_squared() != 0.0
+    with pytest.raises(NotInvertible):
+        Frame([v])
+    with pytest.raises(NotInvertible):
+        gram_schmidt([v, alg.basis_vector(1)])
 
 
 def test_null_volume_rejected():
@@ -139,13 +180,12 @@ def test_blade_and_reciprocal_blade_selection():
         f.blade((4,))
 
 
-def _in_span(f, rng):
-    """A random multivector in the subalgebra of a frame, wedged without the frame."""
-    k = len(f)
-    return sum((functools.reduce(operator.xor, (f.vectors[i - 1] for i in s),
-                                 f.algebra.scalar(gen.rand_coeff(rng)))
-                for r in range(k + 1) for s in itertools.combinations(range(1, k + 1), r)),
-               f.algebra.zero())
+def _in_span(vectors, rng):
+    """A random multivector in the subalgebra the vectors span, wedged without a frame."""
+    alg = vectors[0].algebra
+    return sum((functools.reduce(operator.xor, s, alg.scalar(gen.rand_coeff(rng)))
+                for r in range(len(vectors) + 1) for s in itertools.combinations(vectors, r)),
+               alg.zero())
 
 
 def test_component_round_trip():
@@ -155,7 +195,7 @@ def test_component_round_trip():
                    (Algebra(3, 1), 2), (Algebra(4, 0), 3)):
         for _ in range(8):
             f = skewed_frame(alg, rng, k)
-            a = gen.rand_mv(alg, rng) if k == alg.n else _in_span(f, rng)
+            a = gen.rand_mv(alg, rng) if k == alg.n else _in_span(f.vectors, rng)
             comps = f.components(a)
             back = f.expand(comps)
             assert back.max_coeff_diff(a) < 1e-8
@@ -250,6 +290,72 @@ def test_components_of_a_large_frame_keep_every_coordinate():
                for i in range(1, 7)])
     a = gen.rand_mv(alg, rng, density=1.0)
     assert _relative_diff(f.expand(f.components(a)), a) < 1e-8
+
+
+def test_components_keep_a_small_coordinate_of_a_large_blade():
+    # the grade-6 coordinate, about 1e-11, fell to the absolute tolerance
+    # though it multiplies a blade of size about 5e10: the round trip lost 1.97
+    rng = random.Random(0)
+    alg = Algebra(6, 0)
+    f = Frame([(alg.basis_vector(i) + gen.rand_vector(alg, rng) * 0.15) * 60.0
+               for i in range(1, 7)])
+    a = gen.rand_mv(alg, rng, density=1.0)
+    assert _relative_diff(f.expand(f.components(a)), a) < 1e-12
+
+
+def _frame_answers(vectors, a):
+    """Frame's round trip of a (None when Frame raises), whether the map of
+    the vectors inverts (n vectors only), and gram_schmidt's outputs (None
+    when it raises)."""
+    try:
+        f = Frame(vectors)
+        round_trip = f.expand(f.components(a))
+    except NotInvertible:
+        round_trip = None
+    inverts = None
+    if len(vectors) == a.algebra.n:
+        try:
+            LinearMap(a.algebra, vectors).inverse()
+            inverts = True
+        except OperatorError:
+            inverts = False
+    try:
+        orthogonal = gram_schmidt(vectors)
+    except NotInvertible:
+        orthogonal = None
+    return round_trip, inverts, orthogonal
+
+
+@pytest.mark.parametrize("p, q", SIGNATURES)
+def test_frame_map_and_gram_schmidt_answers_do_not_depend_on_scale(p, q):
+    # the absolute prune emptied the volume or a rejection of small vectors,
+    # and det was compared with the bare tolerance: a 1e-3 frame raised
+    alg = Algebra(p, q)
+    rng = random.Random(f"frame scale {p},{q}")
+    null = alg.basis_vector(1) + alg.basis_vector(alg.n)
+    for draw in range(8):
+        k = rng.randrange(1, alg.n + 1)
+        vectors = [gen.rand_vector(alg, rng) for _ in range(k)]
+        if draw == 1 and k > 1:  # dependent
+            vectors[-1] = vectors[0] * 0.5 - vectors[1] * 2.0
+        if draw == 2 and p and q:  # a null vector
+            vectors[0] = null
+        a = _in_span(vectors, rng)
+        round_trip, inverts, orthogonal = _frame_answers(vectors, a)
+        if round_trip is not None:
+            assert _relative_diff(round_trip, a) < 1e-8
+        for j in (-30, -20, -10, 10, 30, *rng.sample(range(-29, 30), 4)):
+            s = math.ldexp(1.0, j)
+            scaled = [v * s for v in vectors]
+            if any(len(w.terms) != len(v.terms) for v, w in zip(vectors, scaled)):
+                continue  # a coefficient fell to the prune
+            got = _frame_answers(scaled, a)
+            assert got[0] == round_trip and got[1] == inverts, (vectors, j)
+            assert (got[2] is None) == (orthogonal is None), (vectors, j)
+            assert all(c.grades <= {1} for c in got[2] or ()), (vectors, j)
+            for b, c in zip(orthogonal or (), got[2] or ()):
+                if len(c.terms) == len((b * s).terms):
+                    assert c == b * s, (vectors, j)
 
 
 def test_components_drop_negligible_entries():

@@ -398,6 +398,12 @@ def test_gram_schmidt_orthogonalizes():
             assert lhs.max_coeff_diff(rhs) < 1e-8
 
 
+def test_gram_schmidt_keeps_small_independent_vectors():
+    # the rejection 1e-12 e12 fell to the prune: "vectors are linearly dependent"
+    e1, e2 = E3.basis_vector(1), E3.basis_vector(2)
+    assert gram_schmidt([e1 * 1e-6, (e1 + e2) * 1e-6]) == [e1 * 1e-6, e2 * 1e-6]
+
+
 def test_gram_schmidt_first_vector_kept():
     vs = [E3.vector([1.0, 1.0, 0.0]), E3.basis_vector(1)]
     out = gram_schmidt(vs)
