@@ -55,17 +55,18 @@ dimension and then, above n = 6, from the operand sizes:
 The prune and every result after it are therefore the same whichever regime
 runs.
 
-A composite (the exp series of a bivector that is not a blade, the blades of
-a frame or of a LinearMap's images, the running blade of gram_schmidt) is
-built in the algebra's twin with tolerance 0 and pruned once, on return.
-Twin objects never reach a residue test, which would read tolerance 0. A
-residue (u ^ A in is_blade, the non-scalar part of A reverse(A), B ^ B, or
-|A|^2 in inverse()) is roundoff when it is at most tol * (sum of A's squared
-coefficients). The wedge V of vectors v_i is singular when it is null by
-that rule, or when the vectors are dependent, |V| <= tol * prod |v_i|, with
-Hadamard's bound prod |v_i| on |V| and |.| the coefficient norm. is_blade and
-is_versor form their residues from A scaled by a power of two to a sum of at
-least 1, so the prune cannot hide them.
+A composite (the exp series of a bivector that is not a blade, and the blades
+a_S of vectors, their volume test and their reciprocals, kept in one _Wedges
+memo for Frame, LinearMap and gram_schmidt) is built in the algebra's twin
+with tolerance 0 and pruned once, on return. Twin objects never reach a
+residue test, which would read tolerance 0. A residue (u ^ A in is_blade, the
+non-scalar part of A reverse(A), B ^ B, or |A|^2 in inverse()) is roundoff
+when it is at most tol * (sum of A's squared coefficients). The wedge V of
+vectors v_i is singular when it is null by that rule, or when the vectors are
+dependent, |V| <= tol * prod |v_i|, with Hadamard's bound prod |v_i| on |V|
+and |.| the coefficient norm. is_blade and is_versor form their residues from
+A scaled by a power of two to a sum of at least 1, so the prune cannot hide
+them.
 
 A coefficient that is NaN or infinite (an overflow, or an inf/nan input)
 raises NonFiniteError wherever terms are pruned, instead of being pruned
@@ -810,60 +811,56 @@ def _twin(algebra):
     return Algebra(algebra.p, algebra.q, tolerance=0.0, max_dimension=algebra.n)
 
 
-def _blade_memo(algebra, vectors):
-    """The memo of _subset_wedge: 1 and each vector at its bit, moved into the twin.
+class _Wedges(dict):
+    """The wedges a_S of vectors a_1..a_k in the twin, keyed by the bits of S.
 
-    Raises AlgebraMismatch for a vector from another algebra.
+    a_S = a_(S without max S) ^ a_(max S) is wedged on first lookup and kept.
+    The singularity rule reads the norms of the vectors as given, whatever
+    later overwrites their entries. Raises AlgebraMismatch for a foreign vector.
     """
-    twin, zero = _twin(algebra), algebra.zero()
-    memo = {1 << i: Multivector._make(twin, zero._coerce(v)._terms)
-            for i, v in enumerate(vectors)}
-    memo[0] = twin.scalar(1.0)
-    return memo
 
+    __slots__ = ("algebra", "_norms")
 
-def _subset_wedge(memo, bits):
-    """The wedge of the memo's vectors at the set bits of bits, in ascending order.
+    def __init__(self, algebra, vectors):
+        twin, zero = _twin(algebra), algebra.zero()
+        super().__init__({1 << i: Multivector._make(twin, zero._coerce(v)._terms)
+                          for i, v in enumerate(vectors)})
+        self[0] = twin.scalar(1.0)
+        self.algebra = algebra
+        self._norms = [math.hypot(*v._terms.values()) for v in vectors]
 
-    Each blade is blade(S without max S) ^ (vector max S), wedged once and kept in memo.
-    """
-    if bits not in memo:
+    def __missing__(self, bits):
         top = 1 << (bits.bit_length() - 1)
-        memo[bits] = _subset_wedge(memo, bits ^ top) ^ memo[top]
-    return memo[bits]
+        blade = self[bits] = self[bits ^ top] ^ self[top]
+        return blade
 
+    def volume_inverse(self, k):
+        """V^-1 for V = a_1 ^ ... ^ a_k, or None when V is singular by the module's wedge rule."""
+        volume = self[(1 << k) - 1]
+        n2 = volume.norm_squared()
+        size = math.hypot(*volume._terms.values())
+        tol = self.algebra.tolerance
+        if size <= tol * math.prod(self._norms[:k]) or abs(n2) <= tol * size * size:
+            return None
+        return volume.reverse() / n2
 
-def _volume_inverse(memo, vectors, tol):
-    """V^-1 for V the memo's wedge at the bits of vectors, or None when V is singular.
+    def reciprocal(self, volume_inverse, k, bits):
+        """The wedge of the reciprocal vectors a^i of a_1..a_k at the set bits i of bits.
 
-    With |.| the coefficient norm, V is singular when the vectors are
-    dependent, |V| <= tol * prod |v_i| (Hadamard's bound on |V|), or when V
-    is null by the inverse() rule, |<reverse(V) V>_0| <= tol * |V|^2.
-    """
-    volume = _subset_wedge(memo, (1 << len(vectors)) - 1)
-    n2 = volume.norm_squared()
-    size = math.hypot(*volume._terms.values())
-    bound = math.prod(math.hypot(*v._terms.values()) for v in vectors)
-    if size <= tol * bound or abs(n2) <= tol * size * size:
-        return None
-    return volume.reverse() / n2
+        By duality (Dorst, Fontijne & Mann, section 3.8) it is _dual_sign(bits)
+        a_C V^-1, with C the bits of 1..k not in bits and V^-1 = volume_inverse(k).
+        """
+        blade = self[((1 << k) - 1) ^ bits] * volume_inverse
+        return blade if _dual_sign(bits) > 0 else -blade
+
+    def combine(self, items):
+        """The sum of c a_S over (bits of S, c) pairs, pruned once in the algebra."""
+        return _linear_combination(self.algebra, ((c, self[bits]._terms) for bits, c in items))
 
 
 def _dual_sign(bits):
-    """(-1)^(sum of the set bit positions of bits), the sign in _reciprocal_blade."""
+    """(-1)^(sum of the set bit positions of bits), the sign in _Wedges.reciprocal."""
     return -1.0 if (bits & _ODD_POSITIONS).bit_count() & 1 else 1.0
-
-
-def _reciprocal_blade(memo, volume_inverse, full, bits):
-    """The wedge of the reciprocal vectors a^i of the memo's vectors at the set bits i of bits.
-
-    By duality (Dorst, Fontijne & Mann, section 3.8) it is
-    _dual_sign(bits) a_C V^-1, with a_C = _subset_wedge(memo, C) over the
-    bits C of full not in bits and V^-1 the inverse of the wedge over full;
-    for one bit i that is the reciprocal vector a^i = (-1)^i a_C V^-1.
-    """
-    blade = _subset_wedge(memo, full ^ bits) * volume_inverse
-    return blade if _dual_sign(bits) > 0 else -blade
 
 
 def _linear_combination(algebra, pairs):

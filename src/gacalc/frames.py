@@ -2,10 +2,10 @@
 
 A frame is an ordered, linearly independent list of vectors a_1..a_k. Each
 subset I wedges into a blade a_I of a basis of the subalgebra the frame
-spans: once, from the blade of the subset without its top position, in the
-algebra's tolerance-0 twin, and kept. The reciprocal blades follow from them
-by duality (Dorst, Fontijne & Mann, section 3.8), with V = a_1 ^ ... ^ a_k
-the frame volume and I^c the positions not in I:
+spans, once, in the _Wedges memo of the vectors in the algebra's
+tolerance-0 twin. The reciprocal blades follow from them by duality (Dorst,
+Fontijne & Mann, section 3.8), with V = a_1 ^ ... ^ a_k the frame volume and
+I^c the positions not in I:
 
     a^I = (-1)^(sum of (i - 1) over i in I) a_(I^c) V^-1
 
@@ -20,9 +20,8 @@ prod |a_i| in coefficient norms, or V is null.
 import math
 from itertools import combinations
 
-from .algebra import (GradeError, Multivector, NotInvertible, _blade_key, _blade_memo,
-                      _dual_sign, _linear_combination, _reciprocal_blade, _subset_wedge,
-                      _volume_inverse)
+from .algebra import (GradeError, Multivector, NotInvertible, _blade_key, _dual_sign,
+                      _linear_combination, _Wedges)
 
 
 class Frame:
@@ -45,8 +44,8 @@ class Frame:
                 f"{len(vectors)} vectors cannot be independent in dimension {algebra.n}")
         self.algebra = algebra
         self.vectors = vectors
-        self._blades = _blade_memo(algebra, vectors)
-        self._volume_inverse = _volume_inverse(self._blades, vectors, algebra.tolerance)
+        self._blades = _Wedges(algebra, vectors)
+        self._volume_inverse = self._blades.volume_inverse(len(vectors))
         if self._volume_inverse is None:
             raise NotInvertible("frame volume is not invertible (dependent vectors "
                                 "or a null volume)")
@@ -67,7 +66,7 @@ class Frame:
     def reciprocal_blade(self, subset):
         """Wedge of the reciprocal vectors with the given 1-based positions, in order."""
         bits, sign = _blade_key(len(self), subset)
-        blade = _reciprocal_blade(self._blades, self._volume_inverse, (1 << len(self)) - 1, bits)
+        blade = self._blades.reciprocal(self._volume_inverse, len(self), bits)
         return _linear_combination(self.algebra, [(sign, blade._terms)])
 
     def _subsets(self):
@@ -104,8 +103,8 @@ class Frame:
         full = (1 << len(self)) - 1
         out = {}
         for subset, mask in self._subsets():
-            c = _dual_sign(mask) * D.scalar_product(_subset_wedge(self._blades, full ^ mask))
-            size = math.hypot(*_subset_wedge(self._blades, mask)._terms.values())
+            c = _dual_sign(mask) * D.scalar_product(self._blades[full ^ mask])
+            size = math.hypot(*self._blades[mask]._terms.values())
             if abs(c) * size > self.algebra.tolerance:
                 out[subset] = c
         return out
@@ -113,17 +112,19 @@ class Frame:
     def expand(self, components):
         """Rebuild a multivector from blade-basis coordinates (subset -> coeff)."""
         keys = ((_blade_key(len(self), tuple(s)), float(c)) for s, c in components.items())
-        return _linear_combination(self.algebra, (
-            (sign * c, _subset_wedge(self._blades, bits)._terms) for (bits, sign), c in keys))
+        return self._blades.combine((bits, sign * c) for (bits, sign), c in keys)
 
     def expand_by_vectors(self, A):
         """The sum over i of a^i ^ (a_i .| A) for homogeneous A of grade r.
 
         Equals r A for A in the frame's span; exposed mainly as a self-test
-        of the reciprocal frame. Raises GradeError for mixed-grade input.
+        of the reciprocal frame. Built in the twin and pruned once. Raises
+        AlgebraMismatch for a foreign A and GradeError for mixed-grade input.
         """
+        blades, k, w = self._blades, len(self), self._volume_inverse
+        A = Multivector._make(w.algebra, self.volume._coerce(A)._terms)
         if len(A.grades) > 1:
             raise GradeError(f"expand_by_vectors needs homogeneous input, got {A}")
         return _linear_combination(self.algebra, (
-            (1.0, (recip ^ a.left_contract(A))._terms)
-            for a, recip in zip(self.vectors, self.reciprocal)))
+            (1.0, (blades.reciprocal(w, k, 1 << i) ^ blades[1 << i].left_contract(A))._terms)
+            for i in range(k)))

@@ -4,7 +4,7 @@ A LinearMap is stored as the images of the orthonormal basis vectors. It
 acts on blades by wedging images (the unique outermorphism extension) and
 linearly on everything else, so it is grade-preserving by construction.
 Each blade image F(e_S) = F(e_(S without max S)) ^ F(e_max S) is wedged
-once, in the algebra's tolerance-0 twin, and kept; results are pruned once.
+once, in a lazy _Wedges memo in the tolerance-0 twin; results are pruned once.
 The determinant is the twin's coefficient of F(I) = det(F) I. The inverse is
 read off the reciprocal frame of the images, f^k = (-1)^(k-1)
 F(e_([n] without k)) F(I)^-1, with Frame's expression and singularity rule.
@@ -16,8 +16,7 @@ first call, so importing this module (and gacalc) does not load it.
 
 import math
 
-from .algebra import (GAError, GradeError, Multivector, _blade_memo, _linear_combination,
-                      _reciprocal_blade, _subset_wedge, _volume_inverse)
+from .algebra import GAError, GradeError, Multivector, _linear_combination, _Wedges
 
 _ISOMETRY_SLACK = 1e4
 
@@ -79,14 +78,12 @@ class LinearMap:
             raise TypeError("LinearMap applies to Multivectors")
         if A.algebra != self.algebra:
             raise ValueError("multivector from a different algebra")
-        blades = self._blades()
-        return _linear_combination(self.algebra, (
-            (coeff, _subset_wedge(blades, bits)._terms) for bits, coeff in A._terms.items()))
+        return self._blades().combine(A._terms.items())
 
     def _blades(self):
-        """The memo of the blade images F(e_S), moved into the twin on first use."""
+        """The _Wedges memo of the images, whose entries are the F(e_S), made on first use."""
         if self._blade_images is None:
-            self._blade_images = _blade_memo(self.algebra, self.images)
+            self._blade_images = _Wedges(self.algebra, self.images)
         return self._blade_images
 
     def compose(self, other):
@@ -149,7 +146,7 @@ class LinearMap:
     def determinant(self):
         """det F, read off from F(I) = det(F) I."""
         full = (1 << self.algebra.n) - 1
-        return _subset_wedge(self._blades(), full)._terms.get(full, 0.0)
+        return self._blades()[full]._terms.get(full, 0.0)
 
     def inverse(self):
         """F^-1(x) = sum_k (x . f^k) e_k, with f^k the reciprocal frame of the F(e_k).
@@ -158,12 +155,10 @@ class LinearMap:
         """
         alg = self.algebra
         blades = self._blades()
-        volume_inverse = _volume_inverse(blades, self.images, alg.tolerance)
+        volume_inverse = blades.volume_inverse(alg.n)
         if volume_inverse is None:
             raise OperatorError(f"map is singular (det = {self.determinant()!r})")
-        full = (1 << alg.n) - 1
-        reciprocal = (_reciprocal_blade(blades, volume_inverse, full, 1 << k)
-                      for k in range(alg.n))
+        reciprocal = (blades.reciprocal(volume_inverse, alg.n, 1 << k) for k in range(alg.n))
         return LinearMap.from_matrix(alg, [  # row k holds e_i . f^k
             [m * f._terms.get(1 << i, 0.0) for i, m in enumerate(alg.metric)]
             for f in reciprocal])
@@ -242,7 +237,7 @@ def factor_isometry(F):
 
     for i in range(alg.n):
         target = alg.basis_vector(i + 1)
-        g = current[i]
+        g = current[i].grade(1)  # mixed signature: the reflections leave grade-3, -5 roundoff
         if g.isclose(target, tol=tol):
             continue
         c = g - target

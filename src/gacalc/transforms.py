@@ -14,11 +14,10 @@ that object and keeps V^-1 in V's private _versor_inverse slot, so that
 transforming many multivectors by one versor checks and inverts it once. A
 V that fails the check or has no inverse keeps nothing and raises again on
 every call. Nothing else reads the slot, and nothing is kept by value.
-gram_schmidt works in the algebra's tolerance-0 twin and prunes each output once.
+gram_schmidt builds b_j in place of a_j in a _Wedges memo and prunes it once.
 """
 
-from .algebra import (GradeError, Multivector, NotInvertible, _blade_memo, _negligible,
-                      _volume_inverse)
+from .algebra import GradeError, Multivector, NotInvertible, _negligible, _Wedges
 
 
 def _blade_inverse(B, what):
@@ -117,11 +116,11 @@ def gram_schmidt(vectors):
     if not vectors:
         return []
     alg = vectors[0].algebra
-    memo = _blade_memo(alg, vectors)
+    memo = _Wedges(alg, vectors)
     for j in range(len(vectors)):
         if j:
             memo[1 << j] = ((memo[1 << j] ^ memo[(1 << j) - 1]) * inverse).grade(1)
-        inverse = _volume_inverse(memo, vectors[:j + 1], alg.tolerance)
+        inverse = memo.volume_inverse(j + 1)
         if inverse is None:
             raise NotInvertible("vectors are linearly dependent, or span a null blade")
     return [Multivector._make(alg, memo[1 << j]._terms) for j in range(len(vectors))]

@@ -293,6 +293,14 @@ def test_a_small_vector_inverts():
     assert (r.returncode, r.stdout, r.stderr) == (0, "1000000*e1\n", "")
 
 
+@pytest.mark.parametrize("expr", ["inv(2 + e12 + e1)", "inv(e1 + e12)"])
+def test_inv_of_a_non_versor_is_an_error(expr):
+    # inv printed reverse(A)/|A|^2, which is not the inverse, and exited 0
+    r = ga("-e", expr)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.startswith("error: inv needs a versor")
+
+
 def _imported_modules(stderr):
     """Module names from the report of python -X importtime."""
     return {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()

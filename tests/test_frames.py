@@ -8,8 +8,8 @@ import random
 
 import pytest
 
-from gacalc import (Algebra, Frame, GradeError, LinearMap, Multivector, NotInvertible,
-                    OperatorError, gram_schmidt)
+from gacalc import (Algebra, AlgebraMismatch, Frame, GradeError, LinearMap, Multivector,
+                    NotInvertible, OperatorError, gram_schmidt)
 
 import gen
 
@@ -305,13 +305,15 @@ def test_components_keep_a_small_coordinate_of_a_large_blade():
 
 def _frame_answers(vectors, a):
     """Frame's round trip of a (None when Frame raises), whether the map of
-    the vectors inverts (n vectors only), and gram_schmidt's outputs (None
-    when it raises)."""
+    the vectors inverts (n vectors only), gram_schmidt's outputs (None when
+    it raises), and Frame's expand_by_vectors of each grade of a (None when
+    Frame raises)."""
     try:
         f = Frame(vectors)
         round_trip = f.expand(f.components(a))
+        by_vectors = [f.expand_by_vectors(a.grade(r)) for r in range(len(vectors) + 1)]
     except NotInvertible:
-        round_trip = None
+        round_trip = by_vectors = None
     inverts = None
     if len(vectors) == a.algebra.n:
         try:
@@ -323,7 +325,7 @@ def _frame_answers(vectors, a):
         orthogonal = gram_schmidt(vectors)
     except NotInvertible:
         orthogonal = None
-    return round_trip, inverts, orthogonal
+    return round_trip, inverts, orthogonal, by_vectors
 
 
 @pytest.mark.parametrize("p, q", SIGNATURES)
@@ -341,9 +343,11 @@ def test_frame_map_and_gram_schmidt_answers_do_not_depend_on_scale(p, q):
         if draw == 2 and p and q:  # a null vector
             vectors[0] = null
         a = _in_span(vectors, rng)
-        round_trip, inverts, orthogonal = _frame_answers(vectors, a)
+        round_trip, inverts, orthogonal, by_vectors = _frame_answers(vectors, a)
         if round_trip is not None:
             assert _relative_diff(round_trip, a) < 1e-8
+            for r, b in enumerate(by_vectors):  # r A for A of grade r
+                assert _relative_diff(b, a.grade(r) * float(r)) < 1e-8
         for j in (-30, -20, -10, 10, 30, *rng.sample(range(-29, 30), 4)):
             s = math.ldexp(1.0, j)
             scaled = [v * s for v in vectors]
@@ -351,6 +355,7 @@ def test_frame_map_and_gram_schmidt_answers_do_not_depend_on_scale(p, q):
                 continue  # a coefficient fell to the prune
             got = _frame_answers(scaled, a)
             assert got[0] == round_trip and got[1] == inverts, (vectors, j)
+            assert got[3] == by_vectors, (vectors, j)
             assert (got[2] is None) == (orthogonal is None), (vectors, j)
             assert all(c.grades <= {1} for c in got[2] or ()), (vectors, j)
             for b, c in zip(orthogonal or (), got[2] or ()):
@@ -373,10 +378,19 @@ def test_expand_by_vectors_scales_by_grade():
         assert got.max_coeff_diff(a * float(r)) < 1e-8
 
 
+def test_expand_by_vectors_of_a_small_frame():
+    # each a_i .| A = 1e-11 e_j fell to the prune, and r A read 0
+    f = Frame([E3.basis_vector(i) * 1e-6 for i in (1, 2, 3)])
+    got = f.expand_by_vectors(E3.blade((1, 2), 1e-5))
+    assert _relative_diff(got, E3.blade((1, 2), 2e-5)) < 1e-12
+
+
 def test_expand_by_vectors_needs_homogeneous_input():
     f = Frame([E2.basis_vector(1), E2.basis_vector(2)])
     with pytest.raises(GradeError):
         f.expand_by_vectors(1 + E2.basis_vector(1))
+    with pytest.raises(AlgebraMismatch):
+        f.expand_by_vectors(E3.basis_vector(1))
 
 
 def test_partial_frame():

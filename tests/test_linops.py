@@ -459,6 +459,29 @@ def test_factor_random_mixed_signature_isometries():
         check_factored(f, v, factors)
 
 
+def test_factor_mirrors_are_unit_vectors_in_mixed_signature():
+    # the reflections leave roundoff in grades 3 and 5 of the working images,
+    # and the mirrors took it on: the factor grades were [1], [1, 3], [1, 5],
+    # [1, 5], [1, 5], and their product failed the versor check
+    alg = Algebra(3, 3)
+    rng = random.Random(17)
+    count, mirrors = rng.randint(1, 6), []
+    while len(mirrors) < count:  # mirrors with |v^2| >= 1e-3
+        v = alg.vector([rng.uniform(-1, 1) for _ in range(alg.n)])
+        if abs(v.norm_squared()) >= 1e-3:
+            mirrors.append(v)
+    V = math.prod(mirrors, start=alg.scalar(1.0))
+    f = LinearMap(alg, [apply_versor(alg.basis_vector(i), V) for i in range(1, alg.n + 1)])
+    w, factors = factor_isometry(f)
+    assert len(factors) == 5
+    for v in factors:
+        assert v.grades == {1} and abs(abs(v.norm_squared()) - 1.0) < 1e-9
+    for i in range(1, alg.n + 1):
+        want = f(alg.basis_vector(i))
+        biggest = max(map(abs, want.terms.values()))
+        assert apply_versor(alg.basis_vector(i), w).max_coeff_diff(want) < 1e-6 * biggest
+
+
 def test_factor_rejects_non_isometries():
     with pytest.raises(OperatorError):
         factor_isometry(LinearMap.diagonal(E3, [2.0, 1.0, 1.0]))
