@@ -14,7 +14,11 @@ I = {i} gives the reciprocal vectors a^i. A blade is pruned once, when it
 leaves the twin, so the volume of a small frame can read 0 though the frame
 is built from the exact one. The frame raises when V is singular by the
 wedge rule of the algebra module: the vectors are dependent, |V| <= tol *
-prod |a_i| in coefficient norms, or V is null.
+prod |a_i| in coefficient norms, or V is null. That test runs when the frame
+is built; the volume and the reciprocal vectors are built on first access,
+as a round trip (components, then expand) reads neither. components pairs
+one product D = A reverse(V^-1) with each frame blade a_(I^c), summing over
+the blade's terms (at most C(n, s) for grade s) rather than over D's.
 """
 
 import math
@@ -27,7 +31,7 @@ from .algebra import (GradeError, Multivector, NotInvertible, _blade_key, _dual_
 class Frame:
     """An ordered independent vector frame with its reciprocal frame."""
 
-    __slots__ = ("algebra", "vectors", "reciprocal", "volume", "_blades", "_volume_inverse")
+    __slots__ = ("algebra", "vectors", "_blades", "_volume_inverse", "_volume", "_reciprocal")
 
     def __init__(self, vectors):
         vectors = tuple(vectors)
@@ -49,9 +53,22 @@ class Frame:
         if self._volume_inverse is None:
             raise NotInvertible("frame volume is not invertible (dependent vectors "
                                 "or a null volume)")
-        positions = range(1, len(vectors) + 1)
-        self.volume = self.blade(positions)
-        self.reciprocal = tuple(self.reciprocal_blade((i,)) for i in positions)
+        self._volume = self._reciprocal = None
+
+    @property
+    def volume(self):
+        """The frame volume a_1 ^ ... ^ a_k, pruned; built on first access."""
+        if self._volume is None:
+            self._volume = self.blade(range(1, len(self) + 1))
+        return self._volume
+
+    @property
+    def reciprocal(self):
+        """The reciprocal vectors (a^1, ..., a^k); built on first access."""
+        if self._reciprocal is None:
+            self._reciprocal = tuple(self.reciprocal_blade((i,))
+                                     for i in range(1, len(self) + 1))
+        return self._reciprocal
 
     def __len__(self):
         return len(self.vectors)
@@ -92,18 +109,20 @@ class Frame:
         """Coordinates of A in the frame blade basis: subset I -> A.scalar_product(a^I).
 
         That is <reverse(A) a^I>_0, which moves round to
-        +-<reverse(A reverse(V^-1)) a_(I^c)>_0, so one product D =
-        A reverse(V^-1) serves every I. A coordinate c_I is dropped when
-        |c_I| |a_I|, the size of its term in A, is within tolerance.
-        Faithful (expand inverts it) when A lies in the subalgebra the frame
-        spans; for a full frame that is every multivector.
+        +-<reverse(a_(I^c)) D>_0, so one product D = A reverse(V^-1) serves
+        every I, and each pairing sums over the terms of a_(I^c) alone. A
+        coordinate c_I is dropped when |c_I| |a_I|, the size of its term in
+        A, is within tolerance. Raises NonFiniteError, as scalar_product does,
+        when a pairing overflows. Faithful (expand inverts it) when A lies in
+        the subalgebra the frame spans; for a full frame that is every
+        multivector.
         """
         w = self._volume_inverse.reverse()
-        D = Multivector._make(w.algebra, self.volume._coerce(A)._terms) * w
+        D = Multivector._make(w.algebra, self.vectors[0]._coerce(A)._terms) * w
         full = (1 << len(self)) - 1
         out = {}
         for subset, mask in self._subsets():
-            c = _dual_sign(mask) * D.scalar_product(self._blades[full ^ mask])
+            c = _dual_sign(mask) * self._blades[full ^ mask].scalar_product(D)
             size = math.hypot(*self._blades[mask]._terms.values())
             if abs(c) * size > self.algebra.tolerance:
                 out[subset] = c
@@ -122,7 +141,7 @@ class Frame:
         AlgebraMismatch for a foreign A and GradeError for mixed-grade input.
         """
         blades, k, w = self._blades, len(self), self._volume_inverse
-        A = Multivector._make(w.algebra, self.volume._coerce(A)._terms)
+        A = Multivector._make(w.algebra, self.vectors[0]._coerce(A)._terms)
         if len(A.grades) > 1:
             raise GradeError(f"expand_by_vectors needs homogeneous input, got {A}")
         return _linear_combination(self.algebra, (

@@ -8,6 +8,8 @@ once, in a lazy _Wedges memo in the tolerance-0 twin; results are pruned once.
 The determinant is the twin's coefficient of F(I) = det(F) I. The inverse is
 read off the reciprocal frame of the images, f^k = (-1)^(k-1)
 F(e_([n] without k)) F(I)^-1, with Frame's expression and singularity rule.
+factor_isometry reflects the working images in each mirror u in closed form,
+x - (2 u.x / u^2) u, so they stay vectors by construction.
 Everything is computed through the algebra rather than through matrix
 decompositions, except the eigenframe of a symmetric map, which delegates to
 numpy's symmetric eigensolver. numpy is imported inside that method, on its
@@ -228,16 +230,21 @@ def factor_isometry(F):
     factors = []
 
     def pull_back(c):
-        """Record the reflection x -> -c x c^-1 and compose it onto the working map."""
+        """Record the mirror u = c / |c| and reflect the working images in it.
+
+        The reflection -u x u^-1 of a vector x is x - (2 u.x / u^2) u, so the
+        images stay vectors.
+        """
         unit = c / math.sqrt(abs(c.norm_squared()))
         factors.append(unit)
-        inverse = unit.inverse()
-        for idx in range(alg.n):
-            current[idx] = -(unit * current[idx] * inverse)
+        square = unit.norm_squared()
+        for idx, x in enumerate(current):
+            current[idx] = _linear_combination(
+                alg, ((1.0, x._terms), (-2.0 * unit.scalar_product(x) / square, unit._terms)))
 
     for i in range(alg.n):
         target = alg.basis_vector(i + 1)
-        g = current[i].grade(1)  # mixed signature: the reflections leave grade-3, -5 roundoff
+        g = current[i]
         if g.isclose(target, tol=tol):
             continue
         c = g - target

@@ -8,6 +8,12 @@ throughout: a versor V of parity m acts on X as
     V(X) = V ghat(X) V^-1      (m odd, ghat = grade involution)
 
 which makes every versor action grade-preserving and outermorphic.
+Projection, rejection, reflection and the versor action each keep the grades
+of A, so their last product computes only those grades (_graded_product in
+the algebra module): the result is the full sandwich's terms at A's grades,
+bit for bit, and the roundoff the full product leaves in the other grades
+(odd grades of a vector moved by a large mixed-signature versor) is never
+formed.
 
 apply_versor (and so rotate) checks V and inverts it on its first call with
 that object and keeps V^-1 in V's private _versor_inverse slot, so that
@@ -17,7 +23,8 @@ every call. Nothing else reads the slot, and nothing is kept by value.
 gram_schmidt builds b_j in place of a_j in a _Wedges memo and prunes it once.
 """
 
-from .algebra import GradeError, Multivector, NotInvertible, _negligible, _Wedges
+from .algebra import (GradeError, Multivector, NotInvertible, _graded_product, _negligible,
+                      _Wedges)
 
 
 def _blade_inverse(B, what):
@@ -35,7 +42,8 @@ def _blade_inverse(B, what):
 def project(A, B):
     """Projection of A onto the subspace of the invertible blade B: (A .| B) B^-1."""
     inverse = _blade_inverse(B, "projection target")
-    return A.left_contract(B) * inverse
+    A = B._coerce(A)
+    return _graded_product(A.left_contract(B), inverse, A.grades)
 
 
 def reject(A, B):
@@ -44,7 +52,8 @@ def reject(A, B):
     For vectors this is A - project(A, B), the component orthogonal to B.
     """
     inverse = _blade_inverse(B, "rejection target")
-    return (A ^ B) * inverse
+    A = B._coerce(A)
+    return _graded_product(A ^ B, inverse, A.grades)
 
 
 def reflect(A, B):
@@ -54,9 +63,10 @@ def reflect(A, B):
     complement stays); for a hyperplane use the blade of the hyperplane.
     """
     inverse = _blade_inverse(B, "mirror")
+    A = B._coerce(A)
     r = next(iter(B.grades))
     moved = A.grade_involution() if r & 1 else A
-    return B * moved * inverse
+    return _graded_product(B * moved, inverse, A.grades)
 
 
 def apply_versor(A, V):
@@ -75,8 +85,9 @@ def apply_versor(A, V):
         if not V.is_versor():
             raise GradeError(f"not a versor (mixed parity, or V reverse(V) is not scalar): {V}")
         inverse = V._versor_inverse = V.inverse()
+    A = V._coerce(A)
     moved = A.grade_involution() if min(V.grades) & 1 else A
-    return V * moved * inverse
+    return _graded_product(V * moved, inverse, A.grades)
 
 
 def rotor_from_vectors(m, n):
@@ -119,7 +130,7 @@ def gram_schmidt(vectors):
     memo = _Wedges(alg, vectors)
     for j in range(len(vectors)):
         if j:
-            memo[1 << j] = ((memo[1 << j] ^ memo[(1 << j) - 1]) * inverse).grade(1)
+            memo[1 << j] = _graded_product(memo[1 << j] ^ memo[(1 << j) - 1], inverse, {1})
         inverse = memo.volume_inverse(j + 1)
         if inverse is None:
             raise NotInvertible("vectors are linearly dependent, or span a null blade")

@@ -363,6 +363,26 @@ def test_small_algebras_never_take_the_numpy_branch(p, q, monkeypatch):
         assert oracles.max_coeff_diff(got, oracle(full, full, alg.metric)) < 1e-12
 
 
+@pytest.mark.parametrize("p, q", [(p, n - p) for n in range(1, 7) for p in range(n + 1)]
+                         + [(4, 3)])
+def test_graded_product_is_the_filtered_geometric_product(p, q):
+    # up to n = 6 it sums only the blades of the grades when they are fewer
+    # than the right operand's terms; otherwise, and at n = 7, it filters
+    # the full product. Both give the full product's floats in its key order.
+    rng = random.Random(f"graded {p},{q}")
+    sides = set()
+    for tolerance in (algebra.DEFAULT_TOLERANCE, 0.0):
+        alg = Algebra(p, q, tolerance=tolerance)
+        for _ in range(30):
+            A, B = (gen.rand_mv(alg, rng, density=rng.choice((0.2, 0.5, 1.0)))
+                    for _ in range(2))
+            grades = {r for r in range(alg.n + 1) if rng.random() < 0.3}
+            sides.add(sum(math.comb(alg.n, r) for r in grades) < len(B._terms))
+            want = [(k, v) for k, v in (A * B)._terms.items() if k.bit_count() in grades]
+            assert list(algebra._graded_product(A, B, grades)._terms.items()) == want
+    assert sides == {True, False}
+
+
 def _linear_sign_mask(a, minus_mask, n):
     mask = a & minus_mask
     for shift in range(1, n):

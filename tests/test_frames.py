@@ -225,6 +225,24 @@ def test_each_frame_blade_is_wedged_once(p, q, monkeypatch):
     assert len(wedges) == built
 
 
+def test_a_round_trip_builds_no_reciprocal_blade(monkeypatch):
+    # volume and reciprocal are built on first access; components pairs
+    # with the frame blades and expand sums them, so neither needs a^I
+    calls = []
+    reciprocal_blade = Frame.reciprocal_blade
+    monkeypatch.setattr(Frame, "reciprocal_blade",
+                        lambda self, subset: calls.append(subset) or reciprocal_blade(self, subset))
+    rng = random.Random("lazy frame")
+    alg = Algebra(3, 3)
+    f = skewed_frame(alg, rng)
+    a = gen.rand_mv(alg, rng)
+    assert f.expand(f.components(a)).max_coeff_diff(a) < 1e-8
+    assert calls == []
+    assert len(f.reciprocal) == 6 and len(calls) == 6
+    assert f.reciprocal is f.reciprocal and len(calls) == 6
+    assert f.volume == f.blade(range(1, 7))
+
+
 SIGNATURES = [(n - q, q) for n in range(1, 7) for q in range(n + 1)]
 
 

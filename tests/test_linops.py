@@ -430,8 +430,10 @@ def check_factored(f, v, factors):
 
 
 def test_factor_random_euclidean_isometries():
+    # the mirrors reflect the working images in closed form; W ghat^m(e_i) W^-1
+    # still rebuilds F(e_i) at n = 6, with up to six mirrors
     rng = random.Random(19)
-    for alg in (E2, E3, Algebra(4, 0)):
+    for alg in (E2, E3, Algebra(4, 0), Algebra(6, 0)):
         for _ in range(10):
             f = versor_map(alg, rng, rng.randrange(1, alg.n + 1))
             v, factors = factor_isometry(f)

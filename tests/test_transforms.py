@@ -9,11 +9,13 @@ from gacalc import (
     Algebra,
     Frame,
     GradeError,
+    LinearMap,
     Multivector,
     NonFiniteError,
     NotInvertible,
     apply_versor,
     exp_bivector,
+    factor_isometry,
     gram_schmidt,
     project,
     reflect,
@@ -21,6 +23,7 @@ from gacalc import (
     rotate,
     rotor_from_vectors,
 )
+from gacalc import algebra
 
 import gen
 
@@ -104,6 +107,14 @@ def test_transform_argument_validation():
         project(STA.basis_vector(1), STA.vector([1.0, 1.0, 0.0, 0.0]))
     with pytest.raises(TypeError):
         reject(a, 2.0)
+    # a real A is the scalar it names, which every one of them keeps
+    two = E3.scalar(2.0)
+    plane, rotor = E3.blade((1, 2)), exp_bivector(E3.blade((1, 2)), 0.6)
+    for moved in (project(2.0, plane), reject(2.0, plane), reflect(2, a), reflect(2.0, plane),
+                  apply_versor(2.0, a), rotate(2.0, rotor)):
+        assert moved.isclose(two, tol=1e-12)
+    with pytest.raises(TypeError):
+        apply_versor("x", rotor)
 
 
 @pytest.mark.parametrize("transform, what", [
@@ -271,6 +282,28 @@ def test_apply_versor_results_match_the_sandwich_bit_for_bit():
                             assert list(got._terms.items()) == list(want._terms.items())
 
 
+def test_a_large_mixed_signature_versor_moves_vectors_to_vectors():
+    # ten mirrors in Cl(3,3): the full sandwich V e1 V^-1 carried
+    # 1.15e-10 e12345 on an image of scale 3.9e3, and LinearMap refused it
+    alg = Algebra(3, 3)
+    rng = random.Random(6)
+    count, mirrors = rng.randint(1, 12), []
+    while len(mirrors) < count:  # mirrors with |v^2| >= 1e-3
+        v = alg.vector([rng.uniform(-1, 1) for _ in range(alg.n)])
+        if abs(v.norm_squared()) >= 1e-3:
+            mirrors.append(v)
+    assert count == 10
+    V = math.prod(mirrors, start=alg.scalar(1.0))
+    basis = [alg.basis_vector(i) for i in range(1, alg.n + 1)]
+    images = [apply_versor(e, V) for e in basis]
+    assert all(image.grades == {1} for image in images)
+    w, factors = factor_isometry(LinearMap(alg, images))
+    assert len(factors) == 6
+    for e, image in zip(basis, images):
+        biggest = max(map(abs, image.terms.values()))
+        assert apply_versor(e, w).max_coeff_diff(image) < 1e-6 * biggest
+
+
 def test_a_failed_versor_check_is_not_kept(monkeypatch):
     checks = []
     is_versor = Multivector.is_versor
@@ -375,6 +408,53 @@ def test_rotations_by_huge_boosts_raise_or_are_isometries():
         size = sum(c * c for c in moved.terms.values())
         assert abs(moved.norm_squared() - x.norm_squared()) <= 1e-6 * max(1.0, size)
     assert raised
+
+
+SIGNATURES = [(p, n - p) for n in range(1, 7) for p in range(n + 1)]
+
+
+def _graded(product, grades):
+    return [(k, v) for k, v in product._terms.items() if k.bit_count() in grades]
+
+
+def _gram_schmidt_by_full_products(vectors):
+    """gram_schmidt with each rejection's full product cut to grade 1."""
+    memo = algebra._Wedges(vectors[0].algebra, vectors)
+    for j in range(len(vectors)):
+        if j:
+            memo[1 << j] = ((memo[1 << j] ^ memo[(1 << j) - 1]) * inverse).grade(1)
+        inverse = memo.volume_inverse(j + 1)
+        if inverse is None:
+            raise NotInvertible("dependent or null")
+    return [Multivector._make(vectors[0].algebra, memo[1 << j]._terms)
+            for j in range(len(vectors))]
+
+
+@pytest.mark.parametrize("p, q", SIGNATURES)
+def test_blade_transforms_and_gram_schmidt_keep_the_input_grades(p, q):
+    # each one's last product computes only the grades of its input: the
+    # full product's terms there, bit for bit and in its key order
+    rng = random.Random(f"input grades {p},{q}")
+    alg = Algebra(p, q)
+    for r in range(1, alg.n + 1):
+        B = gen.rand_invertible_blade(alg, rng, r)
+        inverse = B.inverse()
+        for A in (gen.rand_vector(alg, rng), gen.rand_mv(alg, rng)):
+            moved = A.grade_involution() if r & 1 else A
+            for got, full in ((reflect(A, B), B * moved * inverse),
+                              (project(A, B), A.left_contract(B) * inverse),
+                              (reject(A, B), (A ^ B) * inverse)):
+                assert got.grades <= A.grades
+                assert list(got._terms.items()) == _graded(full, A.grades)
+    for k in range(1, alg.n + 1):
+        vectors = [gen.rand_vector(alg, rng) for _ in range(k)]
+        try:
+            want = _gram_schmidt_by_full_products(vectors)
+        except NotInvertible:
+            continue
+        got = gram_schmidt(vectors)
+        assert all(b.grades <= {1} for b in got)
+        assert [list(b._terms.items()) for b in got] == [list(b._terms.items()) for b in want]
 
 
 def test_gram_schmidt_orthogonalizes():
