@@ -11,16 +11,22 @@ F(e_([n] without k)) F(I)^-1, with Frame's expression and singularity rule.
 factor_isometry reflects the working images in each mirror u in closed form,
 x - (2 u.x / u^2) u, so they stay vectors by construction.
 Everything is computed through the algebra rather than through matrix
-decompositions, except the eigenframe of a symmetric map, which delegates to
-numpy's symmetric eigensolver. numpy is imported inside that method, on its
-first call, so importing this module (and gacalc) does not load it.
+decompositions, except the eigenframe of a symmetric map: cyclic Jacobi
+(Golub & Van Loan, Matrix Computations, 8.5) diagonalises its matrix by plane
+rotations in pure Python, so this module never imports numpy.
 """
 
 import math
 
-from .algebra import GAError, GradeError, Multivector, _linear_combination, _Wedges
+from .algebra import (GAError, GradeError, Multivector, NonFiniteError, _linear_combination,
+                      _Wedges)
 
 _ISOMETRY_SLACK = 1e4
+# Jacobi stops once the off-diagonal sum of squares is below this share of
+# the whole matrix's, and gives up after this many sweeps (random n = 12
+# maps need at most seven).
+_JACOBI_OFF = 1e-32
+_JACOBI_SWEEPS = 50
 
 
 class OperatorError(GAError):
@@ -189,10 +195,14 @@ class LinearMap:
     def symmetric_eigenframe(self):
         """Eigenvalues and an orthonormal eigenvector frame of a symmetric map.
 
-        Euclidean signature only (q = 0); delegates to numpy.linalg.eigh.
-        Returns (eigenvalues, eigenvectors) with F(v_k) = lambda_k v_k,
-        eigenvalues ascending. Raises OperatorError for non-Euclidean
-        algebras or non-symmetric maps.
+        Euclidean signature only (q = 0). Cyclic Jacobi on the lower triangle
+        of matrix(), scaled exactly, by a power of two, so that no entry
+        exceeds 1 and no intermediate overflows. Returns (eigenvalues,
+        eigenvectors) with F(v_k) = lambda_k v_k, eigenvalues ascending, each
+        eigenvector's sign arbitrary. Raises OperatorError for non-Euclidean
+        algebras, non-symmetric maps, or no convergence within _JACOBI_SWEEPS
+        sweeps, and NonFiniteError when an eigenvalue overflows on scaling
+        back.
         """
         alg = self.algebra
         if alg.q != 0:
@@ -200,12 +210,42 @@ class LinearMap:
                                 "signature only")
         if any(img for img in self.skew_part().images):
             raise OperatorError("map is not symmetric")
-        import numpy as np
-
-        M = np.array(self.matrix(), dtype=float)
-        values, vecs = np.linalg.eigh(M)
-        eigenvectors = [alg.vector(vecs[:, k]) for k in range(alg.n)]
-        return [float(v) for v in values], eigenvectors
+        n = alg.n
+        m = self.matrix()
+        scale = math.frexp(max((abs(x) for row in m for x in row), default=0.0))[1]
+        a = [[math.ldexp(m[max(i, j)][min(i, j)], -scale) for j in range(n)] for i in range(n)]
+        v = [[float(i == j) for j in range(n)] for i in range(n)]  # eigenvectors as columns
+        total = sum(x * x for row in a for x in row)
+        for _ in range(_JACOBI_SWEEPS):
+            if sum(a[p][q] ** 2 for q in range(n) for p in range(q)) <= _JACOBI_OFF * total:
+                break
+            for p in range(n - 1):
+                rp = a[p]
+                for q in range(p + 1, n):
+                    apq, rq = rp[q], a[q]
+                    if not apq:
+                        continue
+                    # the rotation J in the (p, q) plane with (J^T A J)_pq = 0
+                    tau = (rq[q] - rp[p]) / (2.0 * apq)
+                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                    c = 1.0 / math.hypot(1.0, t)
+                    s = t * c
+                    app, aqq = rp[p] - t * apq, rq[q] + t * apq
+                    for r, (ar, vr) in enumerate(zip(a, v)):  # columns p, q of A and V
+                        x, y = ar[p], ar[q]
+                        ar[p] = rp[r] = c * x - s * y
+                        ar[q] = rq[r] = s * x + c * y  # and rows p, q of A
+                        x, y = vr[p], vr[q]
+                        vr[p], vr[q] = c * x - s * y, s * x + c * y
+                    rp[p], rp[q], rq[p], rq[q] = app, 0.0, 0.0, aqq
+        else:
+            raise OperatorError(f"Jacobi did not converge in {_JACOBI_SWEEPS} sweeps")
+        try:
+            values = [math.ldexp(a[k][k], scale) for k in range(n)]
+        except OverflowError:
+            raise NonFiniteError("an eigenvalue overflows") from None
+        order = sorted(range(n), key=values.__getitem__)
+        return [values[k] for k in order], [alg.vector([row[k] for row in v]) for k in order]
 
 
 def factor_isometry(F):

@@ -344,8 +344,9 @@ def test_small_algebras_do_not_load_numpy(algebra):
     assert (r.returncode, r.stderr) == (0, "")
 
 
-# Every product, frame, outermorphism and rotation below runs with n <= 6, where
-# no code path may import numpy; the results are checked against the oracles.
+# Every product, frame, outermorphism, rotation and eigenframe below runs with
+# n <= 6, where no code path may import numpy; the results are checked against
+# the oracles.
 _WITHOUT_NUMPY = """
 import itertools, math, random, sys
 sys.modules["numpy"] = None  # "import numpy" now raises ImportError
@@ -426,6 +427,17 @@ for p, q in ((6, 0), (4, 1), (3, 3)):
     R = bivector.exp()
     assert close(rotate(x, R), sandwich(R, x))
 
+# a Cl(4,0) eigenframe: F(v) = lambda v for an orthonormal frame, values ascending
+alg = Algebra(4, 0)
+rng = random.Random("without numpy eigenframe")
+F = LinearMap(alg, [alg.vector([rng.uniform(-2, 2) for _ in range(4)])
+                    for _ in range(4)]).symmetric_part()
+values, vectors = F.symmetric_eigenframe()
+assert values == sorted(values)
+for lam, v in zip(values, vectors):
+    assert F(v).isclose(v * lam, tol=1e-12)
+    assert all(abs(v.scalar_product(u) - (u is v)) <= 1e-12 for u in vectors)
+
 assert sys.modules.pop("numpy") is None and "numpy" not in sys.modules
 print("ok")
 """
@@ -444,7 +456,8 @@ def test_import_does_not_load_numpy():
             "F = gacalc.LinearMap.diagonal(alg, [3, 1, 2])\n"
             "values, vectors = F.symmetric_eigenframe()\n"
             "assert all(F(v).isclose(v * x) for x, v in zip(values, vectors))\n"
-            "print(values)\n")
+            "print(values)\n"
+            "assert 'numpy' not in sys.modules\n")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        timeout=120)
     assert (r.returncode, r.stderr, r.stdout) == (0, "", "[1.0, 2.0, 3.0]\n")

@@ -10,11 +10,13 @@ from gacalc import (
     Algebra,
     Frame,
     LinearMap,
+    NonFiniteError,
     OperatorError,
     apply_versor,
     exp_bivector,
     factor_isometry,
 )
+from gacalc import linops
 
 import gen
 import oracles
@@ -358,6 +360,107 @@ def test_symmetric_eigenframe_requires_euclidean_symmetric():
     skew = LinearMap(E2, [E2.basis_vector(2), -E2.basis_vector(1)])
     with pytest.raises(OperatorError):
         skew.symmetric_eigenframe()
+
+
+def rand_symmetric(n, rng, lo=-1.0, hi=1.0):
+    m = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            m[i][j] = m[j][i] = rng.uniform(lo, hi)
+    return m
+
+
+def assert_eigenframe(matrix, values, vectors, tol):
+    """Ascending values, |M v_k - lambda_k v_k| <= tol and an orthonormal frame."""
+    n = len(matrix)
+    assert values == sorted(values)
+    assert all(type(lam) is float for lam in values)
+    for lam, v in zip(values, vectors):
+        assert v.grades <= {1}
+        c = [v.coefficient((i + 1,)) for i in range(n)]
+        residual = [sum(matrix[i][j] * c[j] for j in range(n)) - lam * c[i] for i in range(n)]
+        assert math.hypot(*residual) <= tol
+    for i, u in enumerate(vectors):
+        for j, v in enumerate(vectors):
+            assert abs(u.scalar_product(v) - (i == j)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_symmetric_eigenframe_matches_eigvalsh(n):
+    alg = Algebra(n, 0)
+    rng = random.Random(f"jacobi {n}")
+    for _ in range(10):
+        m = rand_symmetric(n, rng)
+        values, vectors = LinearMap.from_matrix(alg, m).symmetric_eigenframe()
+        want = np.linalg.eigvalsh(np.array(m))
+        radius = max(map(abs, want))
+        assert max(abs(a - b) for a, b in zip(values, want)) <= 1e-12 * radius
+        assert_eigenframe(m, values, vectors, 1e-12 * radius)
+
+
+@pytest.mark.parametrize("diagonal, values", [
+    pytest.param([1.0] * 4, [1.0] * 4, id="identity"),
+    pytest.param([2.0, -1.0, 2.0, 2.0], [-1.0, 2.0, 2.0, 2.0], id="repeated"),
+    pytest.param([0.0] * 3, [0.0] * 3, id="zero"),
+    pytest.param([-3.0], [-3.0], id="n=1"),
+])
+def test_symmetric_eigenframe_degenerate_diagonal(diagonal, values):
+    alg = Algebra(len(diagonal), 0)
+    m = [[d if i == j else 0.0 for j in range(len(diagonal))] for i, d in enumerate(diagonal)]
+    got, vectors = LinearMap.from_matrix(alg, m).symmetric_eigenframe()
+    assert got == values
+    assert_eigenframe(m, got, vectors, 0.0)
+
+
+def test_symmetric_eigenframe_of_the_scalar_algebra_is_empty():
+    assert LinearMap(Algebra(0, 0), []).symmetric_eigenframe() == ([], [])
+
+
+def test_symmetric_eigenframe_rank_one():
+    u = [1.0, -2.0, 0.5, 3.0, 1.5]
+    m = [[a * b for b in u] for a in u]
+    values, vectors = LinearMap.from_matrix(Algebra(5, 0), m).symmetric_eigenframe()
+    square = sum(a * a for a in u)
+    assert values[-1] == pytest.approx(square, rel=1e-14)
+    assert max(map(abs, values[:-1])) <= 1e-14 * square
+    assert_eigenframe(m, values, vectors, 1e-13 * square)
+    top = [vectors[-1].coefficient((i + 1,)) for i in range(5)]
+    assert abs(sum(a * b for a, b in zip(top, u))) == pytest.approx(math.sqrt(square))
+
+
+@pytest.mark.parametrize("shift", [400, -400])
+def test_symmetric_eigenframe_scales_exactly(shift):
+    # tolerance 0, so that 2^-400 entries are not pruned away
+    alg = Algebra(5, 0, tolerance=0.0)
+    m = rand_symmetric(5, random.Random(5))
+    values, vectors = LinearMap.from_matrix(alg, m).symmetric_eigenframe()
+    scaled = [[math.ldexp(x, shift) for x in row] for row in m]
+    got, got_vectors = LinearMap.from_matrix(alg, scaled).symmetric_eigenframe()
+    assert got == [math.ldexp(lam, shift) for lam in values]
+    assert got_vectors == vectors
+
+
+def test_symmetric_eigenframe_near_overflow():
+    # the difference of the diagonal and the eigenvalues themselves stay finite
+    f = LinearMap.from_matrix(E2, [[1e308, 1e300], [1e300, -1e308]])
+    values, vectors = f.symmetric_eigenframe()
+    assert values == [-1e308, 1e308]
+    assert abs(vectors[0].coefficient((2,))) == 1.0
+    assert abs(vectors[1].coefficient((1,))) == 1.0
+
+
+def test_symmetric_eigenframe_overflowing_eigenvalue():
+    f = LinearMap.from_matrix(E2, [[1e308, 1e308], [1e308, 1e308]])  # eigenvalue 2e308
+    with pytest.raises(NonFiniteError):
+        f.symmetric_eigenframe()
+
+
+def test_symmetric_eigenframe_raises_without_convergence(monkeypatch):
+    monkeypatch.setattr(linops, "_JACOBI_SWEEPS", 1)
+    f = LinearMap.from_matrix(E2, [[1.0, 1.0], [1.0, 2.0]])
+    with pytest.raises(OperatorError, match="did not converge"):
+        f.symmetric_eigenframe()
+    assert LinearMap.diagonal(E2, [2.0, 1.0]).symmetric_eigenframe()[0] == [1.0, 2.0]
 
 
 # -- eigenblades ------------------------------------------------------------------------
