@@ -68,15 +68,23 @@ never formed. Otherwise it forms the full product and filters it.
 A composite (the exp series of a bivector that is not a blade, and the blades
 a_S of vectors, their volume test and their reciprocals, kept in one _Wedges
 memo for Frame, LinearMap and gram_schmidt) is built in the algebra's twin
-with tolerance 0 and pruned once, on return. Twin objects never reach a
-residue test, which would read tolerance 0. A residue (u ^ A in is_blade, the
-non-scalar part of A reverse(A), B ^ B, or |A|^2 in inverse()) is roundoff
-when it is at most tol * (sum of A's squared coefficients). The wedge V of
-vectors v_i is singular when it is null by that rule, or when the vectors are
-dependent, |V| <= tol * prod |v_i|, with Hadamard's bound prod |v_i| on |V|
-and |.| the coefficient norm. is_blade and is_versor form their residues from
-A scaled by a power of two to a sum of at least 1, so the prune cannot hide
-them.
+with tolerance 0 and pruned once, on return.
+
+Every verdict that a residue is roundoff is _negligible's, read at the
+algebra's tolerance tol: a residue R formed from an object X is roundoff when
+no coefficient of R exceeds tol * |X|^d, with |.| the coefficient norm and d
+the degree of R in X. d = 1 for a residue linear in X: F + Fbar or F - Fbar
+against the matrix of a map F, and F(A) - lambda A against F(A) in
+eigenblade_check. d = 2 for a quadratic one: u ^ A in is_blade, the
+non-scalar part of A reverse(A), B ^ B in exp, and |A|^2 in inverse() and
+rotor_from_vectors. A wedge is also roundoff when its norm is, with d = 1,
+against Hadamard's bound on it, sum |c| prod |v_i| for the wedges
+c v_1 ^ ... ^ v_k it sums (_hadamard_negligible): so vectors are dependent,
+and F(A) is 0 in eigenblade_check. The wedge V of vectors v_i is singular
+when <reverse(V) V>_0 is roundoff, or when the vectors are dependent.
+is_blade and is_versor form their residues from A scaled by a power of two
+to a sum of at least 1, so the prune cannot hide them; eigenblade_check
+forms its residues in the twin.
 
 A coefficient that is NaN or infinite (an overflow, or an inf/nan input)
 raises NonFiniteError wherever terms are pruned, instead of being pruned
@@ -341,12 +349,38 @@ def _pruned(raw, tol):
     return terms
 
 
-def _negligible(residue, a):
-    """True when no value in residue exceeds tol * (sum of a_i^2)."""
-    if not residue:  # the common case forms no sum
+def _negligible(residue, reference, tol, degree):
+    """True when no value in residue exceeds tol * |reference|^degree: the residue is roundoff.
+
+    |.| is the coefficient norm, and degree is the residue's degree in the
+    reference: 1 for a residue linear in it (F + Fbar, F(A) - lambda A), 2
+    for one quadratic in it (A reverse(A), u ^ A, B ^ B, |A|^2). residue
+    and reference are sequences or dict views of finite values, read twice
+    when |reference| overflows. A bound above the largest float exceeds
+    every finite residue.
+    """
+    if not residue:  # the common case forms no norm
         return True
-    size = math.hypot(*a._terms.values())
-    return max(map(abs, residue)) <= a.algebra.tolerance * size * size
+    size = math.hypot(*reference)
+    if size == _INF:  # at most 4096 finite values: their norm at 2^-64 is finite
+        return _negligible([math.ldexp(x, -64 * degree) for x in residue],
+                           [math.ldexp(x, -64) for x in reference], tol, degree)
+    return max(map(abs, residue)) <= (tol * size if degree == 1 else tol * size * size)
+
+
+def _hadamard_negligible(size, terms, tol):
+    """True when size, the norm of a sum of wedges, is roundoff against Hadamard's bound on it.
+
+    Each wedge c v_1 ^ ... ^ v_k of the sum is given as its finite factors
+    |c| (left out where c = 1), |v_1|, ..., |v_k|, and the bound is the sum
+    of their products. It is linear in each term's largest factor, so where
+    it overflows, those factors and size are scaled alike by 2^-512.
+    """
+    bound = sum(map(math.prod, terms))
+    if bound == _INF:
+        return _hadamard_negligible(math.ldexp(size, -512), [
+            [*t[:-1], math.ldexp(t[-1], -512)] for t in map(sorted, terms)], tol)
+    return _negligible((size,), (bound,), tol, 1)
 
 
 def _unit_scaled(a):
@@ -719,7 +753,7 @@ class Multivector:
         n2 = self._pairing(self)
         if not -_INF < n2 < _INF:  # NaN too
             raise NonFiniteError(f"|A|^2 is not finite: {n2!r}")
-        if _negligible((n2,), self):
+        if _negligible((n2,), self._terms.values(), self.algebra.tolerance, 2):
             raise NotInvertible(f"null versor has no inverse: {self}")
         return self.reverse() / n2
 
@@ -754,7 +788,7 @@ class Multivector:
         top = max(a._terms, key=lambda k: abs(a._terms[k]))
         for bit in (1 << i for i in range(n) if top >> i & 1):
             u = Multivector._make(a.algebra, {top ^ bit: 1.0}).left_contract(a)
-            if not _negligible((u ^ a)._terms.values(), a):
+            if not _negligible((u ^ a)._terms.values(), a._terms.values(), a.algebra.tolerance, 2):
                 return False
         return True
 
@@ -767,7 +801,8 @@ class Multivector:
         if len({k.bit_count() & 1 for k in self._terms}) != 1:  # zero has no parity
             return False
         a = _unit_scaled(self)
-        return _negligible((a * a.reverse()).grade_nonscalar()._terms.values(), a)
+        return _negligible((a * a.reverse()).grade_nonscalar()._terms.values(), a._terms.values(),
+                           a.algebra.tolerance, 2)
 
     # -- exponential ------------------------------------------------------------
 
@@ -784,9 +819,9 @@ class Multivector:
                              f"{sorted(self.grades)}")
         one = self.algebra.scalar(1.0)
         square = self * self
-        if _negligible(square.grade(4)._terms.values(), self):
+        tol = self.algebra.tolerance
+        if _negligible(square.grade(4)._terms.values(), self._terms.values(), tol, 2):
             beta = square.scalar_part
-            tol = self.algebra.tolerance
             if beta > tol:
                 w = math.sqrt(beta)
                 try:
@@ -883,9 +918,9 @@ class _Wedges(dict):
         """V^-1 for V = a_1 ^ ... ^ a_k, or None when V is singular by the module's wedge rule."""
         volume = self[(1 << k) - 1]
         n2 = volume.norm_squared()
-        size = math.hypot(*volume._terms.values())
         tol = self.algebra.tolerance
-        if size <= tol * math.prod(self._norms[:k]) or abs(n2) <= tol * size * size:
+        if (_hadamard_negligible(math.hypot(*volume._terms.values()), [self._norms[:k]], tol)
+                or _negligible((n2,), volume._terms.values(), tol, 2)):
             return None
         return volume.reverse() / n2
 

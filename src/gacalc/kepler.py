@@ -25,7 +25,7 @@ any. conserved() and each CSV row take L, e and E from one float kernel.
 import math
 from dataclasses import dataclass
 
-from .algebra import GAError, Multivector, NonFiniteError
+from .algebra import Algebra, GAError, Multivector, NonFiniteError
 
 CSV_HEADER = ("t", "rx", "ry", "rz", "vx", "vy", "vz",
               "L_yz", "L_zx", "L_xy", "ex", "ey", "ez", "E")
@@ -131,7 +131,11 @@ def _csv_row(t, rx, ry, rz, vx, vy, vz, m, k, tol):
     sets to 0.0 each value that the Multivector step would prune (|x| <=
     tol), so L, e and E are the Multivector results bit for bit. |r| comes
     from a sum of squares, rescaled where it is below _TINY. Raises
-    NonFiniteError when e, |r|^2, |L|^2 or E is not finite.
+    NonFiniteError when e, |r|^2, |L|^2 or E is not finite. Its message is
+    the Multivector steps' own: on that rare path the row runs them, and
+    the product loop names the first coefficient that is not finite, in the
+    order it meets the blades. When every step is finite, the message says
+    that |r|^2, |L|^2 or E overflows.
     """
     m, k = float(m), float(k)
     rx = 0.0 if abs(rx) <= tol else rx
@@ -171,28 +175,12 @@ def _csv_row(t, rx, ry, rz, vx, vy, vz, m, k, tol):
     # a coefficient that is not finite is kept by every step and reaches e
     if not (math.isfinite(ex) and math.isfinite(ey) and math.isfinite(ez)
             and rsq < _INF and lsq < _INF and -_INF < energy < _INF):
-        raise _nonfinite_error((rx, ry, rz), (vx, vy, vz), (
-            {3: w12, 5: w13, 6: w23}, {3: l12, 5: l13, 6: l23},
-            {1: c1, 2: c2, 4: c3}, {1: lv1, 2: lv2, 4: lv3}))
+        # the steps r ^ v, L = (r ^ v) m, L |. v and L |. v / k as Multivectors
+        algebra = Algebra(3, 0, tolerance=tol)
+        r, v = algebra.vector((rx, ry, rz)), algebra.vector((vx, vy, vz))
+        ((r ^ v) * m).right_contract(v) / k
+        raise NonFiniteError(_OVERFLOW)
     return t, rx, ry, rz, vx, vy, vz, l23, -l13, l12, ex, ey, ez, energy
-
-
-def _nonfinite_error(r, v, steps):
-    """The error for a state whose e, |r|^2, |L|^2 or E is not finite.
-
-    The first value that is not finite in steps (r ^ v, L, L |. v, L |. v / k),
-    in the order the Multivector product loop meets their blades; else _OVERFLOW.
-    """
-    def met(left, right, keep):
-        return list(dict.fromkeys(a ^ b for a in left for b in right if keep(a, b)))
-    rb, vb = ([b for b, x in zip((1, 2, 4), u) if x] for u in (r, v))
-    wedge = met(rb, vb, lambda a, b: not a & b)
-    axes = met([b for b in wedge if steps[1][b]], vb, lambda a, b: a & b == b)
-    for order, values in zip((wedge, wedge, axes, axes), steps):
-        for x in (values[b] for b in order):
-            if not math.isfinite(x):
-                return NonFiniteError(f"coefficient is not finite: {x!r}")
-    return NonFiniteError(_OVERFLOW)
 
 
 def _radius_error(rsq, min2):

@@ -10,6 +10,13 @@ read off the reciprocal frame of the images, f^k = (-1)^(k-1)
 F(e_([n] without k)) F(I)^-1, with Frame's expression and singularity rule.
 factor_isometry reflects the working images in each mirror u in closed form,
 x - (2 u.x / u^2) u, so they stay vectors by construction.
+Whether F is symmetric or skew, and whether A is an eigenblade, are residue
+verdicts of degree 1 by the algebra module's rule: (F -+ Fbar) / 2, summed
+from halves, against the matrix of F, and F(A) - lambda A, formed in the
+twin, against F(A) (F(A) itself against Hadamard's bound on it, to find an
+eigenvalue 0). factor_isometry's tests are still absolute, at
+tolerance * _ISOMETRY_SLACK: the relative rule there turned roundoff-level
+image residues into extra mirrors.
 Everything is computed through the algebra rather than through matrix
 decompositions, except the eigenframe of a symmetric map: cyclic Jacobi
 (Golub & Van Loan, Matrix Computations, 8.5) diagonalises its matrix by plane
@@ -18,8 +25,8 @@ rotations in pure Python, so this module never imports numpy.
 
 import math
 
-from .algebra import (GAError, GradeError, Multivector, NonFiniteError, _linear_combination,
-                      _Wedges)
+from .algebra import (GAError, GradeError, Multivector, NonFiniteError, _hadamard_negligible,
+                      _linear_combination, _negligible, _Wedges)
 
 _ISOMETRY_SLACK = 1e4
 # Jacobi stops once the off-diagonal sum of squares is below this share of
@@ -82,11 +89,15 @@ class LinearMap:
 
     def __call__(self, A):
         """Apply the outermorphism to any multivector of the same algebra."""
+        return self._blades().combine(self._checked(A)._terms.items())
+
+    def _checked(self, A):
+        """A, once it is a Multivector of the map's algebra."""
         if not isinstance(A, Multivector):
             raise TypeError("LinearMap applies to Multivectors")
         if A.algebra != self.algebra:
             raise ValueError("multivector from a different algebra")
-        return self._blades().combine(A._terms.items())
+        return A
 
     def _blades(self):
         """The _Wedges memo of the images, whose entries are the F(e_S), made on first use."""
@@ -121,20 +132,35 @@ class LinearMap:
 
     def adjoint(self):
         """The metric adjoint Fbar with F(a) . b = a . Fbar(b) for all vectors."""
-        alg = self.algebra
-        metric = alg.metric
-        images = []
-        for j in range(alg.n):
-            comps = [metric[k] * metric[j] * self.images[k].coefficient((j + 1,))
-                     for k in range(alg.n)]
-            images.append(alg.vector(comps))
-        return LinearMap(alg, images)
+        return LinearMap.from_matrix(self.algebra, self._combined(0.0, 1.0)[1])
 
     def symmetric_part(self):
-        return (self + self.adjoint()).scale(0.5)
+        return LinearMap.from_matrix(self.algebra, self._combined(0.5, 0.5)[1])
 
     def skew_part(self):
-        return (self - self.adjoint()).scale(0.5)
+        return LinearMap.from_matrix(self.algebra, self._combined(0.5, -0.5)[1])
+
+    def _combined(self, a, b):
+        """The matrix m of F, and that of a F + b Fbar, pruned by neither.
+
+        Fbar's entries are eta_i eta_j m[j][i], with eta the metric. Each
+        entry of a F + b Fbar is summed from its two terms, so the halves of
+        the symmetric and skew parts do not overflow where F + Fbar would.
+        """
+        eta, m = self.algebra.metric, self.matrix()
+        return m, [[a * x + b * eta[i] * eta[j] * m[j][i] for j, x in enumerate(row)]
+                   for i, row in enumerate(m)]
+
+    def _split_matrix(self, sign, what):
+        """The matrix of F, once F = sign Fbar; raises OperatorError("map is not " + what).
+
+        F = sign Fbar when (F - sign Fbar) / 2 is roundoff against F by the
+        residue rule, with degree 1: the residue is linear in F.
+        """
+        m, residue = self._combined(0.5, -0.5 * sign)
+        if not _negligible(sum(residue, []), sum(m, []), self.algebra.tolerance, 1):
+            raise OperatorError(f"map is not {what}")
+        return m
 
     def skew_bivector(self):
         """The bivector A with F(x) = x .| A, for a skew map F.
@@ -143,8 +169,7 @@ class LinearMap:
         Raises OperatorError when F is not skew to tolerance.
         """
         alg = self.algebra
-        if any(img for img in self.symmetric_part().images):
-            raise OperatorError("map is not skew (symmetric part is nonzero)")
+        self._split_matrix(-1.0, "skew (its symmetric part is not roundoff)")
         return _linear_combination(alg, (
             (0.5 * alg.metric[i], (alg.basis_vector(i + 1) ^ self.images[i])._terms)
             for i in range(alg.n)))
@@ -161,8 +186,7 @@ class LinearMap:
 
         Raises OperatorError when F(I) is singular by the rule Frame uses for its volume.
         """
-        alg = self.algebra
-        blades = self._blades()
+        alg, blades = self.algebra, self._blades()
         volume_inverse = blades.volume_inverse(alg.n)
         if volume_inverse is None:
             raise OperatorError(f"map is singular (det = {self.determinant()!r})")
@@ -178,19 +202,27 @@ class LinearMap:
 
         lambda may legitimately be 0.0 (singular maps), so compare the
         result against None, not for truthiness. The volume element is an
-        eigenblade of every map, with eigenvalue det(F).
+        eigenblade of every map, with eigenvalue det(F). F(A) is formed in
+        the twin. It is 0, and lambda 0.0, when it is roundoff against
+        Hadamard's bound on it; otherwise A is an eigenblade when
+        F(A) - lambda A is roundoff against F(A). Neither verdict changes
+        when F is scaled by a power of two.
         """
-        if not A:
+        if not self._checked(A):
             raise ValueError("the zero multivector is not an eigenblade candidate")
-        B = self(A)
-        if not B:
+        blades, tol = self._blades(), self.algebra.tolerance
+        B = _linear_combination(blades[0].algebra, (  # F(A) in the twin
+            (c, blades[bits]._terms) for bits, c in A._terms.items()))
+        # F(A) = 0 when it is roundoff against sum |c_S| prod_(i in S) |F(e_i)|
+        if _hadamard_negligible(math.hypot(*B._terms.values()), [
+                [abs(c), *(x for i, x in enumerate(blades._norms) if bits >> i & 1)]
+                for bits, c in A._terms.items()], tol):
             return 0.0
         bits, coeff = max(A._terms.items(), key=lambda kv: abs(kv[1]))
         lam = B._terms.get(bits, 0.0) / coeff
-        tol = self.algebra.tolerance * max(1.0, abs(lam))
-        if B.isclose(A * lam, tol=tol):
-            return lam
-        return None
+        # (F(A) - lambda A) / 2, which does not overflow, against F(A) at tol / 2
+        half = _linear_combination(B.algebra, ((0.5, B._terms), (-0.5 * lam, A._terms)))._terms
+        return lam if _negligible(half.values(), B._terms.values(), 0.5 * tol, 1) else None
 
     def symmetric_eigenframe(self):
         """Eigenvalues and an orthonormal eigenvector frame of a symmetric map.
@@ -206,12 +238,8 @@ class LinearMap:
         """
         alg = self.algebra
         if alg.q != 0:
-            raise OperatorError("symmetric eigenframes are computed for Euclidean "
-                                "signature only")
-        if any(img for img in self.skew_part().images):
-            raise OperatorError("map is not symmetric")
-        n = alg.n
-        m = self.matrix()
+            raise OperatorError("symmetric eigenframes are computed for Euclidean signature only")
+        n, m = alg.n, self._split_matrix(1.0, "symmetric")
         scale = math.frexp(max((abs(x) for row in m for x in row), default=0.0))[1]
         a = [[math.ldexp(m[max(i, j)][min(i, j)], -scale) for j in range(n)] for i in range(n)]
         v = [[float(i == j) for j in range(n)] for i in range(n)]  # eigenvectors as columns

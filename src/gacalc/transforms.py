@@ -100,7 +100,7 @@ def rotor_from_vectors(m, n):
     for v, name in ((m, "m"), (n, "n")):
         if v.grades - {1}:
             raise GradeError(f"rotor factor {name} must be a vector, got {v}")
-        if _negligible((v.norm_squared(),), v):
+        if _negligible((v.norm_squared(),), v._terms.values(), v.algebra.tolerance, 2):
             raise NotInvertible(f"rotor factor {name} is null: {v}")
     return m * n
 

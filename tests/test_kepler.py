@@ -555,6 +555,40 @@ def test_write_csv_overflow_raises_nonfinite_error():
         write_csv([s], io.StringIO())
 
 
+def test_overflow_messages_follow_the_multivector_steps():
+    # the reported coefficient is the first one that is not finite in the
+    # order the product loop meets the blades of r ^ v, L, L |. v and L |. v / k
+    rng = random.Random("kepler overflow")
+
+    def vector():
+        size = 10.0 ** rng.uniform(100, 200)
+        return E3.vector([rng.choice((0.0, 1.0, -1.0)) * rng.uniform(1.0, 10.0) * size
+                          for _ in range(3)])
+
+    stages = set()
+    for _ in range(200):
+        r, v = vector(), vector()
+        m = 10.0 ** rng.uniform(-300, 100)
+        k = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-300, 300)
+        steps = (lambda: r ^ v, lambda: (r ^ v) * m, lambda: ((r ^ v) * m).right_contract(v),
+                 lambda: ((r ^ v) * m).right_contract(v) / k)
+        for stage, step in enumerate(steps):
+            try:
+                step()
+            except NonFiniteError:
+                stages.add(stage)
+                break
+        s = OrbitState(r, v, m, k)
+        try:
+            oracles.kepler_conserved(s)
+        except (SimulationError, NonFiniteError) as error:
+            for call in (lambda: conserved(s), lambda: write_csv([s], io.StringIO())):
+                with pytest.raises(type(error)) as raised:
+                    call()
+                assert str(raised.value) == str(error), (s, error)
+    assert stages == {0, 1, 2, 3}
+
+
 OVERFLOW = "orbit state overflows: |r|^2, |L|^2 or E is not finite"
 
 

@@ -328,6 +328,24 @@ def test_skew_bivector_rejects_symmetric_maps():
         LinearMap.diagonal(E3, [1.0, 2.0, 3.0]).skew_bivector()
 
 
+def test_symmetric_and_skew_parts_of_huge_maps_are_finite():
+    # F + Fbar was formed before halving, so entries near 1e308 overflowed
+    big = LinearMap.from_matrix(E2, [[1e308, 1e308], [-1e308, 1e308]])
+    assert big.symmetric_part().matrix() == [[1e308, 0.0], [0.0, 1e308]]
+    assert big.skew_part().matrix() == [[0.0, 1e308], [-1e308, 0.0]]
+    assert LinearMap.diagonal(E2, [1e308, 1e308]).symmetric_part().matrix() == [
+        [1e308, 0.0], [0.0, 1e308]]
+    for f in (big, LinearMap.from_matrix(E2, [[0.0, 1e308], [-1e308, 0.0]])):
+        with pytest.raises(OperatorError, match="not symmetric"):
+            f.symmetric_eigenframe()
+    # where nothing overflows, the parts are the halved sums as before
+    rng = random.Random(19)
+    for alg in (E3, STA):
+        f = rand_map(alg, rng)
+        assert f.symmetric_part().images == (f + f.adjoint()).scale(0.5).images
+        assert f.skew_part().images == (f - f.adjoint()).scale(0.5).images
+
+
 def test_symmetric_eigenframe_diagonal():
     f = LinearMap.diagonal(E3, [3.0, -1.0, 2.0])
     values, vectors = f.symmetric_eigenframe()
@@ -463,7 +481,110 @@ def test_symmetric_eigenframe_raises_without_convergence(monkeypatch):
     assert LinearMap.diagonal(E2, [2.0, 1.0]).symmetric_eigenframe()[0] == [1.0, 2.0]
 
 
+# -- verdicts at every scale ------------------------------------------------------------
+
+@pytest.mark.parametrize("method, message", [
+    ("symmetric_eigenframe", "map is not symmetric"),
+    ("skew_bivector", "map is not skew"),
+])
+def test_one_small_entry_is_neither_symmetric_nor_skew(method, message):
+    # the halved skew (or symmetric) part, 7.5e-11, fell to the prune
+    f = LinearMap.from_matrix(E2, [[0.0, 1.5e-10], [0.0, 0.0]])
+    with pytest.raises(OperatorError, match=message):
+        getattr(f, method)()
+
+
+def _split_maps(alg, rng):
+    """Metric-symmetric and skew maps, exact and with one entry moved by 1e-13 and 1e-7."""
+    n, eta = alg.n, alg.metric
+    maps = []
+    for sign in (1.0, -1.0):  # Fbar = sign F
+        m = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + (sign > 0)):
+                x = rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 1.0)
+                m[i][j], m[j][i] = x, sign * eta[i] * eta[j] * x
+        maps.append(m)
+        for moved in (1e-13, 1e-7):
+            m = [row[:] for row in m]
+            m[n - 1][0] *= 1.0 + moved
+            maps.append(m)
+    return maps
+
+
+def _refusals(f):
+    """Whether symmetric_eigenframe and skew_bivector raise OperatorError."""
+    out = []
+    for method in (f.symmetric_eigenframe, f.skew_bivector):
+        try:
+            method()
+        except OperatorError:
+            out.append(True)
+        else:
+            out.append(False)
+    return out
+
+
+@pytest.mark.parametrize("p, q", [(2, 0), (3, 0), (4, 0), (1, 3), (2, 2)])
+def test_split_and_eigenblade_answers_do_not_depend_on_scale(p, q):
+    # the split tests pruned the halved symmetric or skew part at the
+    # absolute tolerance, and eigenblade_check compared the pruned F(A) with
+    # lambda A at tol * max(1, |lambda|): small maps passed, large ones not
+    alg = Algebra(p, q)
+    rng = random.Random(f"linops scale {p},{q}")
+    e = [alg.basis_vector(i) for i in range(1, alg.n + 1)]
+    diagonal = [rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 1.0) for _ in range(alg.n)]
+    stretch = LinearMap.diagonal(alg, [1.0, 2.0] + diagonal[2:])
+    v, w = gen.rand_vector(alg, rng), gen.rand_vector(alg, rng)
+    flat = LinearMap(alg, [v, w, v + w, *rand_map(alg, rng).images][:alg.n])  # F(e123) = 0
+    maps = [LinearMap.from_matrix(alg, m) for m in _split_maps(alg, rng)]
+    maps += [LinearMap.diagonal(alg, diagonal), stretch, flat, rand_map(alg, rng)]
+    blades = [*e, e[0] + e[1] * 1e-5, e[0] ^ e[1], alg.I, gen.rand_vector(alg, rng)]
+    if alg.n > 2:
+        blades.append(e[0] ^ e[1] ^ e[2])
+    for f in maps:
+        refusals = _refusals(f)
+        values = [f.eigenblade_check(a) for a in blades]
+        for j in (-30, -20, -10, 10, 30, *rng.sample(range(-29, 30), 4)):
+            s = math.ldexp(1.0, j)
+            scaled = f.scale(s)
+            if any(len(a.terms) != len(b.terms) for a, b in zip(f.images, scaled.images)):
+                continue  # a coefficient fell to the prune
+            assert _refusals(scaled) == refusals, (f.matrix(), j)
+            for a, lam in zip(blades, values):
+                r = max(a.grades)
+                want = None if lam is None else math.ldexp(lam, j * r)
+                assert scaled.eigenblade_check(a) == want, (f.matrix(), a, j)
+    # the exact and 1e-13 maps pass their own test; the 1e-7 ones do not
+    if q == 0:
+        assert [_refusals(f)[0] for f in maps[:3]] == [False, False, True]
+    assert [_refusals(f)[1] for f in maps[3:6]] == [False, False, True]
+    # diag(s, 2s) moves e1 + 1e-5 e2 off its line, at every scale
+    assert stretch.eigenblade_check(e[0] + e[1] * 1e-5) is None
+    # F(e123) = v ^ w ^ (v + w) is roundoff in the twin: eigenvalue 0
+    if alg.n > 2:
+        assert flat.eigenblade_check(blades[-1]) == 0.0
+    # Hadamard's bound on F(e1 + e2), 2e308 and above, overflows; F(e1 + e2) does not
+    huge = LinearMap.diagonal(alg, [1e308] * alg.n)
+    huge_stretch = LinearMap.diagonal(alg, [1e308, 5e307] + [1e308] * (alg.n - 2))
+    for j in (0, -1, -30, *rng.sample(range(-29, -1), 2)):
+        s = math.ldexp(1.0, j)
+        assert huge.scale(s).eigenblade_check(e[0] + e[1]) == 1e308 * s, j
+        assert huge_stretch.scale(s).eigenblade_check(e[0] + e[1]) is None, j
+        assert huge.scale(-s).eigenblade_check(e[0] - e[1]) == -1e308 * s, j
+
+
 # -- eigenblades ------------------------------------------------------------------------
+
+def test_eigenblade_check_reads_an_overflowing_bound():
+    # Hadamard's bound on F(e1 + e2), sum |c_S| prod |F(e_i)| = 2e308,
+    # overflows while F(e1 + e2) is finite
+    e1, e2 = E2.basis_vector(1), E2.basis_vector(2)
+    f = LinearMap.diagonal(E2, [1e308, 1e308])
+    assert f.eigenblade_check(e1 + e2) == 1e308
+    assert f.eigenblade_check(e1 - e2 * 0.5) == 1e308
+    # F(A) - lambda A = -2e308 e2 would overflow; its half does not
+    assert LinearMap.diagonal(E2, [1e308, -1e308]).eigenblade_check(e1 + e2) is None
 
 def test_volume_element_is_always_an_eigenblade():
     rng = random.Random(18)
