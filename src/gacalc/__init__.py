@@ -4,7 +4,7 @@ Construction of arbitrary nondegenerate diagonal-signature algebras, the
 full product zoo (geometric, outer, contractions, scalar product), grade
 operations and involutions, duality, frames with reciprocals, orthogonal
 transformations, outermorphism linear algebra, a small expression language
-behind the ga-calc command, and a Kepler-orbit integrator.
+behind the ga-calc command, and a closed-form Kepler-orbit propagator.
 
 The public names load lazily (PEP 562): `import gacalc` imports no
 submodule, and the first access to a name imports the submodule that

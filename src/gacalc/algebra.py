@@ -915,14 +915,24 @@ class _Wedges(dict):
         return blade
 
     def volume_inverse(self, k):
-        """V^-1 for V = a_1 ^ ... ^ a_k, or None when V is singular by the module's wedge rule."""
+        """V^-1 for V = a_1 ^ ... ^ a_k, or None when V is singular by the module's wedge rule.
+
+        |V|^2 is formed for V scaled by 2^-j to a norm in [1/2, 1), so it
+        neither overflows nor underflows, and V^-1 = reverse(V 2^-j) / |V 2^-j|^2
+        * 2^-j. Scaling by a power of two is exact, so wherever |V|^2 was
+        representable the verdict and V^-1 are those of V itself, bit for bit.
+        """
         volume = self[(1 << k) - 1]
-        n2 = volume.norm_squared()
+        size = math.hypot(*volume._terms.values())
         tol = self.algebra.tolerance
-        if (_hadamard_negligible(math.hypot(*volume._terms.values()), [self._norms[:k]], tol)
-                or _negligible((n2,), volume._terms.values(), tol, 2)):
+        if _hadamard_negligible(size, [self._norms[:k]], tol):
             return None
-        return volume.reverse() / n2
+        scale = math.ldexp(1.0, -math.frexp(size)[1])
+        unit = volume * scale
+        n2 = unit.norm_squared()
+        if _negligible((n2,), unit._terms.values(), tol, 2):
+            return None
+        return unit.reverse() / n2 * scale
 
     def reciprocal(self, volume_inverse, k, bits):
         """The wedge of the reciprocal vectors a^i of a_1..a_k at the set bits i of bits.

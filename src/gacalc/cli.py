@@ -4,7 +4,7 @@ Modes:
     ga-calc                     interactive loop (prompt "ga> ")
     ga-calc SCRIPT              evaluate a file, one expression per line
     ga-calc -e EXPR             evaluate one expression and exit
-    ga-calc kepler [options]    integrate an orbit, emit CSV
+    ga-calc kepler [options]    propagate an orbit, emit CSV
 
 An option's value may start with "-": -e -e1 evaluates -e1, as do
 -e-e1 and --expr=-e1. Long options may be shortened to a unique prefix.
@@ -184,13 +184,13 @@ _CALC = _Parser("ga-calc", "geometric-algebra expression calculator", (
      "coefficient zero threshold, default 1e-10"),
 ), ("SCRIPT", "script file to evaluate"))
 
-_KEPLER = _Parser("ga-calc kepler", "integrate a Kepler orbit and write CSV", (
+_KEPLER = _Parser("ga-calc kepler", "propagate a Kepler orbit and write CSV", (
     (None, "r0", "X,Y,Z", _vector3, (1.0, 0.0, 0.0), "initial position, default 1,0,0"),
     (None, "v0", "X,Y,Z", _vector3, (0.0, 1.0, 0.0), "initial velocity, default 0,1,0"),
     (None, "m", "M", float, 1.0, "mass, default 1"),
     (None, "k", "K", float, 1.0, "force constant, default 1"),
     (None, "dt", "DT", float, 1e-4, "time step, default 1e-4"),
-    (None, "steps", "STEPS", int, 10000, "number of RK4 steps, default 10000"),
+    (None, "steps", "STEPS", int, 10000, "number of time steps of length DT, default 10000"),
     (None, "record-every", "N", int, 1, "record every Nth step, default 1"),
     (None, "min-radius", "MIN_RADIUS", float, 1e-8, "abort below this radius, default 1e-8"),
     (None, "csv", "PATH", str, None, "write CSV here instead of stdout"),

@@ -16,9 +16,21 @@ orbit is the conic r(theta) = (l^2/mk) / (1 + |e| cos theta) with theta
 measured from e. Bound orbits (E < 0) have period 2 pi sqrt(m a^3 / k),
 a = -k / 2E.
 
-The integrator is fixed-step RK4 on raw coordinates and records plain
-(t, rx, ry, rz, vx, vy, vz) tuples. simulate() wraps each record in an
-OrbitState; `ga-calc kepler` writes the records to CSV without building
+The orbit is propagated in closed form, on raw coordinates. Between two
+records, Kepler's equation is solved by Newton in Danby's universal variable
+s, with dt = |r| ds: the Kustaanheimo-Stiefel fictitious time, in which the
+KS spinor U (r = U e1 ~U) moves as a harmonic oscillator. Written on r and v
+through the Stumpff functions, that solution is one formula for bound,
+parabolic, unbound and repulsive orbits (Stiefel & Scheifele, Linear and
+Regular Celestial Mechanics, 1971; Danby, Fundamentals of Celestial
+Mechanics, 2nd ed., 1988, section 6.9). Each record starts from the one
+before it, so dt sets only the record times: no step of length dt is taken,
+and the accuracy does not depend on it. A record costs one short solve
+whatever the spacing. min_radius is checked against the orbit's pericentre,
+at the records whose interval holds a pericentre passage.
+
+The records are plain (t, rx, ry, rz, vx, vy, vz) tuples. simulate() wraps
+each in an OrbitState; `ga-calc kepler` writes them to CSV without building
 any. conserved() and each CSV row take L, e and E from one float kernel.
 """
 
@@ -38,6 +50,8 @@ _OVERFLOW = "orbit state overflows: |r|^2, |L|^2 or E is not finite"
 # a sum of squares below _TINY may hold subnormal squares; scaled by _UP,
 # exactly, every nonzero square is normal and no sum below _TINY overflows
 _TINY, _UP = 2.0 ** -900, 2.0 ** 600
+# Newton on Kepler's equation stops at a step below _NEWTON_TOL s
+_NEWTON_STEPS, _NEWTON_TOL = 100, 2.0 ** -32
 
 
 class SimulationError(GAError):
@@ -184,7 +198,7 @@ def _csv_row(t, rx, ry, rz, vx, vy, vz, m, k, tol):
 
 
 def _radius_error(rsq, min2):
-    """The SimulationError for a force evaluation at squared radius rsq."""
+    """The SimulationError for a radius sqrt(rsq) below sqrt(min2), or too small for the force."""
     if not rsq >= min2:
         return SimulationError(
             f"radius {math.sqrt(rsq):.3e} fell below the minimum allowed")
@@ -192,10 +206,37 @@ def _radius_error(rsq, min2):
         f"radius {math.sqrt(rsq):.3e} is too small for the inverse-square force")
 
 
+def _stumpff(psi):
+    """The Stumpff functions c0, c1, c2, c3 of psi (Danby, section 6.9).
+
+    psi is quartered to |psi| <= 1/4, where c2 and c3 take their series to
+    psi^6, c0 = 1 - psi c2 and c1 = 1 - psi c3; c0(4x) = 2 c0^2 - 1,
+    c1(4x) = c0 c1, c2(4x) = c1^2 / 2 and c3(4x) = (c2 + c0 c3) / 4 then
+    undo each quartering. Every orbit type takes this one path, and a
+    hyperbolic overflow comes out as inf, not as an exception.
+    """
+    if not -_INF < psi < _INF:
+        raise SimulationError(f"Kepler solve reached a Stumpff argument of {psi!r}")
+    quarters = 0
+    while abs(psi) > 0.25:
+        psi, quarters = psi * 0.25, quarters + 1
+    c2 = (1 - psi / 12 * (1 - psi / 30 * (1 - psi / 56 * (1 - psi / 90 * (
+        1 - psi / 132 * (1 - psi / 182)))))) / 2
+    c3 = (1 - psi / 20 * (1 - psi / 42 * (1 - psi / 72 * (1 - psi / 110 * (
+        1 - psi / 156 * (1 - psi / 210)))))) / 6
+    c0, c1 = 1 - psi * c2, 1 - psi * c3
+    for _ in range(quarters):
+        c0, c1, c2, c3 = 2 * c0 * c0 - 1, c0 * c1, c1 * c1 / 2, (c2 + c0 * c3) / 4
+    return c0, c1, c2, c3
+
+
 def _integrate(state0, dt, steps, record_every, min_radius):
     """The records of simulate() as (t, rx, ry, rz, vx, vy, vz) tuples.
 
-    The coordinates are the integrator's own, not pruned to the tolerance.
+    Each record is the two-body state (step - last) dt after the record
+    before it, from the Lagrange coefficients f, g, fdot, gdot in the
+    universal variable s: r' = f r + g v and v' = fdot r + gdot v. The
+    coordinates are the solve's own, not pruned to the tolerance.
     """
     if dt <= 0:
         raise SimulationError("dt must be positive")
@@ -216,75 +257,99 @@ def _integrate(state0, dt, steps, record_every, min_radius):
     if not math.isfinite(t_end):
         raise SimulationError("final time t0 + steps*dt must be finite")
 
-    sqrt = math.sqrt
-    km = state0.k / state0.m
-    min2 = min_radius * min_radius
-    h2 = dt * 0.5
-    sixth = dt / 6.0
-
-    rx, ry, rz = _components(state0.r)
-    vx, vy, vz = _components(state0.v)
-    # The force -k/m r/|r|^3 needs |r| >= min_radius and |r|^3 > 0 (not
-    # lost to underflow) at each of the four stages of every step.
+    mu, min2 = state0.k / state0.m, min_radius * min_radius
+    (rx, ry, rz), (vx, vy, vz) = _components(state0.r), _components(state0.v)
+    # The force -mu r/|r|^3 needs |r| >= min_radius and |r|^3 > 0 (not lost
+    # to underflow): at the start, and along the orbit at its pericentre q,
+    # from l^2 = |r ^ v|^2 and h = E/m. q <= |r0| always, so the cap costs
+    # nothing and stands in where l^2 h overflows. The start state must also
+    # have a CSV row, whose overflow errors are the ones to report
     rsq = rx * rx + ry * ry + rz * rz
-    if not (rsq >= min2 and rsq * sqrt(rsq) > 0.0):
+    if not (rsq >= min2 and rsq * math.sqrt(rsq) > 0.0):
         raise _radius_error(rsq, min2)
+    _csv_row(t0, rx, ry, rz, vx, vy, vz, state0.m, state0.k, state0.r.algebra.tolerance)
+    lx, ly, lz = ry * vz - rz * vy, rz * vx - rx * vz, rx * vy - ry * vx
+    l2, r0 = lx * lx + ly * ly + lz * lz, math.sqrt(rsq)
+    h = 0.5 * (vx * vx + vy * vy + vz * vz) - mu / r0
+    root = math.sqrt(max(0.0, mu * mu + 2.0 * h * l2))
+    q = min(r0, l2 / (mu + root) if mu > 0 else (root - mu) / (2.0 * h) if h else _INF)
+    guard = not (q * q >= min2 and q * q * q > 0.0)
 
+    marks = [0, *range(record_every, steps, record_every), steps][:steps + 1]
     records = [(t0 + 0 * dt, rx, ry, rz, vx, vy, vz)]
-    for step in range(1, steps + 1):
-        rsq = rx * rx + ry * ry + rz * rz
-        rcube = rsq * sqrt(rsq)
-        if not (rsq >= min2 and rcube > 0.0):
-            raise _radius_error(rsq, min2)
-        f = -km / rcube
-        a1x, a1y, a1z = rx * f, ry * f, rz * f
-        r1x, r1y, r1z = rx + h2 * vx, ry + h2 * vy, rz + h2 * vz
-        v1x, v1y, v1z = vx + h2 * a1x, vy + h2 * a1y, vz + h2 * a1z
-        rsq = r1x * r1x + r1y * r1y + r1z * r1z
-        rcube = rsq * sqrt(rsq)
-        if not (rsq >= min2 and rcube > 0.0):
-            raise _radius_error(rsq, min2)
-        f = -km / rcube
-        a2x, a2y, a2z = r1x * f, r1y * f, r1z * f
-        r2x, r2y, r2z = rx + h2 * v1x, ry + h2 * v1y, rz + h2 * v1z
-        v2x, v2y, v2z = vx + h2 * a2x, vy + h2 * a2y, vz + h2 * a2z
-        rsq = r2x * r2x + r2y * r2y + r2z * r2z
-        rcube = rsq * sqrt(rsq)
-        if not (rsq >= min2 and rcube > 0.0):
-            raise _radius_error(rsq, min2)
-        f = -km / rcube
-        a3x, a3y, a3z = r2x * f, r2y * f, r2z * f
-        r3x, r3y, r3z = rx + dt * v2x, ry + dt * v2y, rz + dt * v2z
-        v3x, v3y, v3z = vx + dt * a3x, vy + dt * a3y, vz + dt * a3z
-        rsq = r3x * r3x + r3y * r3y + r3z * r3z
-        rcube = rsq * sqrt(rsq)
-        if not (rsq >= min2 and rcube > 0.0):
-            raise _radius_error(rsq, min2)
-        f = -km / rcube
-        a4x, a4y, a4z = r3x * f, r3y * f, r3z * f
-        rx += sixth * (vx + 2.0 * (v1x + v2x) + v3x)
-        ry += sixth * (vy + 2.0 * (v1y + v2y) + v3y)
-        rz += sixth * (vz + 2.0 * (v1z + v2z) + v3z)
-        vx += sixth * (a1x + 2.0 * (a2x + a3x) + a4x)
-        vy += sixth * (a1y + 2.0 * (a2y + a3y) + a4y)
-        vz += sixth * (a1z + 2.0 * (a2z + a3z) + a4z)
+    for last, step in zip(marks, marks[1:]):
+        # Kepler's equation F(s) = r0 G1 + sigma G2 + mu G3 - tau = 0, with
+        # G_j = s^j c_j(beta s^2): F(0) = -tau and F' = r(s) > 0. Newton starts
+        # from the series of s(tau) to tau^3, or from tau/|r| where that series
+        # leaves (0, 2 tau/|r|); a step that leaves the bracket [lo, hi] or
+        # fails to halve the last one is a bisection (rtsafe in Numerical
+        # Recipes), or, with no upper bound yet, a doubling of s
+        tau, sigma = (step - last) * dt, rx * vx + ry * vy + rz * vz
+        beta = 2.0 * mu / r0 - (vx * vx + vy * vy + vz * vz)
+        x, w = tau / r0, sigma * tau / (r0 * r0)
+        p = 1.0 - 0.5 * w + 0.5 * w * w + x * x * (beta - mu / r0) / 6.0
+        lo, hi, s, last_ds = 0.0, _INF, x * p if 0.0 < p < 2.0 else x, _INF
+        for _ in range(_NEWTON_STEPS):
+            s2 = s * s
+            c0, c1, c2, c3 = _stumpff(psi := beta * s2)
+            g1, g2, g3 = s * c1, s2 * c2, s2 * s * c3
+            f = r0 * g1 + sigma * g2 + mu * g3 - tau
+            rs = r0 * c0 + sigma * g1 + mu * g2
+            lo, hi = (s, hi) if f < 0.0 else (lo, s)
+            ds = f / rs if rs > 0.0 else _INF
+            if not (lo <= s - ds <= hi and abs(ds) < 0.5 * last_ds):  # bisect, or double
+                ds = s - 0.5 * (lo + hi) if hi < _INF else -s
+            if abs(ds) <= _NEWTON_TOL * s:
+                break
+            s, last_ds = s - ds, abs(ds)
+        else:
+            raise SimulationError(f"Kepler solve did not converge at step {step}")
+        # the last Newton step goes on the G_j, by dG_j/ds = G_(j-1), to order ds^2
+        g1, g2, g3 = g1 - c0 * ds, g2 - g1 * ds, g3 - g2 * ds
+        fm1, g = -mu * g2 / r0, tau - mu * g3
+        px, py, pz = rx + (fm1 * rx + g * vx), ry + (fm1 * ry + g * vy), rz + (fm1 * rz + g * vz)
+        rs = math.sqrt(px * px + py * py + pz * pz)
+        if rs == 0.0:  # the centre: a collision, which only a guarded orbit meets
+            raise _radius_error(0.0, min2)
+        fdot, gdm1 = -mu * g1 / rs / r0, -mu * g2 / rs
+        rx, ry, rz, vx, vy, vz, r0 = px, py, pz, vx + (fdot * rx + gdm1 * vx), vy + (
+            fdot * ry + gdm1 * vy), vz + (fdot * rz + gdm1 * vz), rs
         if not math.isfinite(rx + ry + rz + vx + vy + vz):
             raise SimulationError(f"state became nonfinite at step {step}")
-        if step % record_every == 0 or step == steps:
-            records.append((t0 + step * dt, rx, ry, rz, vx, vy, vz))
+        # a pericentre passage: the radial velocity turns from < 0 to >= 0, or
+        # the eccentric anomaly sqrt(psi) turns by more than pi with no change
+        # of sign, or by 2 pi
+        after = rx * vx + ry * vy + rz * vz
+        if guard and (sigma < 0.0 <= after or psi >= 4.0 * math.pi ** 2 or (
+                psi > math.pi ** 2 and (sigma < 0.0) == (after < 0.0))):
+            raise _radius_error(q * q, min2)
+        records.append((t0 + step * dt, rx, ry, rz, vx, vy, vz))
     return records
 
 
 def simulate(state0, dt, steps, record_every=1, min_radius=1e-8):
-    """Integrate the orbit from state0 with fixed-step RK4.
+    """The orbit from state0, in closed form, at times state0.t + step * dt.
 
     Returns a list of OrbitState: the initial state, every record_every-th
-    step, and the final step, at times state0.t + step * dt. Raises
-    SimulationError for invalid arguments (dt not positive and finite,
-    negative steps, record_every below 1, min_radius negative or not
-    finite, a final time that is not finite), when the radius drops below
-    min_radius, or too low to evaluate the force, at any stage evaluation,
-    and when the state goes nonfinite.
+    step, and the final step. Each record is the exact two-body solution
+    from the record before it (Kepler's equation in the universal variable
+    s, dt = |r| ds, the Kustaanheimo-Stiefel time, solved by Newton), so no
+    step of length dt is taken: dt only sets the record times, not the
+    accuracy, and a record costs one short solve whatever record_every is.
+    The records chain, so rounding adds up with the number of records.
+
+    min_radius is checked against the orbit's pericentre, computed once
+    from state0: when it is smaller, the record interval that holds the
+    first pericentre passage raises. A radial orbit (L = 0) falling in
+    therefore raises rather than passing through the centre.
+
+    Raises SimulationError for invalid arguments (dt not positive and
+    finite, negative steps, record_every below 1, min_radius negative or not
+    finite, a final time that is not finite), for a start radius below
+    min_radius or too small for the inverse-square force, for a pericentre
+    passage below either, and when the solve fails to converge or the state
+    goes nonfinite. Raises NonFiniteError, as conserved() would, for a start
+    state that overflows.
     """
     algebra = state0.r.algebra
     m, k = state0.m, state0.k

@@ -227,3 +227,33 @@ def kepler_conserved(state):
     if not (rsq < math.inf and lsq < math.inf and -math.inf < energy < math.inf):
         raise NonFiniteError(KEPLER_OVERFLOW)
     return Conserved(L, ecc, energy, math.sqrt(lsq), not L)
+
+
+def kepler_rk4(r, v, mu, dt, steps, record_every=1):
+    """Fixed-step RK4 on dv/dt = -mu r / |r|^3, with no guard and no validation.
+
+    r and v are coordinate triples. Returns (step, r, v) at step 0, every
+    record_every-th step and the last step, as simulate() records them.
+    """
+    def accel(x):
+        f = -mu / math.hypot(*x) ** 3
+        return [f * c for c in x]
+
+    def shift(x, h, dx):
+        return [a + h * b for a, b in zip(x, dx)]
+
+    r, v = list(r), list(v)
+    records = [(0, tuple(r), tuple(v))]
+    for step in range(1, steps + 1):
+        a1 = accel(r)
+        r1, v1 = shift(r, dt / 2, v), shift(v, dt / 2, a1)
+        a2 = accel(r1)
+        r2, v2 = shift(r, dt / 2, v1), shift(v, dt / 2, a2)
+        a3 = accel(r2)
+        r3, v3 = shift(r, dt, v2), shift(v, dt, a3)
+        a4 = accel(r3)
+        r = [x + dt / 6 * (p + 2 * (q + s) + u) for x, p, q, s, u in zip(r, v, v1, v2, v3)]
+        v = [x + dt / 6 * (p + 2 * (q + s) + u) for x, p, q, s, u in zip(v, a1, a2, a3, a4)]
+        if step % record_every == 0 or step == steps:
+            records.append((step, tuple(r), tuple(v)))
+    return records

@@ -106,7 +106,8 @@ CALC_HELP = ("-h, --help", "-e EXPR, --expr EXPR", "--script FILE", "--algebra P
 KEPLER_HELP = ("-h, --help", "--r0 X,Y,Z", "--v0 X,Y,Z", "--m M", "--k K", "--dt DT",
                "--steps STEPS", "--record-every N", "--min-radius MIN_RADIUS",
                "--csv PATH", "initial position, default 1,0,0", "mass, default 1",
-               "number of RK4 steps, default 10000", "abort below this radius, default 1e-8")
+               "number of time steps of length DT, default 10000",
+               "abort below this radius, default 1e-8")
 
 
 @pytest.mark.parametrize("args, listed", [
@@ -709,6 +710,14 @@ def test_kepler_collision_guard():
            "--min-radius", "0.5")
     assert r.returncode == 2
     assert "radius" in r.stderr or "collision" in r.stderr
+
+
+@pytest.mark.parametrize("v0", ["0,1e-6,0", "0,0,0"])
+def test_kepler_fall_through_the_centre_is_a_collision(v0):
+    # RK4 flung both orbits out of the well and exited 0, E going from -1 to 4.9e6
+    r = ga("kepler", f"--v0={v0}", "--steps", "30000")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert "fell below the minimum allowed" in r.stderr
 
 
 @pytest.mark.parametrize("args", [

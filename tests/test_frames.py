@@ -321,6 +321,19 @@ def test_components_keep_a_small_coordinate_of_a_large_blade():
     assert _relative_diff(f.expand(f.components(a)), a) < 1e-12
 
 
+@pytest.mark.parametrize("scale", [1e100, 1e150, 1e-100, 1e-150])
+def test_a_huge_or_tiny_frame_gives_components(scale):
+    # V^-1 formed |V|^2 first: it overflowed at |V| = 1e200 (NonFiniteError)
+    # and underflowed to 0.0 at |V| = 1e-200 (NotInvertible)
+    alg = Algebra(2, 0, tolerance=1e-300)
+    f = Frame([alg.vector([scale, 0.0]), alg.vector([0.0, scale])])
+    assert f.components(alg.vector([scale, 0.0])) == {(1,): pytest.approx(1.0, rel=1e-15)}
+    x = alg.multivector({(): 2.0, (1,): 3.0 * scale, (1, 2): -scale * scale})
+    assert _relative_diff(f.expand(f.components(x)), x) < 1e-12
+    huge = Frame([E2.vector([1e100, 0.0]), E2.vector([0.0, 1e100])])
+    assert huge.components(E2.vector([1e100, 0.0])) == {(1,): 1.0}
+
+
 def _frame_answers(vectors, a):
     """Frame's round trip of a (None when Frame raises), whether the map of
     the vectors inverts (n vectors only), gram_schmidt's outputs (None when

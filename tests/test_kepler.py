@@ -3,6 +3,7 @@
 import io
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from gacalc import (
     Algebra,
+    GAError,
     NonFiniteError,
     OrbitState,
     SimulationError,
@@ -18,7 +20,7 @@ from gacalc import (
     orbital_period,
     simulate,
 )
-from gacalc.kepler import write_csv
+from gacalc.kepler import _stumpff, write_csv
 
 E3 = Algebra(3, 0)
 
@@ -353,6 +355,143 @@ def test_sampled_radii_match_the_conic():
         assert rlen == pytest.approx(want, rel=1e-7)
 
 
+@pytest.mark.parametrize("psi", [0.0, 1e-8, 0.01, 0.2499, 0.25, 0.3, 1.0, 3.7, 10.0, 39.0, 100.0])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_stumpff_functions_match_their_series(psi, sign):
+    # c_k(psi) = sum_j (-psi)^j / (2j + k)!, summed exactly; the error is
+    # read against 1/k!, times cosh(sqrt(-psi)) where psi < 0
+    psi *= sign
+    size = math.cosh(math.sqrt(-psi)) if psi < 0 else 1.0
+    for k, got in enumerate(_stumpff(psi)):
+        term, want = Fraction(1, math.factorial(k)), Fraction(0)
+        for j in range(60):
+            want += term
+            term *= -Fraction(psi) / ((2 * j + k + 1) * (2 * j + k + 2))
+        bound = (1e-14 if k == 0 else 1e-15) * size / math.factorial(k)
+        assert abs(got - float(want)) <= bound, (k, got, float(want))
+
+
+ECCENTRIC = state((1.0, 0.0, 0.0), (0.0, 0.03, 0.0))  # e = 0.9991, pericentre 4.5e-4
+
+
+def test_eccentric_orbit_closes_after_one_period():
+    # RK4 threw this orbit out of the well: after one period, r was about 75
+    # and E went from -0.99955 to +2286
+    steps = 22230
+    dt = orbital_period(conserved(ECCENTRIC)) / steps
+    final = simulate(ECCENTRIC, dt, steps, record_every=steps)[-1]
+    assert final.r.max_coeff_diff(ECCENTRIC.r) < 1e-9
+    assert final.v.max_coeff_diff(ECCENTRIC.v) < 1e-9 * 0.03
+    energy = conserved(ECCENTRIC).energy
+    for s in simulate(ECCENTRIC, dt, steps):
+        assert abs(conserved(s).energy - energy) < 1e-10 * abs(energy)
+
+
+@pytest.mark.parametrize("v0, before", [
+    pytest.param((0.0, 1e-6, 0.0), 11000, id="near-radial"),
+    pytest.param((0.0, 0.0, 0.0), 11000, id="radial"),
+    pytest.param((-0.3, 0.0, 0.0), 5000, id="radial-inward"),
+])
+def test_a_fall_through_the_centre_is_a_collision(v0, before):
+    # these orbits dive below the default 1e-8; RK4 flung them out with E
+    # up to 4.9e6, and the calls returned
+    s0 = state((1.0, 0.0, 0.0), v0)
+    for every in (1, 1000, 30000):
+        with pytest.raises(SimulationError, match="fell below the minimum allowed"):
+            simulate(s0, 1e-4, 30000, record_every=every)
+    assert len(simulate(s0, 1e-4, before, record_every=1000)) == 1 + before // 1000
+    # at min_radius 0 a radial fall reaches |r| = 0; the near-radial orbit
+    # turns at 5e-13 and comes back
+    if v0[1]:
+        states = simulate(s0, 1e-4, 30000, record_every=1000, min_radius=0.0)
+        energy = conserved(s0).energy
+        assert all(abs(conserved(s).energy - energy) < 1e-6 for s in states)
+    else:
+        with pytest.raises(SimulationError, match="0.000e[+]00 is too small for the inverse"):
+            simulate(s0, 1e-4, 30000, record_every=1000, min_radius=0.0)
+
+
+@pytest.mark.parametrize("start, steps, every", [
+    pytest.param(0, 30000, 1, id="dense"),
+    pytest.param(0, 13000, 13000, id="radial-velocity-0-to-positive"),
+    pytest.param(10000, 20000, 20000, id="radial-velocity-negative-at-both-ends"),
+    pytest.param(0, 30000, 30000, id="longer-than-a-period"),
+])
+def test_the_guard_finds_a_pericentre_inside_a_record(start, steps, every):
+    # the pericentre comes at t = 1.11 and every 2.22 after; one record
+    # interval from `start` steps on holds it, though the radial velocity
+    # r.v turns from < 0 to >= 0 across none of the last three
+    s0 = simulate(ECCENTRIC, 1e-4, start, record_every=max(start, 1))[-1]
+    with pytest.raises(SimulationError, match=r"radius 4\.5\d*e-04 fell below"):
+        simulate(s0, 1e-4, steps, record_every=every, min_radius=0.01)
+    assert simulate(ECCENTRIC, 1e-4, 11000, record_every=every, min_radius=0.01)
+
+
+def test_an_overflowing_start_state_is_refused():
+    # simulate() returned records that conserved() then refused
+    s0 = state((1e200, 0.0, 0.0), (0.0, 1e200, 0.0))
+    with pytest.raises(NonFiniteError, match="coefficient is not finite: inf"):
+        simulate(s0, 1e-3, 2)
+
+
+def _direction(theta, phi):
+    return (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
+
+
+@st.composite
+def _orbits(draw):
+    """Bound, near-parabolic (|E| < 1e-3), hyperbolic and repulsive orbits
+    whose pericentre stays above a quarter of the start radius."""
+    kind = draw(st.sampled_from(["bound", "near-parabolic", "hyperbolic", "repulsive"]))
+    radius, m, k = (draw(st.floats(lo, hi)) for lo, hi in ((0.5, 2.0), (0.5, 2.0), (0.5, 2.0)))
+    theta, phi = draw(st.floats(0.0, math.pi)), draw(st.floats(0.0, 2 * math.pi))
+    gamma, alpha = draw(st.floats(-0.5, 0.5)), draw(st.floats(0.0, 2 * math.pi))
+    # v/|v| leaves the tangent plane at the flight angle gamma
+    out, tangent = _direction(theta, phi), _direction(theta + math.pi / 2, phi)
+    normal = oracles.cross3(out, tangent)
+    along = [math.cos(gamma) * (math.cos(alpha) * t + math.sin(alpha) * n) + math.sin(gamma) * o
+             for o, t, n in zip(out, tangent, normal)]
+    # the speed is |v|^2 = ratio 2|mu|/r: the escape speed at ratio 1
+    ratio = {"bound": st.floats(0.5, 0.8), "hyperbolic": st.floats(1.5, 3.0),
+             "near-parabolic": st.floats(-9e-4, 9e-4).map(lambda d: 1.0 + d * radius / k),
+             "repulsive": st.floats(0.05, 1.0)}[kind]
+    k = -k if kind == "repulsive" else k
+    speed = math.sqrt(draw(ratio) * 2 * abs(k) / (m * radius))
+    return OrbitState(E3.vector([radius * x for x in out]), E3.vector([speed * x for x in along]),
+                      m, k)
+
+
+def _vector(mv):
+    return [mv.coefficient((i,)) for i in (1, 2, 3)]
+
+
+def _close(got, want, rel):
+    return max(abs(a - b) for a, b in zip(got, want)) <= rel * math.hypot(*want)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_orbits())
+def test_closed_form_matches_rk4_at_a_tenth_of_the_step(s0):
+    states = simulate(s0, 2e-3, 200, record_every=25)
+    reference = oracles.kepler_rk4(_vector(s0.r), _vector(s0.v), s0.k / s0.m, 2e-4, 2000, 250)
+    assert len(states) == len(reference) == 9
+    for s, (step, r, v) in zip(states, reference):
+        assert s.t == pytest.approx(step * 2e-4, rel=1e-12)
+        assert _close(_vector(s.r), r, 1e-9) and _close(_vector(s.v), v, 1e-9), (s, r, v)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_orbits(), st.sampled_from([3, 25, 200]))
+def test_dense_and_sparse_records_agree(s0, every):
+    dense = simulate(s0, 2e-3, 200)
+    sparse = simulate(s0, 2e-3, 200, record_every=every)
+    assert [s.t for s in sparse] == [dense[i].t for i in [*range(0, 200, every), 200]]
+    for s in sparse:
+        d = dense[round(s.t / 2e-3)]
+        assert _close(_vector(s.r), _vector(d.r), 1e-12)
+        assert _close(_vector(s.v), _vector(d.v), 1e-12)
+
+
 # -- CSV ---------------------------------------------------------------------------------
 
 def test_write_csv_layout():
@@ -447,6 +586,22 @@ def test_conserved_matches_the_oracle(s):
         assert got.l == want.l
     else:
         assert abs(got.l - want.l) <= math.ulp(want.l)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_states(), st.floats(-300, 300).map(lambda x: 10.0 ** x), st.integers(0, 40),
+       st.integers(1, 50), st.sampled_from([0.0, 1e-8, 0.5]))
+def test_simulate_returns_finite_states_or_raises_a_ga_error(s0, dt, steps, every, min_radius):
+    # a Stumpff argument that is not finite, an overflowing cosh or a Newton
+    # solve that does not converge is a SimulationError, never ValueError,
+    # OverflowError or ZeroDivisionError
+    try:
+        states = simulate(s0, dt, steps, record_every=every, min_radius=min_radius)
+    except GAError:
+        return
+    assert len(states) == 1 + -(-steps // every)
+    for s in states:
+        assert all(map(math.isfinite, [s.t, *_vector(s.r), *_vector(s.v)]))
 
 
 TINY = Algebra(3, 0, tolerance=1e-300)

@@ -232,6 +232,22 @@ def test_small_maps_invert_at_the_default_tolerance():
     assert inv(f(x)).isclose(x, tol=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e100, 1e150, 1e-100, 1e-150])
+def test_a_huge_or_tiny_diagonal_map_inverts(scale):
+    # |V|^2 = 1e400 of the volume V = 1e200 e12 overflowed (NonFiniteError),
+    # and |V|^2 = 1e-400 underflowed to 0.0 (OperatorError, "map is singular")
+    alg = Algebra(2, 0, tolerance=1e-300)
+    inv = LinearMap.diagonal(alg, [scale, scale]).inverse()
+    (a, b), (c, d) = inv.matrix()
+    assert (b, c) == (0.0, 0.0) and a == d == pytest.approx(1.0 / scale, rel=1e-15)
+    x = alg.vector([3.0, -2.0])
+    assert inv(x * scale).isclose(x, tol=1e-12)
+    # in E2 the inverse's entries 1e-100 fall to the tolerance, as they do
+    # when that map is built directly
+    want = LinearMap.diagonal(E2, [1e-100, 1e-100]).matrix()
+    assert LinearMap.diagonal(E2, [1e100, 1e100]).inverse().matrix() == want
+
+
 def test_inverse_and_determinant_match_a_pure_python_solve():
     # the blade images F(e_S) were pruned after every wedge: at entries of
     # 1e-2 to 5e-2, det was off by up to 100% and inverses by up to 8.4e-3

@@ -329,7 +329,10 @@ def test_rotor_and_gram_schmidt_overflow_is_nonfinite():
     with pytest.raises(NonFiniteError, match="^coefficient is not finite: inf$"):
         rotor_from_vectors(e1 * 1e160, e2)
     with pytest.raises(NonFiniteError, match="^coefficient is not finite: inf$"):
-        gram_schmidt([e1 * 1e160, e2])
+        gram_schmidt([e2 * 1e160, e1 * 1e160])
+    # |B_1|^2 = 1e320 overflowed here too; B_1^-1 is now formed at unit scale
+    b1, b2 = gram_schmidt([e1 * 1e160, e2])
+    assert b1 == e1 * 1e160 and b2.isclose(e2, tol=1e-15)
 
 
 def test_small_blades_and_vectors_are_not_null():
