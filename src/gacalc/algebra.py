@@ -65,10 +65,16 @@ order, so the result is the full product's terms at those grades, bit for
 bit and in the same key order; the other grades, which are roundoff, are
 never formed. Otherwise it forms the full product and filters it.
 
-A composite (the exp series of a bivector that is not a blade, and the blades
-a_S of vectors, their volume test and their reciprocals, kept in one _Wedges
-memo for Frame, LinearMap and gram_schmidt) is built in the algebra's twin
-with tolerance 0 and pruned once, on return.
+A composite is built in the algebra's twin with tolerance 0 and pruned once,
+on return: the exp series of a bivector that is not a blade; the blades a_S
+of vectors, their volume test and their reciprocals, kept in one _Wedges
+memo for Frame, LinearMap and gram_schmidt; and the blade and versor
+sandwiches of the transforms module, whose inverse and first product both
+stay in the twin. Every inverse is _twin_inverse's: reverse(A)/|A|^2, formed
+in the twin for A scaled exactly by a power of two to |A| in [1, 2), so
+|A|^2 neither overflows nor underflows. It is the inverse of a versor only,
+so inverse() and apply_versor take it through _checked_inverse, the one
+versor check, and the blade transforms after is_blade.
 
 Every verdict that a residue is roundoff is _negligible's, read at the
 algebra's tolerance tol: a residue R formed from an object X is roundoff when
@@ -82,9 +88,9 @@ against Hadamard's bound on it, sum |c| prod |v_i| for the wedges
 c v_1 ^ ... ^ v_k it sums (_hadamard_negligible): so vectors are dependent,
 and F(A) is 0 in eigenblade_check. The wedge V of vectors v_i is singular
 when <reverse(V) V>_0 is roundoff, or when the vectors are dependent.
-is_blade and is_versor form their residues from A scaled by a power of two
-to a sum of at least 1, so the prune cannot hide them; eigenblade_check
-forms its residues in the twin.
+is_blade, is_versor and _twin_inverse form their residues from that same
+scaled A in the twin (_unit_scaled), so neither the prune nor the float
+range can hide them; eigenblade_check forms its residues in the twin.
 
 A coefficient that is NaN or infinite (an overflow, or an inf/nan input)
 raises NonFiniteError wherever terms are pruned, instead of being pruned
@@ -384,9 +390,47 @@ def _hadamard_negligible(size, terms, tol):
 
 
 def _unit_scaled(a):
-    """a scaled exactly, by a power of two, to sum a_i^2 in [1, 4) when that sum is below 1."""
+    """(a 2^j in the twin, 2^j) for the power of two 2^j that brings |a| into [1, 2).
+
+    |.| is the coefficient norm; scaling by 2^j is exact. j is at most 1023,
+    so a subnormal |a| stays below 1. Raises NonFiniteError when |a| overflows.
+    """
     size = math.hypot(*a._terms.values())
-    return a * math.ldexp(1.0, 1 - math.frexp(size)[1]) if size < 1.0 else a
+    if size == _INF:
+        raise NonFiniteError(f"|A| is not finite: {size!r}")
+    scale = math.ldexp(1.0, min(1 - math.frexp(size)[1], 1023))
+    return Multivector._make(_twin(a.algebra), {k: v * scale for k, v in a._terms.items()}), scale
+
+
+def _twin_inverse(a, tol):
+    """reverse(A)/|A|^2 in the twin, or None when |A|^2 is roundoff by _negligible at tol.
+
+    |A|^2 = <reverse(A) A>_0 is formed for A 2^j, scaled by _unit_scaled, so
+    it neither overflows nor underflows, and A^-1 = reverse(A 2^j) / |A 2^j|^2
+    * 2^j. Scaling by a power of two is exact, so wherever |A|^2 is
+    representable the verdict and A^-1 are the unscaled formula's, bit for
+    bit. That formula is the inverse of a versor only: the caller checks.
+    """
+    unit, scale = _unit_scaled(a)
+    n2 = unit.scalar_product(unit)
+    if _negligible((n2,), unit._terms.values(), tol, 2):
+        return None
+    return Multivector._make(unit.algebra, {k: _REVERSE_SIGNS[k.bit_count() & 3] * u / n2 * scale
+                                            for k, u in unit._terms.items()})
+
+
+def _checked_inverse(v):
+    """V^-1 in the twin for the versor V.
+
+    Raises GradeError when V is not a versor, where reverse(V)/|V|^2 is not
+    its inverse, and NotInvertible when V is zero or null.
+    """
+    if v and not v.is_versor():
+        raise GradeError(f"not a versor (mixed parity, or V reverse(V) is not scalar): {v}")
+    inverse = _twin_inverse(v, v.algebra.tolerance)
+    if inverse is None:
+        raise NotInvertible(f"null versor has no inverse: {v}")
+    return inverse
 
 
 def _dense_product(algebra, left, right, select):
@@ -472,8 +516,8 @@ class Multivector:
     where terms maps index tuples (any order, no repeats) to coefficients.
     """
 
-    # _versor_inverse is set by transforms.apply_versor once V passes its
-    # versor check, and read by nothing else; unset on every other object.
+    # _versor_inverse, V^-1 in the twin, is set by transforms.apply_versor once
+    # V passes its versor check, and read by nothing else; unset on every other object.
     __slots__ = ("algebra", "_terms", "_versor_inverse")
 
     def __init__(self, algebra, terms):
@@ -602,15 +646,16 @@ class Multivector:
 
     # -- products ------------------------------------------------------------
 
-    def _product(self, other, select):
-        """Sum of the blade products of self and other over the kept pairs.
+    def _product(self, other, select, into=None):
+        """Sum of the blade products of self and other over the kept pairs, in into.
 
         select is one of the four module-level select functions: select(ka)
         gives (f, g) for a left blade ka, or for a column of them as an int64
-        array, and the pair (ka, kb) is kept when kb & f == g.
+        array, and the pair (ka, kb) is kept when kb & f == g. into is the
+        algebra the sum is pruned in: self's, or its twin to keep every term.
         """
         other = self._coerce(other)
-        alg = self.algebra
+        alg = into or self.algebra
         right = other._terms.items()
         raw = {}
         get = raw.get
@@ -675,13 +720,7 @@ class Multivector:
 
         Raises NonFiniteError when the sum overflows or is NaN.
         """
-        total = self._pairing(self._coerce(other))
-        if not -_INF < total < _INF:
-            raise NonFiniteError(f"coefficient is not finite: {total!r}")
-        return total
-
-    def _pairing(self, other):
-        """The sum of scalar_product, unchecked."""
+        other = self._coerce(other)
         minus_mask = self.algebra._minus_mask
         total = 0.0
         for k, v in self._terms.items():
@@ -691,6 +730,8 @@ class Multivector:
             # The reverse sign and the blade-square reordering sign cancel.
             sign = -1.0 if (k & minus_mask).bit_count() & 1 else 1.0
             total += sign * v * w
+        if not -_INF < total < _INF:
+            raise NonFiniteError(f"coefficient is not finite: {total!r}")
         return total
 
     def commutator(self, other):
@@ -745,17 +786,17 @@ class Multivector:
         return self.scalar_product(self)
 
     def inverse(self):
-        """Versor inverse reverse(A)/|A|^2. The caller asserts A is a versor.
+        """The versor inverse reverse(A)/|A|^2, formed at unit scale and pruned once.
 
-        Raises NonFiniteError when |A|^2 overflows, and NotInvertible when it
-        is roundoff by the residue rule.
+        Raises GradeError when A is not a versor (is_versor), for which that
+        formula is not the inverse. Raises NotInvertible when A is zero, when
+        |A|^2 is roundoff by the residue rule, or when every coefficient of
+        A^-1 falls to the prune. Raises NonFiniteError when |A| or A^-1 overflows.
         """
-        n2 = self._pairing(self)
-        if not -_INF < n2 < _INF:  # NaN too
-            raise NonFiniteError(f"|A|^2 is not finite: {n2!r}")
-        if _negligible((n2,), self._terms.values(), self.algebra.tolerance, 2):
-            raise NotInvertible(f"null versor has no inverse: {self}")
-        return self.reverse() / n2
+        inverse = Multivector._make(self.algebra, _checked_inverse(self)._terms)
+        if not inverse:
+            raise NotInvertible(f"the inverse of {self} falls below the tolerance")
+        return inverse
 
     def dual(self):
         """A I^-1: maps a blade to its orthogonal complement."""
@@ -779,16 +820,16 @@ class Multivector:
         must divide A: u ^ A must be roundoff (the Pluecker relations). The u
         are independent, as their e_i parts are, so A is a multiple of their wedge.
         """
-        grades, n = self.grades, self.algebra.n
+        grades, n, tol = self.grades, self.algebra.n, self.algebra.tolerance
         if len(grades) > 1 or 0 in grades:
             return False
         if not grades or grades & {1, n - 1, n}:
             return True
-        a = _unit_scaled(self)
+        a = _unit_scaled(self)[0]
         top = max(a._terms, key=lambda k: abs(a._terms[k]))
         for bit in (1 << i for i in range(n) if top >> i & 1):
             u = Multivector._make(a.algebra, {top ^ bit: 1.0}).left_contract(a)
-            if not _negligible((u ^ a)._terms.values(), a._terms.values(), a.algebra.tolerance, 2):
+            if not _negligible((u ^ a)._terms.values(), a._terms.values(), tol, 2):
                 return False
         return True
 
@@ -800,9 +841,9 @@ class Multivector:
         """Practical versor test: single grade parity and A reverse(A) scalar to roundoff."""
         if len({k.bit_count() & 1 for k in self._terms}) != 1:  # zero has no parity
             return False
-        a = _unit_scaled(self)
+        a = _unit_scaled(self)[0]
         return _negligible((a * a.reverse()).grade_nonscalar()._terms.values(), a._terms.values(),
-                           a.algebra.tolerance, 2)
+                           self.algebra.tolerance, 2)
 
     # -- exponential ------------------------------------------------------------
 
@@ -852,22 +893,24 @@ class Multivector:
         return Multivector._make(alg, acc._terms)
 
 
-def _graded_product(left, right, grades):
-    """The terms of left * right at the blades of the given grades, pruned.
+def _graded_product(left, right, grades, into=None):
+    """The terms of left * right at the blades of the given grades, pruned in into.
 
-    Each kept blade x sums the pairs (ka, ka ^ x) over the left terms in
-    order, as the full product does, and the blades keep the order in which
-    the full product first meets them, so the result is the full product's
-    filtered to the grades, bit for bit. With n <= 6 and fewer kept blades
-    than right has terms, that visits |left| x |kept| pairs, not
-    |left| x |right|; otherwise the full product is formed and filtered.
+    into is left's algebra by default; a sandwich built in the twin passes
+    the algebra it prunes its result in. Each kept blade x sums the pairs
+    (ka, ka ^ x) over the left terms in order, as the full product does,
+    and the blades keep the order in which the full product first meets
+    them, so the result is the full product's filtered to the grades, bit
+    for bit. With n <= 6 and fewer kept blades than right has terms, that
+    visits |left| x |kept| pairs, not |left| x |right|; otherwise the full
+    product is formed and filtered.
     """
-    alg = left.algebra
+    alg = into or left.algebra
     n, terms = alg.n, right._terms
     if n > _TABLE_MAX_N or sum(math.comb(n, r) for r in grades) >= len(terms):
         full = left * right
-        graded = {k: v for k, v in full._terms.items() if k.bit_count() in grades}
-        return full if len(graded) == len(full._terms) else Multivector._make(alg, graded)
+        return Multivector._make(alg, {k: v for k, v in full._terms.items()
+                                       if k.bit_count() in grades})
     bits = [1 << i for i in range(n)]
     kept = [sum(c) for r in grades for c in combinations(bits, r)]
     table = _pair_table(n, alg._minus_mask, _gp_select)
@@ -915,24 +958,11 @@ class _Wedges(dict):
         return blade
 
     def volume_inverse(self, k):
-        """V^-1 for V = a_1 ^ ... ^ a_k, or None when V is singular by the module's wedge rule.
-
-        |V|^2 is formed for V scaled by 2^-j to a norm in [1/2, 1), so it
-        neither overflows nor underflows, and V^-1 = reverse(V 2^-j) / |V 2^-j|^2
-        * 2^-j. Scaling by a power of two is exact, so wherever |V|^2 was
-        representable the verdict and V^-1 are those of V itself, bit for bit.
-        """
-        volume = self[(1 << k) - 1]
-        size = math.hypot(*volume._terms.values())
-        tol = self.algebra.tolerance
-        if _hadamard_negligible(size, [self._norms[:k]], tol):
+        """_twin_inverse(V) for V = a_1 ^ ... ^ a_k; None when V is singular by the wedge rule."""
+        volume, tol = self[(1 << k) - 1], self.algebra.tolerance
+        if _hadamard_negligible(math.hypot(*volume._terms.values()), [self._norms[:k]], tol):
             return None
-        scale = math.ldexp(1.0, -math.frexp(size)[1])
-        unit = volume * scale
-        n2 = unit.norm_squared()
-        if _negligible((n2,), unit._terms.values(), tol, 2):
-            return None
-        return unit.reverse() / n2 * scale
+        return _twin_inverse(volume, tol)
 
     def reciprocal(self, volume_inverse, k, bits):
         """The wedge of the reciprocal vectors a^i of a_1..a_k at the set bits i of bits.

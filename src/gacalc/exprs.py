@@ -25,7 +25,7 @@ the algebra at parse time.
 import operator
 import re
 
-from .algebra import GAError, GradeError, _blade_key
+from .algebra import GAError, _blade_key
 from . import transforms
 
 __all__ = ["ParseError", "EvalError", "tokenize", "parse", "evaluate",
@@ -233,20 +233,13 @@ _BINARY = {
 }
 
 
-def _inverse(a):
-    """A^-1 for a versor A; GradeError for others, where reverse(A)/|A|^2 is wrong."""
-    if a and not a.is_versor():
-        raise GradeError(f"inv needs a versor (one parity, A reverse(A) scalar), got {a}")
-    return a.inverse()
-
-
 # name: (arity, function). grade(A, k) is not here: it takes a literal k.
 _FUNCTIONS = {
     "dual": (1, operator.methodcaller("dual")),
     "idual": (1, operator.methodcaller("inverse_dual")),
     "exp": (1, operator.methodcaller("exp")),
     "norm2": (1, lambda a: a.algebra.scalar(a.norm_squared())),
-    "inv": (1, _inverse),
+    "inv": (1, operator.methodcaller("inverse")),
     "rev": (1, operator.methodcaller("reverse")),
     "conj": (1, operator.methodcaller("clifford_conjugate")),
     "proj": (2, lambda a, b: transforms.project(a, b)),

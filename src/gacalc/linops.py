@@ -184,16 +184,21 @@ class LinearMap:
     def inverse(self):
         """F^-1(x) = sum_k (x . f^k) e_k, with f^k the reciprocal frame of the F(e_k).
 
-        Raises OperatorError when F(I) is singular by the rule Frame uses for its volume.
+        Raises OperatorError when F(I) is singular by the rule Frame uses for
+        its volume, or when an image F^-1(e_k) falls to the prune, so that
+        the stored map would not be invertible.
         """
         alg, blades = self.algebra, self._blades()
         volume_inverse = blades.volume_inverse(alg.n)
         if volume_inverse is None:
             raise OperatorError(f"map is singular (det = {self.determinant()!r})")
         reciprocal = (blades.reciprocal(volume_inverse, alg.n, 1 << k) for k in range(alg.n))
-        return LinearMap.from_matrix(alg, [  # row k holds e_i . f^k
+        inverse = LinearMap.from_matrix(alg, [  # row k holds e_i . f^k
             [m * f._terms.get(1 << i, 0.0) for i, m in enumerate(alg.metric)]
             for f in reciprocal])
+        if not all(inverse.images):
+            raise OperatorError("an image of the inverse map falls below the tolerance")
+        return inverse
 
     # -- eigenstructure -----------------------------------------------------------
 

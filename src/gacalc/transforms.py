@@ -8,42 +8,53 @@ throughout: a versor V of parity m acts on X as
     V(X) = V ghat(X) V^-1      (m odd, ghat = grade involution)
 
 which makes every versor action grade-preserving and outermorphic.
-Projection, rejection, reflection and the versor action each keep the grades
-of A, so their last product computes only those grades (_graded_product in
-the algebra module): the result is the full sandwich's terms at A's grades,
-bit for bit, and the roundoff the full product leaves in the other grades
-(odd grades of a vector moved by a large mixed-signature versor) is never
-formed.
+Projection, rejection, reflection and the versor action are composites in
+the algebra module's sense: B^-1 or V^-1 (_twin_inverse) and the first
+product are built in the algebra's twin with tolerance 0, and only the
+result is pruned. So a large blade keeps all of B^-1, and scaling B or V by
+a power of two leaves the answer the same, bit for bit. Each keeps the
+grades of A, so its last product computes only those grades
+(_graded_product in the algebra module): the full sandwich's terms at A's
+grades, bit for bit, and the roundoff the full product leaves in the other
+grades (odd grades of a vector moved by a large mixed-signature versor) is
+never formed.
 
-apply_versor (and so rotate) checks V and inverts it on its first call with
-that object and keeps V^-1 in V's private _versor_inverse slot, so that
-transforming many multivectors by one versor checks and inverts it once. A
-V that fails the check or has no inverse keeps nothing and raises again on
-every call. Nothing else reads the slot, and nothing is kept by value.
-gram_schmidt builds b_j in place of a_j in a _Wedges memo and prunes it once.
+apply_versor (and so rotate) checks V and inverts it (_checked_inverse, the
+check inverse() makes) on its first call with that object and keeps V^-1 in
+V's private _versor_inverse slot, so that transforming many multivectors by
+one versor checks and inverts it once. A V that fails the check or has no
+inverse keeps nothing and raises again on every call. Nothing else reads
+the slot, and nothing is kept by value. A null rotor factor is one with no
+_twin_inverse. gram_schmidt builds b_j in place of a_j in a _Wedges memo
+and prunes it once.
 """
 
-from .algebra import (GradeError, Multivector, NotInvertible, _graded_product, _negligible,
-                      _Wedges)
+from .algebra import (GradeError, Multivector, NotInvertible, _checked_inverse, _gp_select,
+                      _graded_product, _lcontract_select, _outer_select, _twin_inverse, _Wedges)
 
 
-def _blade_inverse(B, what):
-    """B^-1 for the blade B; what names B in the errors."""
+def _blade_operands(A, B, what):
+    """A in the algebra of the blade B, and B^-1 in the twin; what names B in the errors."""
     if not isinstance(B, Multivector):
         raise TypeError(f"{what} must be a Multivector")
     if not B.is_blade():
         raise GradeError(f"{what} must be a blade, got {B}")
-    try:
-        return B.inverse()
-    except NotInvertible:
-        raise NotInvertible(f"{what} is null and cannot be inverted: {B}") from None
+    inverse = _twin_inverse(B, B.algebra.tolerance)
+    if inverse is None:
+        raise NotInvertible(f"{what} is null and cannot be inverted: {B}")
+    return B._coerce(A), inverse
+
+
+def _sandwich(left, right, select, inverse, A):
+    """The grades of A in (left right) inverse, with left right built in the twin: pruned once."""
+    return _graded_product(left._product(right, select, inverse.algebra), inverse, A.grades,
+                           A.algebra)
 
 
 def project(A, B):
     """Projection of A onto the subspace of the invertible blade B: (A .| B) B^-1."""
-    inverse = _blade_inverse(B, "projection target")
-    A = B._coerce(A)
-    return _graded_product(A.left_contract(B), inverse, A.grades)
+    A, inverse = _blade_operands(A, B, "projection target")
+    return _sandwich(A, B, _lcontract_select, inverse, A)
 
 
 def reject(A, B):
@@ -51,9 +62,8 @@ def reject(A, B):
 
     For vectors this is A - project(A, B), the component orthogonal to B.
     """
-    inverse = _blade_inverse(B, "rejection target")
-    A = B._coerce(A)
-    return _graded_product(A ^ B, inverse, A.grades)
+    A, inverse = _blade_operands(A, B, "rejection target")
+    return _sandwich(A, B, _outer_select, inverse, A)
 
 
 def reflect(A, B):
@@ -62,32 +72,26 @@ def reflect(A, B):
     For a vector B this is the reflection along B (B flips, its orthogonal
     complement stays); for a hyperplane use the blade of the hyperplane.
     """
-    inverse = _blade_inverse(B, "mirror")
-    A = B._coerce(A)
+    A, inverse = _blade_operands(A, B, "mirror")
     r = next(iter(B.grades))
     moved = A.grade_involution() if r & 1 else A
-    return _graded_product(B * moved, inverse, A.grades)
+    return _sandwich(B, moved, _gp_select, inverse, A)
 
 
 def apply_versor(A, V):
     """Versor action on A: V A V^-1 (even V) or V ghat(A) V^-1 (odd V).
 
     Raises GradeError when V mixes parities or V reverse(V) is not scalar,
-    NotInvertible when V is null. V^-1 is kept on V once V passes, so
-    later calls with the same V skip the check and the inversion.
+    NotInvertible when V is zero or null. V^-1 is kept on V once V passes,
+    so later calls with the same V skip the check and the inversion.
     """
     if not isinstance(V, Multivector):
         raise TypeError("versor must be a Multivector")
-    inverse = getattr(V, "_versor_inverse", None)
-    if inverse is None:
-        if not V:
-            raise NotInvertible("the zero multivector is not a versor")
-        if not V.is_versor():
-            raise GradeError(f"not a versor (mixed parity, or V reverse(V) is not scalar): {V}")
-        inverse = V._versor_inverse = V.inverse()
+    if getattr(V, "_versor_inverse", None) is None:
+        V._versor_inverse = _checked_inverse(V)
     A = V._coerce(A)
     moved = A.grade_involution() if min(V.grades) & 1 else A
-    return _graded_product(V * moved, inverse, A.grades)
+    return _sandwich(V, moved, _gp_select, V._versor_inverse, A)
 
 
 def rotor_from_vectors(m, n):
@@ -100,7 +104,7 @@ def rotor_from_vectors(m, n):
     for v, name in ((m, "m"), (n, "n")):
         if v.grades - {1}:
             raise GradeError(f"rotor factor {name} must be a vector, got {v}")
-        if _negligible((v.norm_squared(),), v._terms.values(), v.algebra.tolerance, 2):
+        if _twin_inverse(v, v.algebra.tolerance) is None:
             raise NotInvertible(f"rotor factor {name} is null: {v}")
     return m * n
 

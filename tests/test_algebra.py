@@ -12,6 +12,7 @@ import oracles
 from gacalc import (
     Algebra,
     AlgebraMismatch,
+    Frame,
     GAError,
     GradeError,
     Multivector,
@@ -596,15 +597,51 @@ def test_null_vector_not_invertible():
         E3.zero().inverse()
 
 
-@pytest.mark.parametrize("A, norm", [
-    (E3.vector([1e155, 1e155, 0.0]), "inf"),
-    (E3.blade((1, 2), 1e200), "inf"),
-    (STA.vector([1e200, 1e200, 1e200, 0.0]), "nan"),  # inf - inf
+@pytest.mark.parametrize("A", [
+    E3.vector([1.5e308, 1.5e308, 0.0]),
+    E3.multivector({(1, 2): 1.5e308, (1, 3): 1.5e308}),
+    STA.vector([1.5e308, 1.5e308, 1.5e308, 0.0]),
 ], ids=["vector", "bivector", "mixed"])
-def test_inverse_of_an_overflowing_norm_is_nonfinite(A, norm):
-    # an infinite |A|^2 passed the residue rule as roundoff: "null versor has no inverse"
-    with pytest.raises(NonFiniteError, match=rf"^\|A\|\^2 is not finite: {norm}$"):
+def test_inverse_of_an_overflowing_norm_is_nonfinite(A):
+    # an infinite |A|^2 passed the residue rule as roundoff: "null versor has
+    # no inverse". |A|^2 is formed at unit scale, so only |A| itself overflows.
+    with pytest.raises(NonFiniteError, match=r"^\|A\| is not finite: inf$"):
         A.inverse()
+
+
+@pytest.mark.parametrize("A", [2 + E3.basis_vector(1) + E3.blade((1, 2)),
+                               E3.basis_vector(1) + E3.blade((1, 2))], ids=["2+e1+e12", "e1+e12"])
+def test_inverse_of_a_non_versor_is_an_error(A):
+    # reverse(A)/|A|^2 was returned: 0.333 + 0.167 e1 - 0.167 e12 for
+    # 2 + e1 + e12, whose inverse is 0.5 - 0.25 e1 - 0.25 e12, and
+    # 0.5 e1 - 0.5 e12 for e1 + e12, which has none
+    with pytest.raises(GradeError, match="^not a versor"):
+        A.inverse()
+
+
+def test_an_inverse_below_the_tolerance_is_not_invertible():
+    # 1e-11 e1 fell to the prune and inverse() returned 0
+    with pytest.raises(NotInvertible, match="falls below the tolerance"):
+        (E3.basis_vector(1) * 1e11).inverse()
+
+
+def test_inverses_near_the_float_range_are_exact():
+    # at tolerance 1e-300, |A|^2 = 9e-320 was subnormal and A^-1 off by
+    # 1.1e-5, and 9e-340 underflowed to 0: "null versor has no inverse"
+    alg = Algebra(3, 0, tolerance=1e-300)
+    e1, e2 = alg.basis_vector(1), alg.basis_vector(2)
+    assert (e1 * 3e-160).inverse() == Frame([e1 * 3e-160, e2]).reciprocal[0]
+    assert (e1 * 3e-170).inverse() == e1 * (1 / 3e-170)
+    # |A|^2 = 2e310 overflowed: "|A|^2 is not finite: inf"
+    exact = Algebra(3, 0, tolerance=0.0)
+    assert exact.vector([1e155, 1e155, 0.0]).inverse() == exact.vector([5e-156, 5e-156, 0.0])
+    # a subnormal |A| raised a bare OverflowError in is_versor (2^1024), and
+    # |A|^2 underflowed to 0 in inverse()
+    tiny = exact.vector([6e-309, 0.0, 0.0])
+    assert tiny.is_versor()
+    assert tiny.inverse()[(1,)] == pytest.approx(1 / tiny[(1,)], rel=1e-15)
+    with pytest.raises(NonFiniteError, match="^coefficient is not finite: inf$"):
+        (exact.basis_vector(1) * 1e-310).inverse()  # 1e310 overflows
 
 
 @pytest.mark.parametrize("A, value", [
@@ -866,9 +903,17 @@ def _scale_free_answers(a):
     """is_blade(), is_versor() and whether inverse() succeeds."""
     try:
         a.inverse()
-    except NotInvertible:
+    except (NotInvertible, GradeError):
         return a.is_blade(), a.is_versor(), False
     return a.is_blade(), a.is_versor(), True
+
+
+def _smallest_inverse_coefficient(a):
+    """The smallest |coefficient| of A^-1; inf when A has no inverse."""
+    try:
+        return min(map(abs, a.inverse().terms.values()))
+    except (NotInvertible, GradeError):
+        return math.inf
 
 
 @pytest.mark.parametrize("p, q", SIGNATURES_UP_TO_6)
@@ -884,10 +929,12 @@ def test_blade_versor_and_inverse_answers_do_not_depend_on_scale(p, q):
                   gen.rand_versor(alg, rng, rng.randrange(1, 4)),
                   gen.rand_blade(alg, rng, r) + gen.rand_blade(alg, rng, r),
                   gen.rand_mv(alg, rng)):
-            want = _scale_free_answers(a)
+            want, smallest = _scale_free_answers(a), _smallest_inverse_coefficient(a)
             for j in (-30, -20, -10, 10, 30, *rng.sample(range(-29, 30), 4)):
                 scaled = a * math.ldexp(1.0, j)
-                if len(scaled.terms) == len(a.terms):  # no coefficient fell to the prune
+                # no coefficient of A or of A^-1 falls to the prune
+                if (len(scaled.terms) == len(a.terms)
+                        and math.ldexp(smallest, -j) > alg.tolerance):
                     assert _scale_free_answers(scaled) == want, (a, j)
 
 

@@ -294,12 +294,22 @@ def test_a_small_vector_inverts():
     assert (r.returncode, r.stdout, r.stderr) == (0, "1000000*e1\n", "")
 
 
+def test_a_large_projection_target_is_not_zero_and_a_pruned_inverse_is_an_error():
+    # B^-1 = 1e-11 e1 fell to the prune: both printed 0 and exited 0
+    r = ga("-e", "proj(e1 + e2, 1e11 e1)")
+    assert r.returncode == 0 and r.stdout != "0\n"
+    assert abs(float(r.stdout.removesuffix("*e1\n")) - 1.0) <= 1e-15
+    r = ga("-e", "inv(1e11 e1)")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.startswith("error: the inverse of ")
+
+
 @pytest.mark.parametrize("expr", ["inv(2 + e12 + e1)", "inv(e1 + e12)"])
 def test_inv_of_a_non_versor_is_an_error(expr):
     # inv printed reverse(A)/|A|^2, which is not the inverse, and exited 0
     r = ga("-e", expr)
     assert (r.returncode, r.stdout) == (2, "")
-    assert r.stderr.startswith("error: inv needs a versor")
+    assert r.stderr.startswith("error: not a versor")
 
 
 def _imported_modules(stderr):

@@ -242,10 +242,16 @@ def test_a_huge_or_tiny_diagonal_map_inverts(scale):
     assert (b, c) == (0.0, 0.0) and a == d == pytest.approx(1.0 / scale, rel=1e-15)
     x = alg.vector([3.0, -2.0])
     assert inv(x * scale).isclose(x, tol=1e-12)
-    # in E2 the inverse's entries 1e-100 fall to the tolerance, as they do
-    # when that map is built directly
-    want = LinearMap.diagonal(E2, [1e-100, 1e-100]).matrix()
-    assert LinearMap.diagonal(E2, [1e100, 1e100]).inverse().matrix() == want
+    # in E2 the inverse's entries 1e-100 fall to the tolerance: that is the
+    # zero map, which is no inverse
+    with pytest.raises(OperatorError, match="falls below the tolerance"):
+        LinearMap.diagonal(E2, [1e100, 1e100]).inverse()
+
+
+def test_an_inverse_map_the_algebra_cannot_store_is_an_error():
+    # F^-1(e1) = 1e-11 e1 fell to the prune, and a singular "inverse" was returned
+    with pytest.raises(OperatorError, match="falls below the tolerance"):
+        LinearMap.diagonal(E3, [1e11, 1.0, 1.0]).inverse()
 
 
 def test_inverse_and_determinant_match_a_pure_python_solve():

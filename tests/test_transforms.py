@@ -327,7 +327,7 @@ def test_rotor_and_gram_schmidt_overflow_is_nonfinite():
     # factor m is null", and "intermediate blade is null"
     e1, e2 = E3.basis_vector(1), E3.basis_vector(2)
     with pytest.raises(NonFiniteError, match="^coefficient is not finite: inf$"):
-        rotor_from_vectors(e1 * 1e160, e2)
+        rotor_from_vectors(e1 * 1e160, e2 * 1e160)
     with pytest.raises(NonFiniteError, match="^coefficient is not finite: inf$"):
         gram_schmidt([e2 * 1e160, e1 * 1e160])
     # |B_1|^2 = 1e320 overflowed here too; B_1^-1 is now formed at unit scale
@@ -369,6 +369,43 @@ def test_large_blades_and_versors_pass_the_residue_tests(scale):
         moved = apply_versor(x, a * b * c)
         assert moved.grades <= {1}
         assert abs(moved.norm_squared() - x.norm_squared()) < 1e-9
+
+
+def test_large_blades_and_versors_keep_their_inverse():
+    # B^-1 = 1e-11 e1 and R^-1 = -1e-12 e12 fell to the prune: every one was 0
+    e1, e2 = E3.basis_vector(1), E3.basis_vector(2)
+    x, mirror = e1 + e2, e1 * 1e11
+    for got, want in ((project(x, mirror), e1), (reject(x, mirror), e2),
+                      (reflect(x, mirror), e2 - e1), (apply_versor(x, mirror), e2 - e1),
+                      (rotate(e1, E3.blade((1, 2), 1e12)), -e1)):
+        assert got.grades == {1} and got.max_coeff_diff(want) <= 1e-15
+
+
+SCALE_SIGNATURES = [(p, n - p) for n in range(1, 7) for p in range(n + 1)] + [(4, 3), (8, 0)]
+
+
+@pytest.mark.parametrize("p, q", SCALE_SIGNATURES)
+def test_blade_and_versor_sandwiches_do_not_depend_on_scale(p, q):
+    # B^-1 and V^-1 were pruned in the algebra: from |B| ~ 1e6 the prune took
+    # part of B^-1 (answers off by up to 10%), and from ~1e10 all of it
+    alg = Algebra(p, q)
+    rng = random.Random(f"sandwich scale {p},{q}")
+    for _ in range(2 if alg.n > 6 else 4):
+        B = gen.rand_invertible_blade(alg, rng, rng.randrange(1, alg.n + 1))
+        V = gen.rand_versor(alg, rng, rng.randrange(1, alg.n + 1))
+        A = gen.rand_mv(alg, rng)
+
+        def sandwiches(blade, versor):
+            return [list(x._terms.items()) for x in (
+                project(A, blade), reject(A, blade), reflect(A, blade), apply_versor(A, versor))]
+
+        want = sandwiches(B, V)
+        for j in range(-25, 26):
+            scale = math.ldexp(1.0, j)
+            blade, versor = B * scale, V * scale
+            # skip a scale where an input coefficient falls to the prune
+            if len(blade.terms) == len(B.terms) and len(versor.terms) == len(V.terms):
+                assert sandwiches(blade, versor) == want, j
 
 
 BIVECTOR_SIGNATURES = [(p, n - p) for n in range(2, 7) for p in range(n + 1)]
