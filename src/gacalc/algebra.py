@@ -930,8 +930,15 @@ def _graded_product(left, right, grades, into=None):
 
 
 def _twin(algebra):
-    """The algebra with tolerance 0, where composites are built."""
-    return Algebra(algebra.p, algebra.q, tolerance=0.0, max_dimension=algebra.n)
+    """The algebra with tolerance 0, where composites are built.
+
+    A copy of algebra's fields, which its __init__ checked once, with the
+    tolerance set to 0: it skips the checks, which cost several times the copy.
+    """
+    twin = object.__new__(Algebra)
+    twin.p, twin.q, twin.n, twin.metric = algebra.p, algebra.q, algebra.n, algebra.metric
+    twin._minus_mask, twin.tolerance = algebra._minus_mask, 0.0
+    return twin
 
 
 class _Wedges(dict):

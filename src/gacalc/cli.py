@@ -264,11 +264,12 @@ def _kepler_main(argv):
     records = kepler._integrate(
         state0, args["dt"], args["steps"], args["record-every"], args["min-radius"])
     constants = (state0.m, state0.k, algebra.tolerance)
+    rows = (kepler._csv_row(*record, *constants) for record in records)
     if args["csv"]:
         with open(args["csv"], "w", encoding="utf-8") as fh:
-            kepler._write_rows(records, *constants, fh)
+            kepler._write_rows(rows, fh)
     else:
-        kepler._write_rows(records, *constants, sys.stdout)
+        kepler._write_rows(rows, sys.stdout)
     return 0
 
 

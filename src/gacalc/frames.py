@@ -12,13 +12,15 @@ I^c the positions not in I:
 They pair with the frame blades, a_I.scalar_product(a^J) = delta_IJ, and
 I = {i} gives the reciprocal vectors a^i. A blade is pruned once, when it
 leaves the twin, so the volume of a small frame can read 0 though the frame
-is built from the exact one. The frame raises when V is singular by the
-wedge rule of the algebra module: the vectors are dependent, |V| <= tol *
-prod |a_i| in coefficient norms, or V is null. That test runs when the frame
-is built; the volume and the reciprocal vectors are built on first access,
-as a round trip (components, then expand) reads neither. components pairs
-one product D = A reverse(V^-1) with each frame blade a_(I^c), summing over
-the blade's terms (at most C(n, s) for grade s) rather than over D's.
+is built from the exact one; a reciprocal blade pruned to 0 raises
+NotInvertible, as it cannot pair to 1. The frame raises when V is singular
+by the wedge rule of the algebra module: the vectors are dependent, |V| <=
+tol * prod |a_i| in coefficient norms, or V is null. That test runs when
+the frame is built; the volume and the reciprocal vectors are built on
+first access, as a round trip (components, then expand) reads neither.
+components pairs one product D = A reverse(V^-1) with each frame blade
+a_(I^c), summing over the blade's terms (at most C(n, s) for grade s)
+rather than over D's.
 """
 
 import math
@@ -81,10 +83,18 @@ class Frame:
         return self.expand({tuple(subset): 1.0})
 
     def reciprocal_blade(self, subset):
-        """Wedge of the reciprocal vectors with the given 1-based positions, in order."""
+        """Wedge of the reciprocal vectors with the given 1-based positions, in order.
+
+        Raises NotInvertible when the blade, which pairs to 1 with the frame
+        blade, falls below the tolerance when it leaves the twin.
+        """
         bits, sign = _blade_key(len(self), subset)
         blade = self._blades.reciprocal(self._volume_inverse, len(self), bits)
-        return _linear_combination(self.algebra, [(sign, blade._terms)])
+        blade = _linear_combination(self.algebra, [(sign, blade._terms)])
+        if not blade:
+            raise NotInvertible(f"the reciprocal blade of {tuple(subset)} falls below "
+                                "the tolerance")
+        return blade
 
     def _subsets(self):
         """(ascending subset, its bits) for every subset, by grade then lexicographically."""

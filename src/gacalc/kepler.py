@@ -26,12 +26,17 @@ Regular Celestial Mechanics, 1971; Danby, Fundamentals of Celestial
 Mechanics, 2nd ed., 1988, section 6.9). Each record starts from the one
 before it, so dt sets only the record times: no step of length dt is taken,
 and the accuracy does not depend on it. A record costs one short solve
-whatever the spacing. min_radius is checked against the orbit's pericentre,
-at the records whose interval holds a pericentre passage.
+whatever the spacing: Newton starts from the series of s to tau^5, and a
+dense record's Stumpff functions are a two-term series. Where the bracket
+on s spans decades it is bisected at its geometric mean. min_radius is
+checked against the orbit's pericentre, at the records whose interval holds
+a pericentre passage.
 
 The records are plain (t, rx, ry, rz, vx, vy, vz) tuples. simulate() wraps
 each in an OrbitState; `ga-calc kepler` writes them to CSV without building
-any. conserved() and each CSV row take L, e and E from one float kernel.
+any. conserved() and each CSV row take L, e and E from one float kernel;
+write_csv() and the CLI share one writer, which makes the repr of each of
+those values once per run.
 """
 
 import math
@@ -42,7 +47,10 @@ from .algebra import Algebra, GAError, Multivector, NonFiniteError
 CSV_HEADER = ("t", "rx", "ry", "rz", "vx", "vy", "vz",
               "L_yz", "L_zx", "L_xy", "ex", "ey", "ez", "E")
 _CSV_HEAD = ",".join(CSV_HEADER) + "\n"
-_CSV_ROW = ",".join(["%r"] * len(CSV_HEADER)) + "\n"
+# t, r and v by repr; L, e and E by their strings in a _Reprs memo
+_CSV_ROW = ",".join(["%r"] * 7 + ["%s"] * 7) + "\n"
+# a _Reprs memo is cleared when it reaches this many strings (a few hundred kB)
+_REPRS_MAX = 4096
 
 _BRANCH_EPS = 1e-12
 _INF = math.inf
@@ -50,8 +58,14 @@ _OVERFLOW = "orbit state overflows: |r|^2, |L|^2 or E is not finite"
 # a sum of squares below _TINY may hold subnormal squares; scaled by _UP,
 # exactly, every nonzero square is normal and no sum below _TINY overflows
 _TINY, _UP = 2.0 ** -900, 2.0 ** 600
-# Newton on Kepler's equation stops at a step below _NEWTON_TOL s
+# Newton on Kepler's equation stops at a step below _NEWTON_TOL s. The root
+# holds that precision when F's terms exceed |r| s (about tau) by at most
+# _CANCEL = _NEWTON_TOL / eps, and psi stays below _PSI_MAX (some 10^7
+# orbits in one record)
 _NEWTON_STEPS, _NEWTON_TOL = 100, 2.0 ** -32
+_CANCEL, _PSI_MAX = 2.0 ** 20, 2.0 ** 52
+# below this |psi| the psi^3 terms of c2 and c3 are under 2^-60 of them
+_SMALL_PSI = 2.0 ** -16
 
 
 class SimulationError(GAError):
@@ -209,12 +223,18 @@ def _radius_error(rsq, min2):
 def _stumpff(psi):
     """The Stumpff functions c0, c1, c2, c3 of psi (Danby, section 6.9).
 
-    psi is quartered to |psi| <= 1/4, where c2 and c3 take their series to
-    psi^6, c0 = 1 - psi c2 and c1 = 1 - psi c3; c0(4x) = 2 c0^2 - 1,
-    c1(4x) = c0 c1, c2(4x) = c1^2 / 2 and c3(4x) = (c2 + c0 c3) / 4 then
-    undo each quartering. Every orbit type takes this one path, and a
-    hyperbolic overflow comes out as inf, not as an exception.
+    c0 = 1 - psi c2 and c1 = 1 - psi c3. For |psi| <= _SMALL_PSI, which is
+    where a dense record's solve lands, c2 and c3 take their series to psi^2
+    and return at once. Otherwise psi is quartered to |psi| <= 1/4, where c2
+    and c3 take their series to psi^6; c0(4x) = 2 c0^2 - 1, c1(4x) = c0 c1,
+    c2(4x) = c1^2 / 2 and c3(4x) = (c2 + c0 c3) / 4 then undo each
+    quartering. Every orbit type takes these paths, and a hyperbolic
+    overflow comes out as inf, not as an exception.
     """
+    if -_SMALL_PSI <= psi <= _SMALL_PSI:
+        c2 = (1 - psi / 12 * (1 - psi / 30)) / 2
+        c3 = (1 - psi / 20 * (1 - psi / 42)) / 6
+        return 1 - psi * c2, 1 - psi * c3, c2, c3
     if not -_INF < psi < _INF:
         raise SimulationError(f"Kepler solve reached a Stumpff argument of {psi!r}")
     quarters = 0
@@ -280,14 +300,18 @@ def _integrate(state0, dt, steps, record_every, min_radius):
     for last, step in zip(marks, marks[1:]):
         # Kepler's equation F(s) = r0 G1 + sigma G2 + mu G3 - tau = 0, with
         # G_j = s^j c_j(beta s^2): F(0) = -tau and F' = r(s) > 0. Newton starts
-        # from the series of s(tau) to tau^3, or from tau/|r| where that series
+        # from the series of s(tau) to tau^5, or from tau/|r| where that series
         # leaves (0, 2 tau/|r|); a step that leaves the bracket [lo, hi] or
         # fails to halve the last one is a bisection (rtsafe in Numerical
         # Recipes), or, with no upper bound yet, a doubling of s
         tau, sigma = (step - last) * dt, rx * vx + ry * vy + rz * vz
         beta = 2.0 * mu / r0 - (vx * vx + vy * vy + vz * vz)
+        # s = x p: F / r0 = s + A s^2 + B s^3 + C s^4 + D s^5 reverted, with
+        # a = A x, b = B x^2, C x^3 = -z a / 12 and D x^4 = -z b / 20
         x, w = tau / r0, sigma * tau / (r0 * r0)
-        p = 1.0 - 0.5 * w + 0.5 * w * w + x * x * (beta - mu / r0) / 6.0
+        a, b, z = 0.5 * w, x * x * (mu / r0 - beta) / 6.0, beta * x * x
+        p = (1.0 - b + 3.0 * b * b + z * b / 20.0 - a * (1.0 - 5.0 * b - z / 12.0 - a * (
+            2.0 - 21.0 * b - 0.5 * z - a * (5.0 - 14.0 * a))))
         lo, hi, s, last_ds = 0.0, _INF, x * p if 0.0 < p < 2.0 else x, _INF
         for _ in range(_NEWTON_STEPS):
             s2 = s * s
@@ -298,8 +322,18 @@ def _integrate(state0, dt, steps, record_every, min_radius):
             lo, hi = (s, hi) if f < 0.0 else (lo, s)
             ds = f / rs if rs > 0.0 else _INF
             if not (lo <= s - ds <= hi and abs(ds) < 0.5 * last_ds):  # bisect, or double
-                ds = s - 0.5 * (lo + hi) if hi < _INF else -s
+                if hi == _INF:
+                    ds = -s
+                elif hi > 16.0 * lo:  # the geometric mean, lo = 0 read as hi 2^-64
+                    ds = s - math.sqrt(max(lo, hi * 2.0 ** -64)) * math.sqrt(hi)
+                else:
+                    ds = s - 0.5 * (lo + hi)
             if abs(ds) <= _NEWTON_TOL * s:
+                # F's roundoff, eps times its terms, moves the root by that
+                # over F' = |r|; past _PSI_MAX the c_j keep too few digits
+                if psi > _PSI_MAX or abs(r0 * g1) + abs(sigma * g2) + abs(mu * g3) > (
+                        _CANCEL * rs * s):
+                    raise SimulationError(f"Kepler solve lost its precision at step {step}")
                 break
             s, last_ds = s - ds, abs(ds)
         else:
@@ -308,7 +342,8 @@ def _integrate(state0, dt, steps, record_every, min_radius):
         g1, g2, g3 = g1 - c0 * ds, g2 - g1 * ds, g3 - g2 * ds
         fm1, g = -mu * g2 / r0, tau - mu * g3
         px, py, pz = rx + (fm1 * rx + g * vx), ry + (fm1 * ry + g * vy), rz + (fm1 * rz + g * vz)
-        rs = math.sqrt(px * px + py * py + pz * pz)
+        rs = px * px + py * py + pz * pz
+        rs = math.sqrt(rs) if _TINY <= rs < _INF else math.hypot(px, py, pz)
         if rs == 0.0:  # the centre: a collision, which only a guarded orbit meets
             raise _radius_error(0.0, min2)
         fdot, gdm1 = -mu * g1 / rs / r0, -mu * g2 / rs
@@ -319,10 +354,11 @@ def _integrate(state0, dt, steps, record_every, min_radius):
         # a pericentre passage: the radial velocity turns from < 0 to >= 0, or
         # the eccentric anomaly sqrt(psi) turns by more than pi with no change
         # of sign, or by 2 pi
-        after = rx * vx + ry * vy + rz * vz
-        if guard and (sigma < 0.0 <= after or psi >= 4.0 * math.pi ** 2 or (
-                psi > math.pi ** 2 and (sigma < 0.0) == (after < 0.0))):
-            raise _radius_error(q * q, min2)
+        if guard:
+            after = rx * vx + ry * vy + rz * vz
+            if sigma < 0.0 <= after or psi >= 4.0 * math.pi ** 2 or (
+                    psi > math.pi ** 2 and (sigma < 0.0) == (after < 0.0)):
+                raise _radius_error(q * q, min2)
         records.append((t0 + step * dt, rx, ry, rz, vx, vy, vz))
     return records
 
@@ -347,9 +383,11 @@ def simulate(state0, dt, steps, record_every=1, min_radius=1e-8):
     finite, negative steps, record_every below 1, min_radius negative or not
     finite, a final time that is not finite), for a start radius below
     min_radius or too small for the inverse-square force, for a pericentre
-    passage below either, and when the solve fails to converge or the state
-    goes nonfinite. Raises NonFiniteError, as conserved() would, for a start
-    state that overflows.
+    passage below either, when the solve fails to converge or the state goes
+    nonfinite, and when roundoff leaves a record's s short of the solve's
+    2^-32 (the terms of Kepler's equation cancel by more than 2^20, or one
+    record spans some 10^7 orbits). Raises NonFiniteError, as conserved()
+    would, for a start state that overflows.
     """
     algebra = state0.r.algebra
     m, k = state0.m, state0.k
@@ -412,11 +450,39 @@ def orbital_period(cons, m=1.0, k=1.0):
     return period
 
 
-def _write_rows(records, m, k, tol, stream):
-    """Write the CSV header, then the row of each (t, rx, ry, rz, vx, vy, vz) record."""
+class _Reprs(dict):
+    """repr of each nonzero float, made on first lookup and kept.
+
+    0.0 and -0.0 are equal keys with different reprs, so a zero must not be
+    looked up. Past _REPRS_MAX strings the memo starts over, so a run whose
+    values never repeat holds no more than that.
+    """
+
+    def __missing__(self, x):
+        if len(self) >= _REPRS_MAX:
+            self.clear()
+        text = self[x] = repr(x)
+        return text
+
+
+def _write_rows(rows, stream):
+    """Write the CSV header, then each row of _csv_row fields.
+
+    t, r and v change from row to row and are written by repr. L, e and E
+    are conserved, so a run repeats few values in those seven fields: one
+    _Reprs memo, shared by them for this call, makes each nonzero value's
+    repr once, and a zero (0.0, or -0.0 in L_zx) takes its repr directly.
+    The bytes are those of writing every field by repr.
+    """
+    reprs = _Reprs()
     stream.write(_CSV_HEAD)
-    stream.writelines(_CSV_ROW % _csv_row(t, rx, ry, rz, vx, vy, vz, m, k, tol)
-                      for t, rx, ry, rz, vx, vy, vz in records)
+    stream.writelines(
+        _CSV_ROW % (t, rx, ry, rz, vx, vy, vz,
+                    l_yz and reprs[l_yz] or repr(l_yz), l_zx and reprs[l_zx] or repr(l_zx),
+                    l_xy and reprs[l_xy] or repr(l_xy), ex and reprs[ex] or repr(ex),
+                    ey and reprs[ey] or repr(ey), ez and reprs[ez] or repr(ez),
+                    energy and reprs[energy] or repr(energy))
+        for t, rx, ry, rz, vx, vy, vz, l_yz, l_zx, l_xy, ex, ey, ez, energy in rows)
 
 
 def write_csv(states, stream):
@@ -428,6 +494,5 @@ def write_csv(states, stream):
     follow the dual-axis convention: L_yz = L[e23], L_zx = -L[e13] (written
     -0.0 when L[e13] is zero), L_xy = L[e12].
     """
-    stream.write(_CSV_HEAD)
-    stream.writelines(_CSV_ROW % _csv_row(s.t, *_components(s.r), *_components(s.v), s.m,
-                                          s.k, s.r.algebra.tolerance) for s in states)
+    _write_rows((_csv_row(s.t, *_components(s.r), *_components(s.v), s.m, s.k,
+                          s.r.algebra.tolerance) for s in states), stream)

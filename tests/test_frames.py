@@ -109,6 +109,20 @@ def test_frame_input_validation():
         Frame([E2.basis_vector(1), E2.basis_vector(2), E2.vector([1.0, 1.0])])
 
 
+def test_a_reciprocal_below_the_tolerance_is_not_invertible():
+    # a^1 = 1e-11 e1 was pruned: reciprocal[0] and reciprocal_blade((1, 2))
+    # were 0, so a^i . a_j = delta_ij failed silently, and blade_table with them
+    e1, e2 = E3.basis_vector(1), E3.basis_vector(2)
+    f = Frame([e1 * 1e11, e2])
+    assert f.reciprocal_blade((2,)).isclose(e2, tol=1e-12)
+    for call in (lambda: f.reciprocal, lambda: f.reciprocal_blade((1, 2)), f.blade_table):
+        with pytest.raises(NotInvertible, match="falls below the tolerance"):
+            call()
+    # the frame itself still round-trips, from its blades in the twin
+    x = e1 * 3.0 + e2
+    assert f.expand(f.components(x)).isclose(x, tol=1e-12)
+
+
 def test_reciprocal_delta_relations():
     rng = random.Random(101)
     for alg in (E2, E3, STA, Algebra(5, 0)):

@@ -20,7 +20,8 @@ from gacalc import (
     orbital_period,
     simulate,
 )
-from gacalc.kepler import _stumpff, write_csv
+from gacalc import kepler
+from gacalc.kepler import CSV_HEADER, _csv_row, _stumpff, _write_rows, write_csv
 
 E3 = Algebra(3, 0)
 
@@ -355,20 +356,39 @@ def test_sampled_radii_match_the_conic():
         assert rlen == pytest.approx(want, rel=1e-7)
 
 
+def _exact_stumpff(psi, k):
+    """c_k(psi) = sum_j (-psi)^j / (2j + k)!, summed exactly until a term is below 2^-120 of it."""
+    term, total, j = Fraction(1, math.factorial(k)), Fraction(0), 0
+    while abs(term) > abs(total) / 2 ** 120:
+        total += term
+        term *= -Fraction(psi) / ((2 * j + k + 1) * (2 * j + k + 2))
+        j += 1
+    return total
+
+
 @pytest.mark.parametrize("psi", [0.0, 1e-8, 0.01, 0.2499, 0.25, 0.3, 1.0, 3.7, 10.0, 39.0, 100.0])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_stumpff_functions_match_their_series(psi, sign):
-    # c_k(psi) = sum_j (-psi)^j / (2j + k)!, summed exactly; the error is
-    # read against 1/k!, times cosh(sqrt(-psi)) where psi < 0
+    # the error is read against 1/k!, times cosh(sqrt(-psi)) where psi < 0
     psi *= sign
     size = math.cosh(math.sqrt(-psi)) if psi < 0 else 1.0
     for k, got in enumerate(_stumpff(psi)):
-        term, want = Fraction(1, math.factorial(k)), Fraction(0)
-        for j in range(60):
-            want += term
-            term *= -Fraction(psi) / ((2 * j + k + 1) * (2 * j + k + 2))
+        want = _exact_stumpff(psi, k)
         bound = (1e-14 if k == 0 else 1e-15) * size / math.factorial(k)
         assert abs(got - float(want)) <= bound, (k, got, float(want))
+
+
+def test_stumpff_functions_of_a_small_argument_match_their_series():
+    # |psi| <= 2^-16 takes the series to psi^2, whose psi^3 terms lie below
+    # 2^-60 of c2 and c3; on either side of the cut each c_k is within 2^-52
+    # of the exact series, relative
+    rng = random.Random("small psi")
+    cut = 2.0 ** -16
+    edges = [cut, math.nextafter(cut, 1.0), 1e-6, 2.0 ** -40, 5e-324, 0.0]
+    for psi in edges + [-x for x in edges] + [rng.uniform(-cut, cut) for _ in range(300)]:
+        for k, got in enumerate(_stumpff(psi)):
+            want = _exact_stumpff(psi, k)
+            assert abs(Fraction(got) - want) <= want * Fraction(2) ** -52, (psi, k, got)
 
 
 ECCENTRIC = state((1.0, 0.0, 0.0), (0.0, 0.03, 0.0))  # e = 0.9991, pericentre 4.5e-4
@@ -432,6 +452,36 @@ def test_an_overflowing_start_state_is_refused():
     s0 = state((1e200, 0.0, 0.0), (0.0, 1e200, 0.0))
     with pytest.raises(NonFiniteError, match="coefficient is not finite: inf"):
         simulate(s0, 1e-3, 2)
+
+
+@pytest.mark.parametrize("v", [0.0, -1e-80, 1.0])
+def test_a_solve_across_many_decades_converges(v):
+    # a repulsive start at |r| = 1e150, one record 1e280 later: s = tau/|r|
+    # starts near 1e130 and the root lies near 1e64; halving the bracket
+    # took ~220 steps and raised "did not converge" after 100
+    exact = Algebra(3, 0, tolerance=0.0)
+    s0 = OrbitState(exact.vector((1e150, 0.0, 0.0)), exact.vector((v, 0.0, 0.0)), k=-1.0)
+    energy = conserved(s0).energy
+    final = simulate(s0, 1e280, 1)[-1]
+    rx, vx = final.r.coefficient((1,)), final.v.coefficient((1,))
+    assert rx == pytest.approx(math.sqrt(2.0 * energy) * 1e280, rel=1e-12)
+    # |r|^2 overflows, so conserved() refuses the final state
+    assert 0.5 * vx * vx + 1.0 / rx == pytest.approx(energy, rel=1e-12)
+
+
+@pytest.mark.parametrize("r, v, m, k, dt", [
+    # 1e10 periods in one record: r came back as 1.0 e1 - 1.01 e2, off the circle
+    pytest.param((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), 1.0, 1.0, 2e10 * math.pi, id="1e10-periods"),
+    # a flyby 1e30 times closer than its start: r0 G1 and sigma G2 cancel
+    # from 1e186 down to tau, so F's root is roundoff; a solve that
+    # converged there gave r = 3.9e93 where the flyby reaches about 8.8e60
+    pytest.param((0.0, 4.5e13, 0.0), (0.0, -2e65, 1.4e35), 150.0, 1800.0, 4.4e-5, id="flyby"),
+])
+def test_a_record_the_solve_cannot_resolve_is_refused(r, v, m, k, dt):
+    exact = Algebra(3, 0, tolerance=0.0)
+    s0 = OrbitState(exact.vector(r), exact.vector(v), m, k)
+    with pytest.raises(SimulationError, match="Kepler solve lost its precision at step 1"):
+        simulate(s0, dt, 1)
 
 
 def _direction(theta, phi):
@@ -514,6 +564,61 @@ def test_write_csv_bivector_component_signs():
     assert (l_yz, l_zx, l_xy) == (1.0, 0.0, 0.0)
     cons = conserved(s)
     assert cons.angular_momentum.dual() == E3.vector([l_yz, l_zx, l_xy])
+
+
+def _repeating_records(seed, count=300):
+    """Seeded (t, r, v) records whose L, e and E fields repeat within and across columns.
+
+    Coordinates come from a few exact values, so many rows share their
+    conserved values and equal values meet in different columns. Planar
+    orbits give L_zx = -0.0 beside 0.0 fields, -0.0 and 1e-11 coordinates are
+    pruned, and some records sit at the centre, where the row raises.
+    """
+    rng = random.Random(seed)
+    values = (0.0, -0.0, 0.5, 1.0, -1.0, 2.0, 1e-11)
+    return [(rng.choice((0.0, 1.5e-3, -7.25)), *(rng.choice(values) for _ in range(6)))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("m, k", [(1.0, 1.0), (2.0, -0.5)])
+def test_csv_lines_are_the_repr_of_every_field(seed, m, k):
+    # the L, e and E fields come from a memo of reprs shared by the seven
+    # columns: no line differs from writing each field by repr
+    records, rows = [], []
+    for record in _repeating_records(seed):
+        try:
+            rows.append(_csv_row(*record, m, k, E3.tolerance))
+        except SimulationError:
+            continue
+        records.append(record)
+    want = [",".join(CSV_HEADER)] + [",".join(map(repr, row)) for row in rows]
+    buf = io.StringIO()
+    _write_rows(iter(rows), buf)
+    assert buf.getvalue().splitlines() == want
+    states = [OrbitState(E3.vector(r[1:4]), E3.vector(r[4:]), m, k, r[0]) for r in records]
+    buf = io.StringIO()
+    write_csv(states, buf)
+    assert buf.getvalue().splitlines() == want
+    # the records hit what the memo must keep apart or share
+    fields = [line.split(",")[7:] for line in want[1:]]
+    assert any(f[1] == "-0.0" and "0.0" in f for f in fields)
+    assert any(len({x for x in f if float(x)}) < sum(1 for x in f if float(x)) for f in fields)
+
+
+def test_a_full_memo_starts_over(monkeypatch):
+    # a run whose conserved values never repeat keeps at most _REPRS_MAX
+    # strings; clearing the memo changes no byte
+    rng = random.Random("memo")
+    rows = [_csv_row(rng.uniform(0, 1), *(rng.uniform(-2, 2) for _ in range(6)), 1.0, 1.0, 1e-10)
+            for _ in range(50)]
+    full = io.StringIO()
+    _write_rows(iter(rows), full)
+    monkeypatch.setattr(kepler, "_REPRS_MAX", 4)
+    small = io.StringIO()
+    _write_rows(iter(rows), small)
+    assert small.getvalue() == full.getvalue()
+    assert full.getvalue().splitlines()[1:] == [",".join(map(repr, row)) for row in rows]
 
 
 def _csv_fields(s):
