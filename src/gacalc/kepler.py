@@ -36,7 +36,10 @@ The records are plain (t, rx, ry, rz, vx, vy, vz) tuples. simulate() wraps
 each in an OrbitState; `ga-calc kepler` writes them to CSV without building
 any. conserved() and each CSV row take L, e and E from one float kernel;
 write_csv() and the CLI share one writer, which makes the repr of each of
-those values once per run.
+those values once per run. Every length here, |r|, |L| and |e|, is
+math.hypot of the coefficients, the one rule algebra.py uses: no square of
+a length is formed, so a state whose |r| and |L| are finite has a row
+however large or small their squares.
 """
 
 import math
@@ -54,10 +57,7 @@ _REPRS_MAX = 4096
 
 _BRANCH_EPS = 1e-12
 _INF = math.inf
-_OVERFLOW = "orbit state overflows: |r|^2, |L|^2 or E is not finite"
-# a sum of squares below _TINY may hold subnormal squares; scaled by _UP,
-# exactly, every nonzero square is normal and no sum below _TINY overflows
-_TINY, _UP = 2.0 ** -900, 2.0 ** 600
+_OVERFLOW = "orbit state overflows: |r|, |L| or E is not finite"
 # Newton on Kepler's equation stops at a step below _NEWTON_TOL s. The root
 # holds that precision when F's terms exceed |r| s (about tau) by at most
 # _CANCEL = _NEWTON_TOL / eps, and psi stays below _PSI_MAX (some 10^7
@@ -130,8 +130,9 @@ def conserved(state):
 
     The identity E = (m k^2 / 2 l^2)(|e|^2 - 1) is not checked here: near a
     radial orbit its factor 1/l^2 magnifies the rounding and pruning of e
-    past any useful bound. Raises SimulationError at zero radius, and
-    NonFiniteError when a coefficient, |r|^2, |L|^2 or E overflows.
+    past any useful bound. l = |L| is math.hypot of L's coefficients, as
+    every length in the package is. Raises SimulationError at zero radius,
+    and NonFiniteError when a coefficient of e, |r|, |L| or E is not finite.
     """
     if not isinstance(state, OrbitState):
         raise SimulationError(f"expected an OrbitState, got {type(state).__name__}")
@@ -139,17 +140,10 @@ def conserved(state):
     *_, l_yz, l_zx, l_xy, ex, ey, ez, energy = _csv_row(
         state.t, *_components(state.r), *_components(state.v), state.m, state.k,
         algebra.tolerance)
-    # the row checked that this sum is finite
-    lsq = l_xy * l_xy + l_zx * l_zx + l_yz * l_yz
-    l = math.sqrt(lsq) if lsq >= _TINY else _small_norm(l_xy, l_zx, l_yz)
+    # the row checked that this length is finite
+    l = math.hypot(l_xy, l_zx, l_yz)
     return Conserved(Multivector._make(algebra, {3: l_xy, 5: -l_zx, 6: l_yz}),
                      Multivector._make(algebra, {1: ex, 2: ey, 4: ez}), energy, l, l == 0.0)
-
-
-def _small_norm(x, y, z):
-    """sqrt(x^2 + y^2 + z^2) for a sum of squares below _TINY, summed at scale _UP."""
-    x, y, z = x * _UP, y * _UP, z * _UP
-    return math.sqrt(x * x + y * y + z * z) / _UP
 
 
 def _csv_row(t, rx, ry, rz, vx, vy, vz, m, k, tol):
@@ -157,13 +151,14 @@ def _csv_row(t, rx, ry, rz, vx, vy, vz, m, k, tol):
 
     Runs the steps of L = m r ^ v and e = (L |. v) / k - r/|r| on floats and
     sets to 0.0 each value that the Multivector step would prune (|x| <=
-    tol), so L, e and E are the Multivector results bit for bit. |r| comes
-    from a sum of squares, rescaled where it is below _TINY. Raises
-    NonFiniteError when e, |r|^2, |L|^2 or E is not finite. Its message is
-    the Multivector steps' own: on that rare path the row runs them, and
-    the product loop names the first coefficient that is not finite, in the
-    order it meets the blades. When every step is finite, the message says
-    that |r|^2, |L|^2 or E overflows.
+    tol), so L, e and E are the Multivector results bit for bit. |r| and
+    |L| are math.hypot of the coefficients, so a row exists wherever they
+    are finite, however large or small their squares. Raises
+    NonFiniteError when a coefficient of e, |r|, |L| or E is not finite.
+    Its message is the Multivector steps' own: on that rare path the row
+    runs them, and the product loop names the first coefficient that is not
+    finite, in the order it meets the blades. When every step is finite,
+    the message says that |r|, |L| or E is not finite.
     """
     m, k = float(m), float(k)
     rx = 0.0 if abs(rx) <= tol else rx
@@ -172,8 +167,7 @@ def _csv_row(t, rx, ry, rz, vx, vy, vz, m, k, tol):
     vx = 0.0 if abs(vx) <= tol else vx
     vy = 0.0 if abs(vy) <= tol else vy
     vz = 0.0 if abs(vz) <= tol else vz
-    rsq = rx * rx + ry * ry + rz * rz
-    rlen = math.sqrt(rsq) if rsq >= _TINY else _small_norm(rx, ry, rz)
+    rlen = math.hypot(rx, ry, rz)
     if rlen <= 0.0:
         raise SimulationError("position is at the singularity")
     # L = (r ^ v) * m, pruned after the wedge and after the scaling
@@ -199,10 +193,9 @@ def _csv_row(t, rx, ry, rz, vx, vy, vz, m, k, tol):
     ey = 0.0 if abs(ey) <= tol else ey
     ez = 0.0 if abs(ez) <= tol else ez
     energy = 0.5 * m * (vx * vx + vy * vy + vz * vz) - k / rlen
-    lsq = l12 * l12 + l13 * l13 + l23 * l23
     # a coefficient that is not finite is kept by every step and reaches e
-    if not (math.isfinite(ex) and math.isfinite(ey) and math.isfinite(ez)
-            and rsq < _INF and lsq < _INF and -_INF < energy < _INF):
+    if not (math.isfinite(ex) and math.isfinite(ey) and math.isfinite(ez) and rlen < _INF
+            and math.hypot(l12, l13, l23) < _INF and -_INF < energy < _INF):
         # the steps r ^ v, L = (r ^ v) m, L |. v and L |. v / k as Multivectors
         algebra = Algebra(3, 0, tolerance=tol)
         r, v = algebra.vector((rx, ry, rz)), algebra.vector((vx, vy, vz))
@@ -211,13 +204,11 @@ def _csv_row(t, rx, ry, rz, vx, vy, vz, m, k, tol):
     return t, rx, ry, rz, vx, vy, vz, l23, -l13, l12, ex, ey, ez, energy
 
 
-def _radius_error(rsq, min2):
-    """The SimulationError for a radius sqrt(rsq) below sqrt(min2), or too small for the force."""
-    if not rsq >= min2:
-        return SimulationError(
-            f"radius {math.sqrt(rsq):.3e} fell below the minimum allowed")
-    return SimulationError(
-        f"radius {math.sqrt(rsq):.3e} is too small for the inverse-square force")
+def _radius_error(r, min_radius):
+    """The SimulationError for a radius r below min_radius, or too small for the force."""
+    if not r >= min_radius:
+        return SimulationError(f"radius {r:.3e} fell below the minimum allowed")
+    return SimulationError(f"radius {r:.3e} is too small for the inverse-square force")
 
 
 def _stumpff(psi):
@@ -277,23 +268,23 @@ def _integrate(state0, dt, steps, record_every, min_radius):
     if not math.isfinite(t_end):
         raise SimulationError("final time t0 + steps*dt must be finite")
 
-    mu, min2 = state0.k / state0.m, min_radius * min_radius
+    mu = state0.k / state0.m
     (rx, ry, rz), (vx, vy, vz) = _components(state0.r), _components(state0.v)
     # The force -mu r/|r|^3 needs |r| >= min_radius and |r|^3 > 0 (not lost
     # to underflow): at the start, and along the orbit at its pericentre q,
     # from l^2 = |r ^ v|^2 and h = E/m. q <= |r0| always, so the cap costs
     # nothing and stands in where l^2 h overflows. The start state must also
     # have a CSV row, whose overflow errors are the ones to report
-    rsq = rx * rx + ry * ry + rz * rz
-    if not (rsq >= min2 and rsq * math.sqrt(rsq) > 0.0):
-        raise _radius_error(rsq, min2)
+    r0 = math.hypot(rx, ry, rz)
+    if not (r0 >= min_radius and r0 * r0 * r0 > 0.0):
+        raise _radius_error(r0, min_radius)
     _csv_row(t0, rx, ry, rz, vx, vy, vz, state0.m, state0.k, state0.r.algebra.tolerance)
     lx, ly, lz = ry * vz - rz * vy, rz * vx - rx * vz, rx * vy - ry * vx
-    l2, r0 = lx * lx + ly * ly + lz * lz, math.sqrt(rsq)
+    l2 = lx * lx + ly * ly + lz * lz
     h = 0.5 * (vx * vx + vy * vy + vz * vz) - mu / r0
     root = math.sqrt(max(0.0, mu * mu + 2.0 * h * l2))
     q = min(r0, l2 / (mu + root) if mu > 0 else (root - mu) / (2.0 * h) if h else _INF)
-    guard = not (q * q >= min2 and q * q * q > 0.0)
+    guard = not (q >= min_radius and q * q * q > 0.0)
 
     marks = [0, *range(record_every, steps, record_every), steps][:steps + 1]
     records = [(t0 + 0 * dt, rx, ry, rz, vx, vy, vz)]
@@ -342,14 +333,13 @@ def _integrate(state0, dt, steps, record_every, min_radius):
         g1, g2, g3 = g1 - c0 * ds, g2 - g1 * ds, g3 - g2 * ds
         fm1, g = -mu * g2 / r0, tau - mu * g3
         px, py, pz = rx + (fm1 * rx + g * vx), ry + (fm1 * ry + g * vy), rz + (fm1 * rz + g * vz)
-        rs = px * px + py * py + pz * pz
-        rs = math.sqrt(rs) if _TINY <= rs < _INF else math.hypot(px, py, pz)
+        rs = math.hypot(px, py, pz)
         if rs == 0.0:  # the centre: a collision, which only a guarded orbit meets
-            raise _radius_error(0.0, min2)
+            raise _radius_error(0.0, min_radius)
         fdot, gdm1 = -mu * g1 / rs / r0, -mu * g2 / rs
         rx, ry, rz, vx, vy, vz, r0 = px, py, pz, vx + (fdot * rx + gdm1 * vx), vy + (
             fdot * ry + gdm1 * vy), vz + (fdot * rz + gdm1 * vz), rs
-        if not math.isfinite(rx + ry + rz + vx + vy + vz):
+        if not (r0 < _INF and math.hypot(vx, vy, vz) < _INF):
             raise SimulationError(f"state became nonfinite at step {step}")
         # a pericentre passage: the radial velocity turns from < 0 to >= 0, or
         # the eccentric anomaly sqrt(psi) turns by more than pi with no change
@@ -358,7 +348,7 @@ def _integrate(state0, dt, steps, record_every, min_radius):
             after = rx * vx + ry * vy + rz * vz
             if sigma < 0.0 <= after or psi >= 4.0 * math.pi ** 2 or (
                     psi > math.pi ** 2 and (sigma < 0.0) == (after < 0.0)):
-                raise _radius_error(q * q, min2)
+                raise _radius_error(q, min_radius)
         records.append((t0 + step * dt, rx, ry, rz, vx, vy, vz))
     return records
 
@@ -382,12 +372,15 @@ def simulate(state0, dt, steps, record_every=1, min_radius=1e-8):
     Raises SimulationError for invalid arguments (dt not positive and
     finite, negative steps, record_every below 1, min_radius negative or not
     finite, a final time that is not finite), for a start radius below
-    min_radius or too small for the inverse-square force, for a pericentre
-    passage below either, when the solve fails to converge or the state goes
-    nonfinite, and when roundoff leaves a record's s short of the solve's
-    2^-32 (the terms of Kepler's equation cancel by more than 2^20, or one
-    record spans some 10^7 orbits). Raises NonFiniteError, as conserved()
-    would, for a start state that overflows.
+    min_radius or too small for the inverse-square force (|r|^3 underflows
+    to 0), for a pericentre passage below either, when the solve fails to
+    converge or the state or its radius goes nonfinite, and when roundoff
+    leaves a record's s short of the solve's 2^-32 (the terms of Kepler's
+    equation cancel by more than 2^20, or one record spans some 10^7
+    orbits). Raises NonFiniteError, as conserved()
+    would, for a start state that has no CSV row: a coefficient of e, |r|,
+    |L| or E is not finite. Radii are math.hypot lengths, so a start or a
+    record far past |r| = 1e154, where |r|^2 overflows, is propagated.
     """
     algebra = state0.r.algebra
     m, k = state0.m, state0.k
@@ -412,7 +405,7 @@ def orbit_radius(cons, theta, m=1.0, k=1.0):
     _check_constants(m, k)
     if not math.isfinite(theta):
         raise SimulationError(f"angle {theta!r} is not finite")
-    e = math.sqrt(cons.eccentricity.norm_squared())
+    e = math.hypot(*_components(cons.eccentricity))
     denom = 1.0 + e * math.cos(theta)
     if k > 0 and denom <= _BRANCH_EPS:
         raise SimulationError(f"angle {theta!r} is outside the attractive branch")

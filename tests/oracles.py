@@ -193,40 +193,36 @@ def inverse_and_determinant(matrix):
     return [row[n:] for row in rows], det
 
 
-KEPLER_OVERFLOW = "orbit state overflows: |r|^2, |L|^2 or E is not finite"
+KEPLER_OVERFLOW = "orbit state overflows: |r|, |L| or E is not finite"
 
 
 def kepler_conserved(state):
     """L = m r ^ v, e = (L |. v)/k - r/|r| and E = m|v|^2/2 - k/|r| of an orbit state.
 
     Every step is a Multivector operation, pruned to the algebra tolerance.
-    Raises SimulationError at zero |r| = sqrt(|r|^2) (so also where |r|^2
-    underflows), NonFiniteError from the first stage whose coefficient is not
-    finite, and NonFiniteError(KEPLER_OVERFLOW) when |r|^2, |L|^2 or E is.
+    |r| and l = |L| are math.hypot of the coefficients, the coefficient norm
+    of algebra.py. Raises SimulationError at zero |r|, NonFiniteError from
+    the first stage whose coefficient is not finite, and
+    NonFiniteError(KEPLER_OVERFLOW) when |r|, |L| or E is.
     """
     from gacalc.algebra import NonFiniteError
     from gacalc.kepler import Conserved, SimulationError
 
-    def norm_squared(x):
-        # norm_squared() raises on overflow; these squares are positive, so
-        # the only non-finite value is inf, which the check below reports
-        try:
-            return x.norm_squared()
-        except NonFiniteError:
-            return math.inf
-
     r, v, m, k = state.r, state.v, state.m, state.k
-    rsq = norm_squared(r)
-    rlen = math.sqrt(rsq)
+    rlen = math.hypot(*r._terms.values())
     if rlen <= 0.0:
         raise SimulationError("position is at the singularity")
     L = (r ^ v) * m
     ecc = L.right_contract(v) / k - r / rlen
-    energy = 0.5 * m * norm_squared(v) - k / rlen
-    lsq = norm_squared(L)
-    if not (rsq < math.inf and lsq < math.inf and -math.inf < energy < math.inf):
+    try:
+        vsq = v.norm_squared()
+    except NonFiniteError:  # |v|^2 is positive: its only non-finite value is inf
+        vsq = math.inf
+    energy = 0.5 * m * vsq - k / rlen
+    l = math.hypot(*L._terms.values())
+    if not (rlen < math.inf and l < math.inf and -math.inf < energy < math.inf):
         raise NonFiniteError(KEPLER_OVERFLOW)
-    return Conserved(L, ecc, energy, math.sqrt(lsq), not L)
+    return Conserved(L, ecc, energy, l, not L)
 
 
 def kepler_rk4(r, v, mu, dt, steps, record_every=1):

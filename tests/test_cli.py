@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import itertools
+import math
 import re
 import subprocess
 import sys
@@ -730,16 +731,19 @@ def test_kepler_fall_through_the_centre_is_a_collision(v0):
     assert "fell below the minimum allowed" in r.stderr
 
 
-@pytest.mark.parametrize("args", [
-    pytest.param(("--r0=0,0,0", "--min-radius", "0"), id="origin"),
-    pytest.param(("--r0=1e-200,0,0", "--min-radius=1e-200"), id="r2-underflow"),
+@pytest.mark.parametrize("args, message", [
+    pytest.param(("--r0=0,0,0", "--min-radius", "0"), "is too small for the inverse-square force",
+                 id="origin"),
+    # the tolerance prunes 1e-200 to 0; "too small" came only from
+    # min_radius^2 underflowing to 0
+    pytest.param(("--r0=1e-200,0,0", "--min-radius=1e-200"), "fell below the minimum allowed",
+                 id="r2-underflow"),
 ])
-def test_kepler_force_underflow_is_an_error(args):
+def test_kepler_force_underflow_is_an_error(args, message):
     # used to exit 1 with a ZeroDivisionError traceback
     r = ga("kepler", *args)
     assert (r.returncode, r.stdout) == (2, "")
-    assert r.stderr == (
-        "error: radius 0.000e+00 is too small for the inverse-square force\n")
+    assert r.stderr == f"error: radius 0.000e+00 {message}\n"
 
 
 @pytest.mark.parametrize("args, message", [
@@ -767,15 +771,44 @@ def test_kepler_overflow_is_an_error():
     assert r.stderr == "error: coefficient is not finite: inf\n"
 
 
-@pytest.mark.parametrize("args", [
-    pytest.param(("--r0=1,0,0", "--v0=1e160,0,0", "--steps", "1"), id="energy"),
-    pytest.param(("--r0=1e156,0,0", "--v0=0,1,0", "--steps", "1"), id="radius"),
+@pytest.mark.parametrize("args, code, stderr", [
+    pytest.param(("--r0=1,0,0", "--v0=1e160,0,0", "--steps", "1"),
+                 2, "error: orbit state overflows: |r|, |L| or E is not finite\n", id="energy"),
+    # |r|^2 overflows and |r| does not: this was refused with the message above
+    pytest.param(("--r0=1e156,0,0", "--v0=0,1,0", "--steps", "1"), 0, "", id="radius"),
 ])
-def test_kepler_conserved_overflow_is_an_error(args):
+def test_kepler_conserved_overflow_is_an_error(args, code, stderr):
     # used to exit 0 with E = inf and, once |r|^2 overflowed, e = (0, 0, 0)
     r = ga("kepler", *args)
-    assert (r.returncode, r.stderr) == (
-        2, "error: orbit state overflows: |r|^2, |L|^2 or E is not finite\n")
+    assert (r.returncode, r.stderr) == (code, stderr)
+    if code == 0:
+        assert len(r.stdout.splitlines()) == 3
+
+
+def test_kepler_far_repulsive_record_has_a_row():
+    # simulate() returned this final state, at |r| = 1e280, but its CSV row
+    # was refused ("orbit state overflows") and the run exited 2
+    r = ga("kepler", "--r0=1e150,0,0", "--v0=1,0,0", "--k=-1", "--dt=1e280", "--steps", "1")
+    assert (r.returncode, r.stderr) == (0, "")
+    header, first, last = r.stdout.splitlines()
+    assert header.startswith("t,rx,")
+    assert first.startswith("0.0,1e+150,0.0,0.0,")
+    assert last.startswith("1e+280,1e+280,0.0,0.0,")
+    assert last.endswith(",-1.0,0.0,0.0,0.5")
+
+
+def test_kepler_far_circle_keeps_its_radius():
+    # a circle at |r| = 1e160, where |r|^2 overflows, turns 0.1 a record; a
+    # start radius taken as sqrt(|r|^2) was inf, and the first record then
+    # stayed on the straight line x = 1e160
+    r = ga("kepler", "--r0=1e160,0,0", "--v0=0,1e70,0", "--k=1e300", "--dt=1e89",
+           "--steps", "2")
+    assert (r.returncode, r.stderr) == (0, "")
+    rows = [[float(x) for x in line.split(",")] for line in r.stdout.splitlines()[1:]]
+    assert len(rows) == 3
+    for step, row in enumerate(rows):
+        assert math.hypot(*row[1:4]) == pytest.approx(1e160, rel=1e-12)
+        assert math.atan2(row[2], row[1]) == pytest.approx(0.1 * step, abs=1e-12)
 
 
 @pytest.mark.parametrize("options", [

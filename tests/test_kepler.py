@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from gacalc import (
@@ -234,16 +234,22 @@ def test_simulate_argument_validation():
     assert simulate(CIRCLE, 1e-3, 0) == [CIRCLE]
 
 
-@pytest.mark.parametrize("r0, min_radius", [
-    pytest.param((0.0, 0.0, 0.0), 0.0, id="origin"),
-    pytest.param((1e-200, 0.0, 0.0), 1e-200, id="r2-underflow"),
-    pytest.param((1e-110, 0.0, 0.0), 0.0, id="r3-underflow"),
+_TOO_SMALL = "too small for the inverse-square force"
+
+
+@pytest.mark.parametrize("r0, min_radius, message", [
+    pytest.param((0.0, 0.0, 0.0), 0.0, _TOO_SMALL, id="origin"),
+    # the tolerance prunes 1e-200 to 0, below the minimum; the message was
+    # "too small" only because min_radius^2 underflowed to 0
+    pytest.param((1e-200, 0.0, 0.0), 1e-200, "0.000e[+]00 fell below the minimum allowed",
+                 id="r2-underflow"),
+    pytest.param((1e-110, 0.0, 0.0), 0.0, _TOO_SMALL, id="r3-underflow"),
 ])
-def test_force_underflow_raises_simulation_error(r0, min_radius):
-    # r^2 sqrt(r^2) underflows to 0 while r^2 >= min_radius^2 holds: this
-    # used to fail with a bare ZeroDivisionError
+def test_force_underflow_raises_simulation_error(r0, min_radius, message):
+    # |r|^3 underflows to 0 while |r| >= min_radius holds: this used to
+    # fail with a bare ZeroDivisionError
     s0 = state(r0, (0.0, 1.0, 0.0))
-    with pytest.raises(SimulationError, match="too small for the inverse-square force"):
+    with pytest.raises(SimulationError, match=message):
         simulate(s0, 1e-3, 10, min_radius=min_radius)
 
 
@@ -454,6 +460,24 @@ def test_an_overflowing_start_state_is_refused():
         simulate(s0, 1e-3, 2)
 
 
+def test_a_record_whose_radius_overflows_is_refused():
+    # |r| = 1.8e308 overflows while rx + ry does not: the record was
+    # returned, conserved() refused it, and the next record, from r0 = inf,
+    # moved on a straight line
+    s0 = state((1e308, -1e308, 0.0), (1.0, -1.0, 0.0), k=-1.0)
+    with pytest.raises(SimulationError, match="state became nonfinite at step 1"):
+        simulate(s0, 3e307, 1)
+
+
+def test_a_record_near_the_float_limit_is_kept():
+    # rx + ry = 2e308 overflowed, and the record was refused as "state
+    # became nonfinite", though its |r| = 1.4e308 and its row are finite
+    s0 = state((1e308, 1e308, 0.0), (0.0, 0.0, 1.0))
+    final = simulate(s0, 1.0, 1)[-1]
+    assert final.r.coefficient((3,)) == pytest.approx(1.0, rel=1e-12)
+    assert conserved(final).energy == pytest.approx(conserved(s0).energy, rel=1e-12)
+
+
 @pytest.mark.parametrize("v", [0.0, -1e-80, 1.0])
 def test_a_solve_across_many_decades_converges(v):
     # a repulsive start at |r| = 1e150, one record 1e280 later: s = tau/|r|
@@ -465,8 +489,10 @@ def test_a_solve_across_many_decades_converges(v):
     final = simulate(s0, 1e280, 1)[-1]
     rx, vx = final.r.coefficient((1,)), final.v.coefficient((1,))
     assert rx == pytest.approx(math.sqrt(2.0 * energy) * 1e280, rel=1e-12)
-    # |r|^2 overflows, so conserved() refuses the final state
     assert 0.5 * vx * vx + 1.0 / rx == pytest.approx(energy, rel=1e-12)
+    # |r|^2 overflows and |r| does not: conserved() keeps the final state,
+    # which it refused while |r| was the root of |r|^2
+    assert conserved(final).energy == pytest.approx(energy, rel=1e-12)
 
 
 @pytest.mark.parametrize("r, v, m, k, dt", [
@@ -779,21 +805,31 @@ def _tiny_coordinates(low, high):
        v=st.tuples(*[_tiny_coordinates(-20, 0)] * 3),
        m=st.floats(-3, 3).map(lambda x: 10.0 ** x),
        k=st.floats(-3, 3).map(lambda x: 10.0 ** x) | st.floats(-3, 3).map(lambda x: -10.0 ** x),
-       j=st.integers(1, 600))
+       j=st.integers(1, 1000))
+# |r| = 1.1e161 and 6.2e160 at the top scale: draws that reach past 1.3e154 are rare
+@example(r=(1e-140, 0.0, 0.0), v=(0.0, 1.0, 0.0), m=1.0, k=1.0, j=1000)
+@example(r=(-3e-141, 5e-141, 1e-142), v=(0.5, 0.0, -0.2), m=2.0, k=-3.0, j=1000)
 def test_tiny_states_scale_exactly(r, v, m, k, j):
     # r -> 2^j r, k -> 2^j k leaves e and E unchanged and scales L and l by
-    # 2^j; at 1e-200..1e-140, |r|^2 and |L|^2 underflow while L, e, E do not
+    # 2^j; at 1e-200..1e-140, |r|^2 and |L|^2 underflow while L, e, E do
+    # not, and past j ~ 980 |r| passes 1.3e154, where |r|^2 overflows
     if not any(r):
         return
     scale = 2.0 ** j
-    small = conserved(_tiny_state(r, v, m, k))
-    big = conserved(_tiny_state([x * scale for x in r], v, m, k * scale))
+    small_state = _tiny_state(r, v, m, k)
+    big_state = _tiny_state([x * scale for x in r], v, m, k * scale)
+    small, big = conserved(small_state), conserved(big_state)
     assert big.eccentricity == small.eccentricity
     assert big.energy == small.energy
     assert big.angular_momentum._terms == {
         blade: x * scale for blade, x in small.angular_momentum._terms.items()}
     assert big.l == small.l * scale
     assert small.radial == big.radial == (small.l == 0.0)
+    small_row, big_row = _row_values(small_state), _row_values(big_state)
+    assert big_row[1:4] == [x * scale for x in small_row[1:4]]
+    assert big_row[4:7] == small_row[4:7]
+    assert big_row[7:10] == [x * scale for x in small_row[7:10]]
+    assert big_row[10:] == small_row[10:]
 
 
 def test_conserved_numpy_constants_give_plain_floats():
@@ -849,21 +885,35 @@ def test_overflow_messages_follow_the_multivector_steps():
     assert stages == {0, 1, 2, 3}
 
 
-OVERFLOW = "orbit state overflows: |r|^2, |L|^2 or E is not finite"
+OVERFLOW = "orbit state overflows: |r|, |L| or E is not finite"
 
 
-@pytest.mark.parametrize("r, v, m, k", [
-    pytest.param((1e200, 0.0, 0.0), (0.0, 1.0, 0.0), 1.0, 1.0, id="r2"),
-    pytest.param((1e156, 0.0, 0.0), (1e160, 0.0, 0.0), 1.0, 1.0, id="r2-radial"),
-    pytest.param((1.0, 0.0, 0.0), (1e160, 0.0, 0.0), 1.0, 1.0, id="mv2"),
-    pytest.param((1.0, 0.0, 0.0), (1e100, 0.0, 0.0), 1e200, 1.0, id="mv2-mass"),
-    pytest.param((1e100, 0.0, 0.0), (0.0, 1e60, 0.0), 1.0, 1.0, id="l2"),
-    pytest.param((1e-9, 0.0, 0.0), (0.0, 0.0, 0.0), 1.0, 1e300, id="k-over-r"),
+@pytest.mark.parametrize("r, v, m, k, want", [
+    # |r|^2 and |L|^2 overflow, |r|, |L| and E do not: these were refused
+    pytest.param((1e200, 0.0, 0.0), (0.0, 1.0, 0.0), 1.0, 1.0, (1e200, 0.5, 1e200), id="r2"),
+    pytest.param((1e156, 0.0, 0.0), (1e160, 0.0, 0.0), 1.0, 1.0, None, id="r2-radial"),
+    pytest.param((1.0, 0.0, 0.0), (1e160, 0.0, 0.0), 1.0, 1.0, None, id="mv2"),
+    pytest.param((1.0, 0.0, 0.0), (1e100, 0.0, 0.0), 1e200, 1.0, None, id="mv2-mass"),
+    pytest.param((1e100, 0.0, 0.0), (0.0, 1e60, 0.0), 1.0, 1.0, (1e220, 5e119, 1e160),
+                 id="l2"),
+    pytest.param((1e-9, 0.0, 0.0), (0.0, 0.0, 0.0), 1.0, 1e300, None, id="k-over-r"),
 ])
-def test_overflowing_state_raises_nonfinite_error(r, v, m, k):
-    # these returned E = inf, l = inf, or (|r|^2 = inf, so r/|r| = 0) a wrong e
+def test_overflowing_state_raises_nonfinite_error(r, v, m, k, want):
+    # the refused states returned E = inf, l = inf, or (|r|^2 = inf, so
+    # r/|r| = 0) a wrong e; want is (e_x, E, l) of a state that has a row
     s = state(r, v, m, k)
-    with pytest.raises(NonFiniteError, match=OVERFLOW.replace("|", r"\|").replace("^", r"\^")):
+    if want is not None:
+        cons = conserved(s)
+        ex, energy, l = want
+        assert cons.eccentricity == E3.vector((ex, 0.0, 0.0))
+        assert cons.energy == pytest.approx(energy, rel=1e-15)
+        assert cons.l == l
+        assert _row_values(s)[10:] == [ex, 0.0, 0.0, cons.energy]
+        # r is the pericentre, along e: |e| was sqrt(norm_squared()), which
+        # overflows for l2
+        assert orbit_radius(cons, 0.0) == pytest.approx(r[0], rel=1e-12)
+        return
+    with pytest.raises(NonFiniteError, match=OVERFLOW.replace("|", r"\|")):
         conserved(s)
     with pytest.raises(NonFiniteError) as raised:
         write_csv([s], io.StringIO())
