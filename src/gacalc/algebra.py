@@ -56,25 +56,42 @@ The prune and every result after it are therefore the same whichever regime
 runs.
 
 A product whose result grades are known in advance (a versor or blade
-sandwich keeps the grades of what it moves) takes _graded_product for its
-last factor. With n <= 6 and fewer blades of those grades than the right
-operand has terms, it looks up, for each left term ka and each kept blade x,
-the right term at ka ^ x, so an n = 6 vector sandwich visits 32 x 6 pairs
-instead of 32 x 32. Each kept blade sums its pairs in the full product's
-order, so the result is the full product's terms at those grades, bit for
-bit and in the same key order; the other grades, which are roundoff, are
-never formed. Otherwise it forms the full product and filters it.
+sandwich keeps the grades of what it moves, and V reverse(V) below has
+only grades 0 mod 4) takes _graded_product. With n <= 6 and fewer blades
+of those grades than the right operand has terms, it takes each kept
+blade x in turn and sums, over the left terms ka in order, the pairs with
+the right term at ka ^ x into one local sum, so an n = 6 vector sandwich
+visits 32 x 6 pairs instead of 32 x 32. The first hit records where the
+full product first meets x. So each kept blade sums its pairs in the full
+product's order, and the result is the full product's terms at those
+grades, bit for bit and in the same key order; the other grades, which are
+roundoff, are never formed. Otherwise it forms the full product and
+filters it.
 
 A composite is built in the algebra's twin with tolerance 0 and pruned once,
 on return: the exp series of a bivector that is not a blade; the blades a_S
 of vectors, their volume test and their reciprocals, kept in one _Wedges
 memo for Frame, LinearMap and gram_schmidt; and the blade and versor
 sandwiches of the transforms module, whose inverse and first product both
-stay in the twin. Every inverse is _twin_inverse's: reverse(A)/|A|^2, formed
-in the twin for A scaled exactly by a power of two to |A| in [1, 2), so
-|A|^2 neither overflows nor underflows. It is the inverse of a versor only,
-so inverse() and apply_versor take it through _checked_inverse, the one
-versor check, and the blade transforms after is_blade.
+stay in the twin. With n <= 6 the memo sums each wedge a_S = a_R ^ v, with R
+the set S without its top position and v that position's vector, as
+minors: each blade T of the grade of S gets the sum of +-a_R[T without t]
+v[t] over the bits t of T, in one local sum. The (T without t, t, sign)
+parts come from a plan kept per dimension, as the pair tables are
+(_minor_plan: 192 parts at n = 6, about 20 KB, built in 0.1 ms). A wedge
+with fewer blade pairs than the plan has parts at its grade (basis vectors,
+sparse vectors), and every wedge above n = 6, takes the pair loop instead.
+One finiteness test per wedge raises NonFiniteError for an inf or NaN, and
+exact zeros are dropped, as the twin's prune drops them.
+
+Every inverse is _twin_inverse's: reverse(A)/|A|^2, formed in the twin for
+A scaled exactly by a power of two to |A| in [1, 2), so |A|^2 neither
+overflows nor underflows. It is the inverse of a versor only, so inverse()
+and apply_versor take it through _checked_inverse, the one versor check,
+and the blade transforms after is_blade. The check and the inverse share
+one product: _versor_square forms V reverse(V) for the scaled V once, and
+|V|^2 is its scalar part, which sums scalar_product's pairs in its order,
+so the inverse is _twin_inverse's, bit for bit.
 
 Every verdict that a residue is roundoff is _negligible's, read at the
 algebra's tolerance tol: a residue R formed from an object X is roundoff when
@@ -82,15 +99,20 @@ no coefficient of R exceeds tol * |X|^d, with |.| the coefficient norm and d
 the degree of R in X. d = 1 for a residue linear in X: F + Fbar or F - Fbar
 against the matrix of a map F, and F(A) - lambda A against F(A) in
 eigenblade_check. d = 2 for a quadratic one: u ^ A in is_blade, the
-non-scalar part of A reverse(A), B ^ B in exp, and |A|^2 in inverse() and
-rotor_from_vectors. A wedge is also roundoff when its norm is, with d = 1,
-against Hadamard's bound on it, sum |c| prod |v_i| for the wedges
-c v_1 ^ ... ^ v_k it sums (_hadamard_negligible): so vectors are dependent,
-and F(A) is 0 in eigenblade_check. The wedge V of vectors v_i is singular
-when <reverse(V) V>_0 is roundoff, or when the vectors are dependent.
-is_blade, is_versor and _twin_inverse form their residues from that same
-scaled A in the twin (_unit_scaled), so neither the prune nor the float
-range can hide them; eigenblade_check forms its residues in the twin.
+non-scalar part of A reverse(A) in is_versor, B ^ B in exp, and |A|^2 in
+inverse() and rotor_from_vectors. A reverse(A) is its own reverse, so its
+grades 2 and 3 mod 4 vanish identically, and for A of one parity it is
+even: the versor check forms and reads only its grades 4, 8, ... A wedge
+is also roundoff when its norm is, with d = 1, against Hadamard's bound on
+it, sum |c| prod |v_i| for the wedges c v_1 ^ ... ^ v_k it sums
+(_hadamard_negligible): so vectors are dependent, and F(A) is 0 in
+eigenblade_check. A vector whose norm overflows leaves that bound inf at
+every scale and raises NonFiniteError, as |A| does in _unit_scaled. The
+wedge V of vectors v_i is singular when <reverse(V) V>_0 is roundoff, or
+when the vectors are dependent. is_blade, is_versor and _twin_inverse form
+their residues from that same scaled A in the twin (_unit_scaled), so
+neither the prune nor the float range can hide them; eigenblade_check
+forms its residues in the twin.
 
 A coefficient that is NaN or infinite (an overflow, or an inf/nan input)
 raises NonFiniteError wherever terms are pruned, instead of being pruned
@@ -130,6 +152,9 @@ _TABLE_MAX_N = 6
 # Algebra, so fresh algebras of one signature share them; at most four tables
 # for each of the 28 signatures with n <= 6.
 _PAIR_TABLES = {}
+
+# n -> _minor_plan(n), for n <= _TABLE_MAX_N.
+_MINOR_PLANS = {}
 
 # Above _TABLE_MAX_N, products with at least this many blade pairs take the
 # numpy branch. The bit loop wins below about 512 pairs (a contraction at 512
@@ -384,8 +409,11 @@ def _hadamard_negligible(size, terms, tol):
     """
     bound = sum(map(math.prod, terms))
     if bound == _INF:
+        terms = [sorted(t) for t in terms]
+        if any(t[-1] == _INF for t in terms):  # a vector whose norm overflows
+            raise NonFiniteError("|v| is not finite: inf")
         return _hadamard_negligible(math.ldexp(size, -512), [
-            [*t[:-1], math.ldexp(t[-1], -512)] for t in map(sorted, terms)], tol)
+            [*t[:-1], math.ldexp(t[-1], -512)] for t in terms], tol)
     return _negligible((size,), (bound,), tol, 1)
 
 
@@ -412,22 +440,50 @@ def _twin_inverse(a, tol):
     bit. That formula is the inverse of a versor only: the caller checks.
     """
     unit, scale = _unit_scaled(a)
-    n2 = unit.scalar_product(unit)
+    return _unit_inverse(unit, scale, unit.scalar_product(unit), tol)
+
+
+def _unit_inverse(unit, scale, n2, tol):
+    """reverse(unit) / n2 * scale, or None when n2 = |unit|^2 is roundoff at tol."""
     if _negligible((n2,), unit._terms.values(), tol, 2):
         return None
     return Multivector._make(unit.algebra, {k: _REVERSE_SIGNS[k.bit_count() & 3] * u / n2 * scale
                                             for k, u in unit._terms.items()})
 
 
+def _versor_square(v):
+    """(V 2^j in the twin, 2^j, <V 2^j reverse(V 2^j)>_0) when V is a versor, else None.
+
+    V is a versor when it has one grade parity and V reverse(V) is scalar to
+    roundoff (_negligible, degree 2), both read for V scaled by _unit_scaled.
+    V reverse(V) is its own reverse, so its grades 2 and 3 (mod 4) vanish
+    identically, and one parity makes it even: only its grades 0 (mod 4) are
+    formed (_graded_product). Its scalar part sums the pairs of
+    scalar_product in its order, so it is |V 2^j|^2 bit for bit.
+    """
+    if len({k.bit_count() & 1 for k in v._terms}) != 1:  # zero has no parity
+        return None
+    unit, scale = _unit_scaled(v)
+    square = _graded_product(unit, unit.reverse(), set(range(0, unit.algebra.n + 1, 4)))._terms
+    if not _negligible([x for k, x in square.items() if k], unit._terms.values(),
+                       v.algebra.tolerance, 2):
+        return None
+    return unit, scale, square.get(0, 0.0)
+
+
 def _checked_inverse(v):
-    """V^-1 in the twin for the versor V.
+    """V^-1 in the twin for the versor V, from the one V reverse(V) of _versor_square.
 
     Raises GradeError when V is not a versor, where reverse(V)/|V|^2 is not
-    its inverse, and NotInvertible when V is zero or null.
+    its inverse, and NotInvertible when V is zero or null. The inverse is
+    _twin_inverse's, bit for bit.
     """
-    if v and not v.is_versor():
+    if not v:
+        raise NotInvertible(f"null versor has no inverse: {v}")
+    square = _versor_square(v)
+    if square is None:
         raise GradeError(f"not a versor (mixed parity, or V reverse(V) is not scalar): {v}")
-    inverse = _twin_inverse(v, v.algebra.tolerance)
+    inverse = _unit_inverse(*square, v.algebra.tolerance)
     if inverse is None:
         raise NotInvertible(f"null versor has no inverse: {v}")
     return inverse
@@ -839,11 +895,7 @@ class Multivector:
 
     def is_versor(self):
         """Practical versor test: single grade parity and A reverse(A) scalar to roundoff."""
-        if len({k.bit_count() & 1 for k in self._terms}) != 1:  # zero has no parity
-            return False
-        a = _unit_scaled(self)[0]
-        return _negligible((a * a.reverse()).grade_nonscalar()._terms.values(), a._terms.values(),
-                           self.algebra.tolerance, 2)
+        return _versor_square(self) is not None
 
     # -- exponential ------------------------------------------------------------
 
@@ -914,18 +966,22 @@ def _graded_product(left, right, grades, into=None):
     bits = [1 << i for i in range(n)]
     kept = [sum(c) for r in grades for c in combinations(bits, r)]
     table = _pair_table(n, alg._minus_mask, _gp_select)
+    rows = [(ka, va, table[ka]) for ka, va in left._terms.items()]
     position = {kb: j for j, kb in enumerate(terms)}
+    get, width = terms.get, len(terms)
     raw, first = {}, {}
-    get = raw.get
-    for i, (ka, va) in enumerate(left._terms.items()):
-        row = table[ka]
-        for x in kept:
+    for x in kept:
+        s = None
+        for i, (ka, va, row) in enumerate(rows):
             kb = ka ^ x
-            vb = terms.get(kb)
+            vb = get(kb)
             if vb is not None:
-                if x not in raw:  # the full product meets x first at pair (i, j)
-                    first[x] = i * len(terms) + position[kb]
-                raw[x] = get(x, 0.0) + row[kb] * va * vb
+                if s is None:  # the full product meets x first at pair (i, j)
+                    first[x] = i * width + position[kb]
+                    s = 0.0
+                s += row[kb] * va * vb
+        if s is not None:
+            raw[x] = s
     return Multivector._make(alg, {x: raw[x] for x in sorted(raw, key=first.__getitem__)})
 
 
@@ -941,12 +997,36 @@ def _twin(algebra):
     return twin
 
 
+def _minor_plan(n):
+    """For each grade r of an algebra with n <= _TABLE_MAX_N, (parts, [(x, parts of x)]).
+
+    The parts of a blade x are (x without e_t, i) for each bit t of x:
+    e_(x without t) ^ e_t is +-e_x, with one sign flip for each higher bit
+    of x that e_t passes, and i is t for + and t + n for -, an index into a
+    vector's coordinates followed by their negations. parts counts them
+    over the grade, r C(n, r). Built on first use and kept per dimension,
+    as the pair tables are; 192 parts at n = 6.
+    """
+    plan = _MINOR_PLANS.get(n)
+    if plan is None:
+        grades = [[] for _ in range(n + 1)]
+        for x in range(1 << n):
+            grades[x.bit_count()].append((x, tuple(
+                (x ^ 1 << t, t + n if (x >> t + 1).bit_count() & 1 else t)
+                for t in range(n) if x >> t & 1)))
+        plan = _MINOR_PLANS[n] = [(r * len(blades), blades) for r, blades in enumerate(grades)]
+    return plan
+
+
 class _Wedges(dict):
     """The wedges a_S of vectors a_1..a_k in the twin, keyed by the bits of S.
 
-    a_S = a_(S without max S) ^ a_(max S) is wedged on first lookup and kept.
-    The singularity rule reads the norms of the vectors as given, whatever
-    later overwrites their entries. Raises AlgebraMismatch for a foreign vector.
+    a_S = a_(S without max S) ^ a_(max S) is wedged on first lookup and kept:
+    as minors with n <= 6 (_minor_plan), by the pair loop for sparse
+    factors and above. The singularity rule reads the norms of the vectors
+    as given, whatever later overwrites their entries. Raises
+    AlgebraMismatch for a foreign vector, and NonFiniteError for a wedge
+    that overflows.
     """
 
     __slots__ = ("algebra", "_norms")
@@ -961,7 +1041,28 @@ class _Wedges(dict):
 
     def __missing__(self, bits):
         top = 1 << (bits.bit_length() - 1)
-        blade = self[bits] = self[bits ^ top] ^ self[top]
+        rest, vector = self[bits ^ top], self[top]
+        n, a = self.algebra.n, rest._terms
+        plan = _minor_plan(n)[bits.bit_count()] if n <= _TABLE_MAX_N else None
+        if plan is None or len(a) * len(vector._terms) < plan[0]:
+            blade = self[bits] = rest ^ vector
+            return blade
+        # a_S[T] is the sum over the bits t of T of +-a_rest[T without t] v[t]
+        v = [0.0] * n
+        for k, x in vector._terms.items():
+            v[k.bit_length() - 1] = x
+        v += [-x for x in v]
+        get, raw = a.get, {}
+        for out, parts in plan[1]:
+            c = 0.0
+            for sub, i in parts:
+                c += get(sub, 0.0) * v[i]
+            if c:  # the twin's prune drops exact zeros
+                raw[out] = c
+        if not -_INF < sum(raw.values()) < _INF:  # NaN fails both
+            raw = _pruned(raw, 0.0)  # raises for a term that is not finite
+        blade = self[bits] = object.__new__(Multivector)
+        blade.algebra, blade._terms = rest.algebra, raw
         return blade
 
     def volume_inverse(self, k):

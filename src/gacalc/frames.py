@@ -3,9 +3,9 @@
 A frame is an ordered, linearly independent list of vectors a_1..a_k. Each
 subset I wedges into a blade a_I of a basis of the subalgebra the frame
 spans, once, in the _Wedges memo of the vectors in the algebra's
-tolerance-0 twin. The reciprocal blades follow from them by duality (Dorst,
-Fontijne & Mann, section 3.8), with V = a_1 ^ ... ^ a_k the frame volume and
-I^c the positions not in I:
+tolerance-0 twin (summed as minors up to n = 6). The reciprocal blades
+follow from them by duality (Dorst, Fontijne & Mann, section 3.8), with
+V = a_1 ^ ... ^ a_k the frame volume and I^c the positions not in I:
 
     a^I = (-1)^(sum of (i - 1) over i in I) a_(I^c) V^-1
 
@@ -20,14 +20,16 @@ the frame is built; the volume and the reciprocal vectors are built on
 first access, as a round trip (components, then expand) reads neither.
 components pairs one product D = A reverse(V^-1) with each frame blade
 a_(I^c), summing over the blade's terms (at most C(n, s) for grade s)
-rather than over D's.
+rather than over D's. The pairings are summed inline, with
+scalar_product's metric sign moved onto D once: the same sums, with no
+call per subset.
 """
 
 import math
 from itertools import combinations
 
-from .algebra import (GradeError, Multivector, NotInvertible, _blade_key, _dual_sign,
-                      _linear_combination, _Wedges)
+from .algebra import (_INF, GradeError, Multivector, NonFiniteError, NotInvertible, _blade_key,
+                      _dual_sign, _linear_combination, _Wedges)
 
 
 class Frame:
@@ -129,12 +131,21 @@ class Frame:
         """
         w = self._volume_inverse.reverse()
         D = Multivector._make(w.algebra, self.vectors[0]._coerce(A)._terms) * w
+        minus, blades, tol = self.algebra._minus_mask, self._blades, self.algebra.tolerance
+        # scalar_product's sign (-1)^(negative factors of e_k), moved onto D
+        get = {k: -d if (k & minus).bit_count() & 1 else d for k, d in D._terms.items()}.get
         full = (1 << len(self)) - 1
         out = {}
         for subset, mask in self._subsets():
-            c = _dual_sign(mask) * self._blades[full ^ mask].scalar_product(D)
-            size = math.hypot(*self._blades[mask]._terms.values())
-            if abs(c) * size > self.algebra.tolerance:
+            total = 0.0
+            for k, x in blades[full ^ mask]._terms.items():
+                d = get(k)
+                if d is not None:
+                    total += x * d
+            if not -_INF < total < _INF:
+                raise NonFiniteError(f"coefficient is not finite: {total!r}")
+            c = _dual_sign(mask) * total
+            if abs(c) * math.hypot(*blades[mask]._terms.values()) > tol:
                 out[subset] = c
         return out
 

@@ -4,12 +4,15 @@ A LinearMap is stored as the images of the orthonormal basis vectors. It
 acts on blades by wedging images (the unique outermorphism extension) and
 linearly on everything else, so it is grade-preserving by construction.
 Each blade image F(e_S) = F(e_(S without max S)) ^ F(e_max S) is wedged
-once, in a lazy _Wedges memo in the tolerance-0 twin; results are pruned once.
+once, in a lazy _Wedges memo in the tolerance-0 twin (summed as minors up
+to n = 6); results are pruned once.
 The determinant is the twin's coefficient of F(I) = det(F) I. The inverse is
 read off the reciprocal frame of the images, f^k = (-1)^(k-1)
 F(e_([n] without k)) F(I)^-1, with Frame's expression and singularity rule.
 factor_isometry reflects the working images in each mirror u in closed form,
-x - (2 u.x / u^2) u, so they stay vectors by construction.
+x - (2 u.x / u^2) u, so they stay vectors by construction. The images and
+mirrors are coordinate lists, pruned wherever a Multivector would be, and
+only the factors it returns become Multivectors.
 Whether F is symmetric or skew, and whether A is an eigenblade, are residue
 verdicts of degree 1 by the algebra module's rule: (F -+ Fbar) / 2, summed
 from halves, against the matrix of F, and F(A) - lambda A, formed in the
@@ -25,8 +28,8 @@ rotations in pure Python, so this module never imports numpy.
 
 import math
 
-from .algebra import (GAError, GradeError, Multivector, NonFiniteError, _hadamard_negligible,
-                      _linear_combination, _negligible, _Wedges)
+from .algebra import (_INF, GAError, GradeError, Multivector, NonFiniteError,
+                      _hadamard_negligible, _linear_combination, _negligible, _pruned, _Wedges)
 
 _ISOMETRY_SLACK = 1e4
 # Jacobi stops once the off-diagonal sum of squares is below this share of
@@ -288,18 +291,36 @@ def factor_isometry(F):
     vectors, V = v_1 v_2 ... v_m (identity gives V = 1, factors = []), and
     F(x) = V ghat^m(x) V^-1. At most 2n factors are needed; in Euclidean
     signature at most n. Raises OperatorError when F is not an isometry.
+    The working images and mirrors are coordinate lists, pruned wherever a
+    Multivector would be; only the returned factors are Multivectors.
     """
     alg = F.algebra
-    tol = alg.tolerance * _ISOMETRY_SLACK
-    for i in range(alg.n):
-        for j in range(i, alg.n):
-            want = alg.metric[i] if i == j else 0.0
-            got = F.images[i].scalar_product(F.images[j])
+    n, eta, prune = alg.n, alg.metric, alg.tolerance
+    tol = prune * _ISOMETRY_SLACK
+
+    def pruned(xs):
+        """The coordinates a Multivector of xs keeps; raises NonFiniteError for inf or NaN."""
+        if not -_INF < sum(xs) < _INF:  # NaN fails both
+            _pruned(dict(enumerate(xs)), prune)  # raises for a coordinate that is not finite
+        return [x if abs(x) > prune else 0.0 for x in xs]
+
+    def dot(x, y):
+        """x.scalar_product(y) of the vectors with coordinates x and y."""
+        total = 0.0
+        for e, a, b in zip(eta, x, y):
+            total += e * a * b
+        if not -_INF < total < _INF:
+            raise NonFiniteError(f"coefficient is not finite: {total!r}")
+        return total
+
+    current = [[img._terms.get(1 << k, 0.0) for k in range(n)] for img in F.images]
+    for i in range(n):
+        for j in range(i, n):
+            want = eta[i] if i == j else 0.0
+            got = dot(current[i], current[j])
             if abs(got - want) > tol:
                 raise OperatorError(
                     f"map is not an isometry: F(e{i+1}) . F(e{j+1}) = {got!r}")
-
-    current = list(F.images)
     factors = []
 
     def pull_back(c):
@@ -308,29 +329,31 @@ def factor_isometry(F):
         The reflection -u x u^-1 of a vector x is x - (2 u.x / u^2) u, so the
         images stay vectors.
         """
-        unit = c / math.sqrt(abs(c.norm_squared()))
+        size = math.sqrt(abs(dot(c, c)))
+        unit = pruned([x / size for x in c])
         factors.append(unit)
-        square = unit.norm_squared()
+        square = dot(unit, unit)
         for idx, x in enumerate(current):
-            current[idx] = _linear_combination(
-                alg, ((1.0, x._terms), (-2.0 * unit.scalar_product(x) / square, unit._terms)))
+            k = -2.0 * dot(unit, x) / square
+            current[idx] = pruned([a + k * u for a, u in zip(x, unit)])
 
-    for i in range(alg.n):
-        target = alg.basis_vector(i + 1)
+    for i in range(n):
+        target = [float(k == i) for k in range(n)]
         g = current[i]
-        if g.isclose(target, tol=tol):
+        if max(abs(a - t) for a, t in zip(g, target)) <= tol:
             continue
-        c = g - target
-        if abs(c.norm_squared()) > tol:
+        c = pruned([a - t for a, t in zip(g, target)])
+        if abs(dot(c, c)) > tol:
             pull_back(c)
         else:
-            c = g + target
-            if abs(c.norm_squared()) <= tol:
+            c = pruned([a + t for a, t in zip(g, target)])
+            if abs(dot(c, c)) <= tol:
                 raise OperatorError(
                     "cannot factor: both candidate mirrors are null")
             pull_back(c)
             pull_back(target)
 
+    factors = [Multivector._make(alg, {1 << k: x for k, x in enumerate(u) if x}) for u in factors]
     V = alg.scalar(1.0)
     for v in factors:
         V = V * v

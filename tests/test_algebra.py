@@ -15,10 +15,12 @@ from gacalc import (
     Frame,
     GAError,
     GradeError,
+    LinearMap,
     Multivector,
     NonFiniteError,
     NotInvertible,
     exp_bivector,
+    gram_schmidt,
 )
 from gacalc import algebra
 
@@ -384,6 +386,119 @@ def test_graded_product_is_the_filtered_geometric_product(p, q):
     assert sides == {True, False}
 
 
+@pytest.mark.parametrize("p, q", [(p, n - p) for n in range(1, 7) for p in range(n + 1)])
+def test_graded_product_keeps_the_full_products_bits_on_every_shape(p, q):
+    # each kept blade sums its left terms in order and records where the
+    # full product first meets it: the same floats in the same key order,
+    # on sparse and dense operands, versors and their reverses, and the
+    # grades 0 (mod 4) that the versor check reads
+    rng = random.Random(f"graded bits {p},{q}")
+    n = p + q
+    for tolerance in (algebra.DEFAULT_TOLERANCE, 0.0):
+        alg = Algebra(p, q, tolerance=tolerance)
+        for _ in range(74):
+            shape = rng.randrange(3)
+            if shape == 0:
+                A, B = (gen.rand_mv(alg, rng, density=rng.choice((0.1, 0.3, 0.6, 1.0)))
+                        for _ in range(2))
+            else:
+                A = gen.rand_versor(alg, rng, rng.randint(1, n))
+                B = A.reverse() if shape == 1 else gen.rand_mv(alg, rng)
+            grades = ({r for r in range(n + 1) if rng.random() < 0.4} if rng.random() < 0.7
+                      else set(range(0, n + 1, 4)))
+            want = [(k, v) for k, v in (A * B)._terms.items() if k.bit_count() in grades]
+            assert list(algebra._graded_product(A, B, grades)._terms.items()) == want
+
+
+def _wedge_chain(exact, vectors, bits):
+    """a_S as the explicit chain (a_i1 ^ a_i2) ^ ... over the set bits of S, in exact."""
+    out = exact.scalar(1.0)
+    for i, v in enumerate(vectors):
+        if bits >> i & 1:
+            out = out ^ exact.multivector(v.terms)
+    return out
+
+
+def _frame_vectors(alg, rng, kind):
+    """k <= n vectors: dense, basis vectors, or vectors with zero components."""
+    n = alg.n
+    k = rng.randint(1, n)
+    if kind == "dense":
+        return [gen.rand_vector(alg, rng) for _ in range(k)]
+    if kind == "basis":
+        return [alg.basis_vector(i) * gen.rand_coeff(rng) for i in rng.sample(range(1, n + 1), k)]
+    return [alg.vector([0.0 if rng.random() < 0.4 else gen.rand_coeff(rng) for _ in range(n)])
+            for _ in range(k)]
+
+
+@pytest.mark.parametrize("p, q", [(p, n - p) for n in range(1, 7) for p in range(n + 1)])
+def test_wedges_match_explicit_outer_product_chains(p, q, monkeypatch):
+    # up to n = 6 a wedge is summed as minors, one output blade at a time,
+    # and below the plan's size in pairs by the pair loop: both give the
+    # chain of ^ to 1e-12 of the Hadamard bound prod |a_i|
+    rng = random.Random(f"wedges {p},{q}")
+    exact = Algebra(p, q, tolerance=0.0)
+    pair_loops = []
+    xor = Multivector.__xor__
+    monkeypatch.setattr(Multivector, "__xor__",
+                        lambda self, other: pair_loops.append(1) or xor(self, other))
+    kernels = set()
+    for tolerance in (algebra.DEFAULT_TOLERANCE, 0.0):
+        alg = Algebra(p, q, tolerance=tolerance)
+        for kind in ("dense", "basis", "zeros") * 4:
+            vectors = _frame_vectors(alg, rng, kind)
+            memo = algebra._Wedges(alg, vectors)
+            for bits in range(1 << len(vectors)):
+                before = len(pair_loops)
+                got = memo[bits]
+                if bits.bit_count() > 1:
+                    kernels.add(len(pair_loops) > before)
+                want = _wedge_chain(exact, vectors, bits)
+                bound = math.prod(math.hypot(*v._terms.values())
+                                  for i, v in enumerate(vectors) if bits >> i & 1)
+                keys = got._terms.keys() | want._terms.keys()
+                assert all(abs(got._terms.get(k, 0.0) - want._terms.get(k, 0.0)) <= 1e-12 * bound
+                           for k in keys)
+                assert got.algebra == exact and all(got._terms.values())
+    if p + q > 1:
+        assert kernels == {True, False}
+
+
+@pytest.mark.parametrize("vectors, value", [
+    ([(1e200, 1.0, 0.0), (1.0, 1e200, 0.0)], "inf"),  # 1e400 - 1
+    ([(1e200, 1e200, 0.0), (1e200, 1e200, 0.0)], "nan"),  # inf - inf
+], ids=["inf", "nan"])
+def test_an_overflowing_wedge_is_nonfinite(vectors, value):
+    alg = Algebra(3, 0)
+    vectors = [alg.vector(v) for v in vectors]
+    with pytest.raises(NonFiniteError, match=rf"^coefficient is not finite: {value}$"):
+        algebra._Wedges(alg, vectors)[3]
+    with pytest.raises(NonFiniteError):
+        Frame(vectors)
+
+
+@pytest.mark.parametrize("p, q", [(p, n - p) for n in range(1, 7) for p in range(n + 1)])
+def test_versor_check_reads_the_grades_of_v_reverse_v_that_can_be_nonzero(p, q):
+    # V reverse(V) is its own reverse and even, so the check forms only its
+    # grades 0 (mod 4): the others are roundoff; and inverse() takes
+    # reverse(V) / <V reverse(V)>_0 from that one product
+    rng = random.Random(f"versor square {p},{q}")
+    alg = Algebra(p, q)
+    exact = Algebra(p, q, tolerance=0.0)
+    for count in range(1, 2 * alg.n + 1):
+        for _ in range(3):
+            V = gen.rand_versor(alg, rng, count)
+            assert V.is_versor()
+            square = exact.multivector(V.terms) * exact.multivector(V.reverse().terms)
+            size2 = math.hypot(*V._terms.values()) ** 2
+            assert all(abs(x) <= 1e-13 * size2 for k, x in square._terms.items()
+                       if k.bit_count() & 3 == 2)
+            assert all(k.bit_count() & 1 == 0 for k in square._terms)
+            n2 = (V * V.reverse()).scalar_part
+            want = {k: r / n2 for k, r in V.reverse()._terms.items()}
+            assert list(V.inverse()._terms.items()) == list(want.items())
+
+
 def _linear_sign_mask(a, minus_mask, n):
     mask = a & minus_mask
     for shift in range(1, n):
@@ -642,6 +757,22 @@ def test_inverses_near_the_float_range_are_exact():
     assert tiny.inverse()[(1,)] == pytest.approx(1 / tiny[(1,)], rel=1e-15)
     with pytest.raises(NonFiniteError, match="^coefficient is not finite: inf$"):
         (exact.basis_vector(1) * 1e-310).inverse()  # 1e310 overflows
+
+
+@pytest.mark.parametrize("call", [
+    lambda v, e1, e2: gram_schmidt([v]),
+    lambda v, e1, e2: Frame([v, e2]).reciprocal,
+    lambda v, e1, e2: LinearMap(E2, [v, e2]).inverse(),
+    lambda v, e1, e2: LinearMap(E2, [v, e2]).eigenblade_check(e1),
+], ids=["gram_schmidt", "reciprocal", "map_inverse", "eigenblade_check"])
+def test_a_vector_whose_norm_overflows_is_nonfinite(call):
+    # |v| = 2.08e308 overflows though both coefficients are finite, and the
+    # Hadamard bound of every wedge of v stayed inf at each rescaling: a
+    # bare RecursionError
+    v = E2.vector([1.7e308, 1.2e308])
+    e1, e2 = E2.basis_vector(1), E2.basis_vector(2)
+    with pytest.raises(NonFiniteError, match=r"^\|v\| is not finite: inf$"):
+        call(v, e1, e2)
 
 
 @pytest.mark.parametrize("A, value", [

@@ -730,6 +730,49 @@ def test_factor_mirrors_are_unit_vectors_in_mixed_signature():
         assert apply_versor(alg.basis_vector(i), w).max_coeff_diff(want) < 1e-6 * biggest
 
 
+def _factor_by_multivectors(F):
+    """factor_isometry with Multivector images and mirrors: the reference for its lists."""
+    alg = F.algebra
+    tol = alg.tolerance * linops._ISOMETRY_SLACK
+    current, factors = list(F.images), []
+
+    def pull_back(c):
+        unit = c / math.sqrt(abs(c.norm_squared()))
+        factors.append(unit)
+        square = unit.norm_squared()
+        current[:] = [x + unit * (-2.0 * unit.scalar_product(x) / square) for x in current]
+
+    for i in range(alg.n):
+        target, g = alg.basis_vector(i + 1), current[i]
+        if g.isclose(target, tol=tol):
+            continue
+        if abs((g - target).norm_squared()) > tol:
+            pull_back(g - target)
+        else:
+            pull_back(g + target)
+            pull_back(target)
+    return factors
+
+
+@pytest.mark.parametrize("p, q", [(p, n - p) for n in range(1, 7) for p in range(n + 1)])
+def test_factor_isometry_reflects_coordinates_as_multivectors_would(p, q):
+    # the working images and mirrors are coordinate lists, pruned where a
+    # Multivector is: the same mirrors, to roundoff, as Multivector algebra
+    # finds, and their product
+    rng = random.Random(f"factor lists {p},{q}")
+    alg = Algebra(p, q)
+    for count in range(1, alg.n + 1):
+        for _ in range(2):
+            f = versor_map(alg, rng, count)
+            want = _factor_by_multivectors(f)
+            v, factors = factor_isometry(f)
+            assert len(factors) == len(want)
+            # boosts with images up to 2e4 amplify the roundoff of each sum's order
+            assert all(x.max_coeff_diff(y) <= 1e-9 * math.hypot(*y._terms.values())
+                       for x, y in zip(factors, want))
+            assert v == math.prod(factors, start=alg.scalar(1.0))
+
+
 def test_factor_rejects_non_isometries():
     with pytest.raises(OperatorError):
         factor_isometry(LinearMap.diagonal(E3, [2.0, 1.0, 1.0]))

@@ -240,9 +240,9 @@ def test_apply_versor_validation():
 
 def test_apply_versor_checks_and_inverts_a_versor_once(monkeypatch):
     checks = []
-    is_versor = Multivector.is_versor
-    monkeypatch.setattr(Multivector, "is_versor",
-                        lambda self: checks.append(self) or is_versor(self))
+    versor_square = algebra._versor_square
+    monkeypatch.setattr(algebra, "_versor_square",
+                        lambda v: checks.append(v) or versor_square(v))
     rng = random.Random(16)
     alg = Algebra(6, 0)
     versor = gen.rand_versor(alg, rng, 6)
@@ -306,9 +306,9 @@ def test_a_large_mixed_signature_versor_moves_vectors_to_vectors():
 
 def test_a_failed_versor_check_is_not_kept(monkeypatch):
     checks = []
-    is_versor = Multivector.is_versor
-    monkeypatch.setattr(Multivector, "is_versor",
-                        lambda self: checks.append(self) or is_versor(self))
+    versor_square = algebra._versor_square
+    monkeypatch.setattr(algebra, "_versor_square",
+                        lambda v: checks.append(v) or versor_square(v))
     e1, e2 = E3.basis_vector(1), E3.basis_vector(2)
     not_versor = 1 + e1
     null = STA.vector([1.0, 1.0, 0.0, 0.0])
