@@ -42,15 +42,15 @@ dimension and then, above n = 6, from the operand sizes:
   numpy, which is imported only then. The keys and coefficients become
   arrays and the sign masks of the left keys are computed once, in
   ceil(log2 n) doubling steps. The pair sign is read from a table of 2^n
-  parities, +1.0 or -1.0 for the popcount of m & b, and multiplied in. Each
-  block of rows keeps the pairs the product selects: when it keeps them all
-  (the geometric product), the block's pairs are used as they are;
-  otherwise the kept pairs are found once and only they are gathered,
-  multiplied and signed. np.add.at then adds each kept pair into a dense
-  array of 2^n sums. The result is the Python loop's, bit for bit:
-  np.add.at adds the pairs one at a time in the loop's order, and the
-  blades are put in the order the loop first meets them (np.minimum.at of
-  the pair index).
+  parities, +1.0 or -1.0 for the popcount of m & b, and multiplied in. The
+  select decides the path of each block of rows: _gp_select keeps every
+  pair, so a geometric product's block is used as it is; any other select
+  gives its kept pairs once, and only they are gathered, multiplied and
+  signed, even where its operands happen to keep them all. np.add.at then
+  adds each kept pair into a dense array of 2^n sums. The result is the
+  Python loop's, bit for bit: np.add.at adds the pairs one at a time in the
+  loop's order, and the blades are put in the order the loop first meets
+  them (np.minimum.at of the pair index).
 
 The prune and every result after it are therefore the same whichever regime
 runs.
@@ -66,7 +66,8 @@ full product first meets x. So each kept blade sums its pairs in the full
 product's order, and the result is the full product's terms at those
 grades, bit for bit and in the same key order; the other grades, which are
 roundoff, are never formed. Otherwise it forms the full product and
-filters it.
+filters it by _grade_part, the one grade projection, which grade,
+even_part, odd_part and grade_nonscalar take too.
 
 A composite is built in the algebra's twin with tolerance 0 and pruned once,
 on return: the exp series of a bivector that is not a blade; the blades a_S
@@ -165,7 +166,7 @@ _MINOR_PLANS = {}
 _DENSE_MIN_PAIRS = 1024
 # Pairs per numpy block: keeps the block's temporaries under about 1 MB. A
 # block makes about fifteen numpy calls, each one pass over its kept pairs
-# (or over all its pairs, when every pair is kept), the two scatters included.
+# (over all its pairs, for the geometric product), the two scatters included.
 _DENSE_BLOCK_PAIRS = 1 << 13
 
 
@@ -495,7 +496,10 @@ def _dense_product(algebra, left, right, select):
     Returns the product as a Multivector whose terms are the loop's sums bit
     for bit, pruned in numpy to the tolerance and kept in the order the loop
     first meets each blade. Raises NonFiniteError for the first sum in that
-    order that is not finite.
+    order that is not finite. The select decides each block's path:
+    _gp_select keeps every pair, so a geometric product's block is used as
+    it is; any other select gives its kept pairs once, and only they are
+    gathered.
     """
     import numpy as np
 
@@ -517,16 +521,13 @@ def _dense_product(algebra, left, right, select):
         for start in range(0, len(ka), rows):
             stop = min(start + rows, len(ka))
             a, va_rows, mask_rows = ka[start:stop], va[start:stop], masks[start:stop]
-            f, g = select(a[:, None])
-            keep = (kb & f) == g
-            if keep.all():  # the geometric product: no gather
+            if select is _gp_select:
                 blades = (a[:, None] ^ kb).ravel()
                 products = (va_rows[:, None] * vb * sign[mask_rows[:, None] & kb]).ravel()
                 order = np.arange(start * w, stop * w)
             else:
-                # keep is (rows, w): only the geometric product's select
-                # ignores the left blade, and it keeps every pair
-                order = keep.ravel().nonzero()[0]
+                f, g = select(a[:, None])
+                order = ((kb & f) == g).ravel().nonzero()[0]
                 r = order // w  # a scalar divisor: faster than np.divmod
                 c = order - r * w
                 b = kb[c]
@@ -799,19 +800,13 @@ class Multivector:
 
     def grade(self, r):
         """The grade-r part; zero when r is negative or above the dimension."""
-        return Multivector._make(
-            self.algebra,
-            {k: v for k, v in self._terms.items() if k.bit_count() == r})
+        return _grade_part(self.algebra, self._terms, (r,))
 
     def even_part(self):
-        return Multivector._make(
-            self.algebra,
-            {k: v for k, v in self._terms.items() if not k.bit_count() & 1})
+        return _grade_part(self.algebra, self._terms, range(0, self.algebra.n + 1, 2))
 
     def odd_part(self):
-        return Multivector._make(
-            self.algebra,
-            {k: v for k, v in self._terms.items() if k.bit_count() & 1})
+        return _grade_part(self.algebra, self._terms, range(1, self.algebra.n + 1, 2))
 
     def _involute(self, signs):
         """Each grade-r term times signs[r % 4]."""
@@ -890,8 +885,7 @@ class Multivector:
         return True
 
     def grade_nonscalar(self):
-        return Multivector._make(
-            self.algebra, {k: v for k, v in self._terms.items() if k})
+        return _grade_part(self.algebra, self._terms, range(1, self.algebra.n + 1))
 
     def is_versor(self):
         """Practical versor test: single grade parity and A reverse(A) scalar to roundoff."""
@@ -945,6 +939,15 @@ class Multivector:
         return Multivector._make(alg, acc._terms)
 
 
+def _grade_part(algebra, terms, grades):
+    """The bitmask-keyed terms at the blades of the given grades, in order, pruned in algebra.
+
+    grades is any container of grades; a grade r is kept when r in grades,
+    so (r,) compares r by ==.
+    """
+    return Multivector._make(algebra, {k: v for k, v in terms.items() if k.bit_count() in grades})
+
+
 def _graded_product(left, right, grades, into=None):
     """The terms of left * right at the blades of the given grades, pruned in into.
 
@@ -960,9 +963,7 @@ def _graded_product(left, right, grades, into=None):
     alg = into or left.algebra
     n, terms = alg.n, right._terms
     if n > _TABLE_MAX_N or sum(math.comb(n, r) for r in grades) >= len(terms):
-        full = left * right
-        return Multivector._make(alg, {k: v for k, v in full._terms.items()
-                                       if k.bit_count() in grades})
+        return _grade_part(alg, (left * right)._terms, grades)
     bits = [1 << i for i in range(n)]
     kept = [sum(c) for r in grades for c in combinations(bits, r)]
     table = _pair_table(n, alg._minus_mask, _gp_select)

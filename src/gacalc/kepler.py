@@ -37,9 +37,13 @@ each in an OrbitState; `ga-calc kepler` writes them to CSV without building
 any. conserved() and each CSV row take L, e and E from one float kernel;
 write_csv() and the CLI share one writer, which makes the repr of each of
 those values once per run. Every length here, |r|, |L| and |e|, is
-math.hypot of the coefficients, the one rule algebra.py uses: no square of
-a length is formed, so a state whose |r| and |L| are finite has a row
-however large or small their squares.
+math.hypot of the coefficients, the one rule algebra.py uses: no length is
+found from its square, so a state whose |r| and |L| are finite has a row
+however large or small their squares. Three squares of lengths remain: E
+forms |v|^2 in _csv_row, and _integrate forms |v|^2 for h and beta and
+|r ^ v|^2 for the pericentre test. So E overflows past |v| ~ 1.3e154, and
+such a state is refused although its L, e and E can be representable
+(the open E-overflow item in ROADMAP.md).
 """
 
 import math

@@ -278,6 +278,59 @@ def test_dense_filtered_pairs_report_the_first_nonfinite_sum(monkeypatch):
     assert messages == ["coefficient is not finite: inf"] * 2
 
 
+@pytest.mark.parametrize("p, q", [(7, 0), (6, 6)])
+def test_dense_branch_where_a_filtering_select_keeps_every_pair(p, q, monkeypatch):
+    # only the geometric product's select keeps every pair by its rule; these
+    # blocks keep every pair too, by their operands, and take the gather
+    alg = Algebra(p, q)
+    rng = random.Random(f"every pair kept {p},{q}")
+    one, e1 = alg.scalar(1.0), alg.basis_vector(1)
+    F = alg.multivector(_density_terms(alg, "full", rng))
+    G = alg.multivector({b: c for b, c in _density_terms(alg, "full", rng).items()
+                         if 1 not in b})
+    dense_calls = []
+
+    def dense_product(*args):
+        dense_calls.append(args)
+        return original(*args)
+
+    original = algebra._dense_product
+    monkeypatch.setattr(algebra, "_dense_product", dense_product)
+    # the scalar term brings e1 ^ G to 2^n pairs, where the numpy branch runs
+    for product, A, B in ((Multivector.left_contract, one, F),
+                          (Multivector.right_contract, F, one),
+                          (Multivector.__xor__, 0.5 + e1, G)):
+        dense, sparse = _both_branches(product, A, B, monkeypatch)
+        assert list(dense._terms.items()) == list(sparse._terms.items())
+        assert dense
+    assert len(dense_calls) == 3
+
+
+def test_dense_branch_never_evaluates_the_geometric_products_select(monkeypatch):
+    # the kernel keeps every pair of a geometric product's block because the
+    # select is _gp_select, not because evaluating it says so
+    calls = []
+
+    def gp_select(ka):
+        calls.append(ka)
+        return original(ka)
+
+    original = algebra._gp_select
+    monkeypatch.setattr(algebra, "_gp_select", gp_select)
+    monkeypatch.setattr(algebra, "_DENSE_MIN_PAIRS", 0)
+    alg = Algebra(8, 0)
+    rng = random.Random("no gp select")
+    full = alg.multivector(_density_terms(alg, "full", rng))
+    rotor = alg.multivector(_density_terms(alg, "rotor", rng))
+    # 256 x 256 pairs in 8 blocks of 32 rows, and 128 x 256 in 4
+    shapes = ((full, full), (rotor, full))
+    dense = [list((A * B)._terms.items()) for A, B in shapes]
+    assert calls == []
+    monkeypatch.setattr(algebra, "_DENSE_MIN_PAIRS", math.inf)
+    assert dense == [list((A * B)._terms.items()) for A, B in shapes]
+    assert len(calls) == len(full._terms) + len(rotor._terms)  # the loop's, one per left term
+
+
 PRODUCTS = ((Multivector.__mul__, oracles.gp, algebra._gp_select),
             (Multivector.__xor__, oracles.outer, algebra._outer_select),
             (Multivector.left_contract, oracles.lcontract, algebra._lcontract_select),
@@ -639,6 +692,27 @@ def test_grade_selection():
     assert not m.grade(-1)
     assert m.grades == frozenset({0, 1, 2})
     assert m.even_part() + m.odd_part() == m
+
+
+@pytest.mark.parametrize("p, q", [(n, 0) for n in range(7)] + [(2, 4), (12, 0), (6, 6)])
+def test_grade_parts_keep_the_terms_of_their_grades_in_order(p, q):
+    # each part is the operand's terms at its grades, the same floats in the
+    # same key order; grade(r) compares r by ==, so 2.0 picks grade 2
+    rng = random.Random(f"grade parts {p},{q}")
+    n = p + q
+    for tolerance in (algebra.DEFAULT_TOLERANCE, 0.0):
+        alg = Algebra(p, q, tolerance=tolerance)
+        operands = [alg.zero()] + [gen.rand_mv(alg, rng, density=d) for d in (0.2, 0.6, 1.0)]
+        for m in operands:
+            items = list(m._terms.items())
+            for r in [-1, *range(n + 2), 2.0]:
+                assert list(m.grade(r)._terms.items()) == [
+                    (k, v) for k, v in items if k.bit_count() == r]
+            for part, keep in ((m.even_part(), lambda k: not k.bit_count() & 1),
+                               (m.odd_part(), lambda k: k.bit_count() & 1),
+                               (m.grade_nonscalar(), lambda k: k)):
+                assert part.algebra is alg
+                assert list(part._terms.items()) == [(k, v) for k, v in items if keep(k)]
 
 
 # -- involutions ----------------------------------------------------------------
