@@ -79,11 +79,14 @@ the set S without its top position and v that position's vector, as
 minors: each blade T of the grade of S gets the sum of +-a_R[T without t]
 v[t] over the bits t of T, in one local sum. The (T without t, t, sign)
 parts come from a plan kept per dimension, as the pair tables are
-(_minor_plan: 192 parts at n = 6, about 20 KB, built in 0.1 ms). A wedge
-with fewer blade pairs than the plan has parts at its grade (basis vectors,
-sparse vectors), and every wedge above n = 6, takes the pair loop instead.
-One finiteness test per wedge raises NonFiniteError for an inf or NaN, and
-exact zeros are dropped, as the twin's prune drops them.
+(_minor_plan: 192 parts at n = 6, about 20 KB, built in 0.1 ms), and the
++-v[t] from each vector's signed coordinates, built once when the memo is.
+A wedge with fewer blade pairs than the plan has parts at its grade (basis
+vectors, sparse vectors), and every wedge above n = 6, takes the pair loop
+instead. One finiteness test per wedge raises NonFiniteError for an inf or
+NaN, and exact zeros are dropped, as the twin's prune drops them. Only the
+memo sets its entries: gram_schmidt reads the wedges of its inputs and
+writes none.
 
 Every inverse is _twin_inverse's: reverse(A)/|A|^2, formed in the twin for
 A scaled exactly by a power of two to |A| in [1, 2), so |A|^2 neither
@@ -1019,18 +1022,23 @@ def _minor_plan(n):
     return plan
 
 
+def _signed_coordinates(n, vector):
+    """A vector's coordinates v_1..v_n, then their negations: _minor_plan's indices."""
+    return [s * vector._terms.get(1 << t, 0.0) for s in (1.0, -1.0) for t in range(n)]
+
+
 class _Wedges(dict):
     """The wedges a_S of vectors a_1..a_k in the twin, keyed by the bits of S.
 
     a_S = a_(S without max S) ^ a_(max S) is wedged on first lookup and kept:
-    as minors with n <= 6 (_minor_plan), by the pair loop for sparse
-    factors and above. The singularity rule reads the norms of the vectors
-    as given, whatever later overwrites their entries. Raises
-    AlgebraMismatch for a foreign vector, and NonFiniteError for a wedge
-    that overflows.
+    as minors with n <= 6 (_minor_plan), from each vector's signed
+    coordinates, built once here, or by the pair loop for sparse factors
+    and above. Entries are set here and in __missing__ only. The
+    singularity rule reads the norms of the vectors. Raises AlgebraMismatch
+    for a foreign vector, and NonFiniteError for a wedge that overflows.
     """
 
-    __slots__ = ("algebra", "_norms")
+    __slots__ = ("algebra", "_norms", "_signed")
 
     def __init__(self, algebra, vectors):
         twin, zero = _twin(algebra), algebra.zero()
@@ -1039,6 +1047,7 @@ class _Wedges(dict):
         self[0] = twin.scalar(1.0)
         self.algebra = algebra
         self._norms = [math.hypot(*v._terms.values()) for v in vectors]
+        self._signed = [_signed_coordinates(algebra.n, v) for v in vectors]
 
     def __missing__(self, bits):
         top = 1 << (bits.bit_length() - 1)
@@ -1049,11 +1058,7 @@ class _Wedges(dict):
             blade = self[bits] = rest ^ vector
             return blade
         # a_S[T] is the sum over the bits t of T of +-a_rest[T without t] v[t]
-        v = [0.0] * n
-        for k, x in vector._terms.items():
-            v[k.bit_length() - 1] = x
-        v += [-x for x in v]
-        get, raw = a.get, {}
+        v, get, raw = self._signed[top.bit_length() - 1], a.get, {}
         for out, parts in plan[1]:
             c = 0.0
             for sub, i in parts:

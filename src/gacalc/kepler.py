@@ -86,6 +86,11 @@ def _check_vector(mv, name):
         raise SimulationError(f"{name} must be a vector, got {mv}")
 
 
+def _check_type(value, cls, what):
+    if not isinstance(value, cls):
+        raise SimulationError(f"expected {what}, got {type(value).__name__}")
+
+
 def _check_constants(m, k):
     if not 0 < m < math.inf:
         raise SimulationError("mass m must be positive and finite")
@@ -138,8 +143,7 @@ def conserved(state):
     every length in the package is. Raises SimulationError at zero radius,
     and NonFiniteError when a coefficient of e, |r|, |L| or E is not finite.
     """
-    if not isinstance(state, OrbitState):
-        raise SimulationError(f"expected an OrbitState, got {type(state).__name__}")
+    _check_type(state, OrbitState, "an OrbitState")
     algebra = state.r.algebra
     *_, l_yz, l_zx, l_xy, ex, ey, ez, energy = _csv_row(
         state.t, *_components(state.r), *_components(state.v), state.m, state.k,
@@ -373,9 +377,10 @@ def simulate(state0, dt, steps, record_every=1, min_radius=1e-8):
     first pericentre passage raises. A radial orbit (L = 0) falling in
     therefore raises rather than passing through the centre.
 
-    Raises SimulationError for invalid arguments (dt not positive and
-    finite, negative steps, record_every below 1, min_radius negative or not
-    finite, a final time that is not finite), for a start radius below
+    Raises SimulationError for invalid arguments (a state0 that is not an
+    OrbitState, dt not positive and finite, negative steps, record_every
+    below 1, min_radius negative or not finite, a final time that is not
+    finite), for a start radius below
     min_radius or too small for the inverse-square force (|r|^3 underflows
     to 0), for a pericentre passage below either, when the solve fails to
     converge or the state or its radius goes nonfinite, and when roundoff
@@ -386,6 +391,7 @@ def simulate(state0, dt, steps, record_every=1, min_radius=1e-8):
     |L| or E is not finite. Radii are math.hypot lengths, so a start or a
     record far past |r| = 1e154, where |r|^2 overflows, is propagated.
     """
+    _check_type(state0, OrbitState, "an OrbitState")
     algebra = state0.r.algebra
     m, k = state0.m, state0.k
     return [OrbitState(algebra.vector((rx, ry, rz)), algebra.vector((vx, vy, vz)),
@@ -400,10 +406,12 @@ def orbit_radius(cons, theta, m=1.0, k=1.0):
     theta is measured from the eccentricity vector. Attractive orbits
     (k > 0) need 1 + e cos(theta) > 0; repulsive ones (k < 0) use the
     other branch, 1 + e cos(theta) < 0. Angles at or beyond the branch
-    boundary (within 1e-12) are rejected, as are radial orbits. Raises
-    NonFiniteError when the radius is not finite in floating point, or
-    underflows to 0.0 for an orbit that is not radial.
+    boundary (within 1e-12) are rejected, as are radial orbits and a cons
+    that is not a Conserved (SimulationError). Raises NonFiniteError when
+    the radius is not finite in floating point, or underflows to 0.0 for an
+    orbit that is not radial.
     """
+    _check_type(cons, Conserved, "a Conserved")
     if cons.radial:
         raise SimulationError("a radial orbit has no conic radius")
     _check_constants(m, k)
@@ -431,9 +439,11 @@ def orbit_radius(cons, theta, m=1.0, k=1.0):
 def orbital_period(cons, m=1.0, k=1.0):
     """Period of a bound orbit: 2 pi sqrt(m a^3 / k) with a = -k / 2E.
 
-    Raises SimulationError when the energy is nonnegative (unbound), and
-    NonFiniteError when the period is not finite in floating point.
+    Raises SimulationError for a cons that is not a Conserved and when the
+    energy is nonnegative (unbound), and NonFiniteError when the period is
+    not finite in floating point.
     """
+    _check_type(cons, Conserved, "a Conserved")
     _check_constants(m, k)
     if cons.energy >= 0.0:
         raise SimulationError(f"orbit is not bound (E = {cons.energy!r})")

@@ -110,6 +110,8 @@ class LinearMap:
 
     def compose(self, other):
         """self after other: (self.compose(other))(x) = self(other(x))."""
+        if not isinstance(other, LinearMap):
+            raise TypeError("a LinearMap composes with LinearMaps")
         if other.algebra != self.algebra:
             raise ValueError("cannot compose maps over different algebras")
         return LinearMap(self.algebra, [self(img) for img in other.images])
@@ -294,6 +296,8 @@ def factor_isometry(F):
     The working images and mirrors are coordinate lists, pruned wherever a
     Multivector would be; only the returned factors are Multivectors.
     """
+    if not isinstance(F, LinearMap):
+        raise TypeError("factor_isometry needs a LinearMap")
     alg = F.algebra
     n, eta, prune = alg.n, alg.metric, alg.tolerance
     tol = prune * _ISOMETRY_SLACK

@@ -25,8 +25,10 @@ V's private _versor_inverse slot, so that transforming many multivectors by
 one versor checks and inverts it once. A V that fails the check or has no
 inverse keeps nothing and raises again on every call. Nothing else reads
 the slot, and nothing is kept by value. A null rotor factor is one with no
-_twin_inverse. gram_schmidt builds b_j in place of a_j in a _Wedges memo
-and prunes it once.
+_twin_inverse. gram_schmidt rejects each a_(j+1) from the blade A_j of the
+inputs before it, read from a _Wedges memo of the inputs, as Frame reads
+its blades, so it refuses where Frame refuses on a prefix; each b_j is
+pruned once.
 """
 
 from .algebra import (GradeError, Multivector, NotInvertible, _checked_inverse, _gp_select,
@@ -102,6 +104,8 @@ def rotor_from_vectors(m, n):
     give the rotation taking n's direction to m's reflection image.
     """
     for v, name in ((m, "m"), (n, "n")):
+        if not isinstance(v, Multivector):
+            raise TypeError(f"rotor factor {name} must be a Multivector")
         if v.grades - {1}:
             raise GradeError(f"rotor factor {name} must be a vector, got {v}")
         if _twin_inverse(v, v.algebra.tolerance) is None:
@@ -111,6 +115,8 @@ def rotor_from_vectors(m, n):
 
 def rotate(A, R):
     """Rotation R A R^-1 by an even versor (rotor) R."""
+    if not isinstance(R, Multivector):
+        raise TypeError("rotor must be a Multivector")
     if any(g & 1 for g in R.grades):
         raise GradeError(f"rotors must be even, got grades {sorted(R.grades)}")
     return apply_versor(A, R)
@@ -119,23 +125,27 @@ def rotate(A, R):
 def gram_schmidt(vectors):
     """Orthogonalize vectors by successive rejection.
 
-    b_1 = a_1 and b_(j+1) = <(a_(j+1) ^ B_j) B_j^-1>_1 with B_j = b_1 ^ ... ^ b_j;
+    b_1 = a_1 and b_(j+1) = <(a_(j+1) ^ A_j) A_j^-1>_1, the rejection of
+    a_(j+1) from the blade A_j = a_1 ^ ... ^ a_j of the inputs before it;
     the outputs are mutually orthogonal and wedge to the same blades as the
-    inputs. Raises NotInvertible when a B_j is singular by Frame's volume
-    rule: the inputs are dependent, or B_j is null (possible in mixed signature).
+    inputs. Raises NotInvertible exactly when Frame(vectors[:j]) does for
+    some j, from the same wedges and the same rule: the inputs are
+    dependent, or A_j is null (possible in mixed signature).
     """
     vectors = list(vectors)
     for a in vectors:
+        if not isinstance(a, Multivector):
+            raise TypeError("gram_schmidt needs Multivectors")
         if a.grades - {1}:
             raise GradeError(f"gram_schmidt needs vectors, got {a}")
     if not vectors:
         return []
     alg = vectors[0].algebra
-    memo = _Wedges(alg, vectors)
+    memo, out = _Wedges(alg, vectors), []
     for j in range(len(vectors)):
         if j:
-            memo[1 << j] = _graded_product(memo[1 << j] ^ memo[(1 << j) - 1], inverse, {1})
+            out.append(_graded_product(memo[1 << j] ^ memo[(1 << j) - 1], inverse, {1}, alg))
         inverse = memo.volume_inverse(j + 1)
         if inverse is None:
             raise NotInvertible("vectors are linearly dependent, or span a null blade")
-    return [Multivector._make(alg, memo[1 << j]._terms) for j in range(len(vectors))]
+    return [Multivector._make(alg, memo[1]._terms), *out]

@@ -517,6 +517,22 @@ def test_wedges_match_explicit_outer_product_chains(p, q, monkeypatch):
         assert kernels == {True, False}
 
 
+def test_wedges_build_each_vector_coordinates_once(monkeypatch):
+    # the minors read each vector's signed coordinates, built when the memo
+    # is: a frame round trip at n = 6 rebuilt the top vector's list for each
+    # of its 57 wedges
+    built = []
+    signed = algebra._signed_coordinates
+    monkeypatch.setattr(algebra, "_signed_coordinates",
+                        lambda n, v: built.append(v) or signed(n, v), raising=False)
+    alg = Algebra(6, 0)
+    rng = random.Random("coordinates once")
+    f = Frame([gen.rand_vector(alg, rng) for _ in range(6)])
+    A = gen.rand_mv(alg, rng)
+    assert f.expand(f.components(A)).isclose(A, tol=1e-9)
+    assert len(f._blades) == 64 and len(built) == 6
+
+
 @pytest.mark.parametrize("vectors, value", [
     ([(1e200, 1.0, 0.0), (1.0, 1e200, 0.0)], "inf"),  # 1e400 - 1
     ([(1e200, 1e200, 0.0), (1e200, 1e200, 0.0)], "nan"),  # inf - inf
