@@ -85,8 +85,9 @@ A wedge with fewer blade pairs than the plan has parts at its grade (basis
 vectors, sparse vectors), and every wedge above n = 6, takes the pair loop
 instead. One finiteness test per wedge raises NonFiniteError for an inf or
 NaN, and exact zeros are dropped, as the twin's prune drops them. Only the
-memo sets its entries: gram_schmidt reads the wedges of its inputs and
-writes none.
+memo sets its entries: gram_schmidt reads the prefix blades a_1 ^ ... ^ a_j
+of its inputs and their inverses (volume_inverse) from it, wedges nothing
+itself, and writes none.
 
 Every inverse is _twin_inverse's: reverse(A)/|A|^2, formed in the twin for
 A scaled exactly by a power of two to |A| in [1, 2), so |A|^2 neither

@@ -86,9 +86,8 @@ class LinearMap:
 
     def matrix(self):
         """The matrix with F(e_j) in column j."""
-        n = self.algebra.n
-        return [[self.images[j].coefficient((i + 1,)) for j in range(n)]
-                for i in range(n)]
+        return [[image._terms.get(1 << i, 0.0) for image in self.images]
+                for i in range(self.algebra.n)]
 
     def __call__(self, A):
         """Apply the outermorphism to any multivector of the same algebra."""
@@ -358,7 +357,4 @@ def factor_isometry(F):
             pull_back(target)
 
     factors = [Multivector._make(alg, {1 << k: x for k, x in enumerate(u) if x}) for u in factors]
-    V = alg.scalar(1.0)
-    for v in factors:
-        V = V * v
-    return V, factors
+    return math.prod(factors, start=alg.scalar(1.0)), factors

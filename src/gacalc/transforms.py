@@ -25,10 +25,12 @@ V's private _versor_inverse slot, so that transforming many multivectors by
 one versor checks and inverts it once. A V that fails the check or has no
 inverse keeps nothing and raises again on every call. Nothing else reads
 the slot, and nothing is kept by value. A null rotor factor is one with no
-_twin_inverse. gram_schmidt rejects each a_(j+1) from the blade A_j of the
-inputs before it, read from a _Wedges memo of the inputs, as Frame reads
-its blades, so it refuses where Frame refuses on a prefix; each b_j is
-pruned once.
+_twin_inverse. gram_schmidt walks the chain of prefix blades A_j = a_1 ^
+... ^ a_j, with A_0 = 1: b_j = <A_(j-1)^-1 A_j>_1 is a_j rejected from
+A_(j-1). Every A_j and A_j^-1 is read from one _Wedges memo of the inputs,
+the chain Frame(vectors[:j]) reads, and all of them are tested before any
+b_j is formed, so gram_schmidt raises what the first failing prefix frame
+raises; each b_j is pruned once.
 """
 
 from .algebra import (GradeError, Multivector, NotInvertible, _checked_inverse, _gp_select,
@@ -125,12 +127,16 @@ def rotate(A, R):
 def gram_schmidt(vectors):
     """Orthogonalize vectors by successive rejection.
 
-    b_1 = a_1 and b_(j+1) = <(a_(j+1) ^ A_j) A_j^-1>_1, the rejection of
-    a_(j+1) from the blade A_j = a_1 ^ ... ^ a_j of the inputs before it;
-    the outputs are mutually orthogonal and wedge to the same blades as the
-    inputs. Raises NotInvertible exactly when Frame(vectors[:j]) does for
-    some j, from the same wedges and the same rule: the inputs are
-    dependent, or A_j is null (possible in mixed signature).
+    b_j = <A_(j-1)^-1 A_j>_1, with A_j = a_1 ^ ... ^ a_j and A_0 = 1, is
+    the rejection of a_j from the blade of the inputs before it (so b_1 =
+    a_1); the outputs are mutually orthogonal and wedge to the same blades
+    as the inputs. Each b_j is pruned once, at the algebra's tolerance, so
+    a coefficient of b_j at or below it is dropped and the outputs are
+    orthogonal only to that tolerance: a short b_j can visibly lose a
+    direction. Raises what the first failing Frame(vectors[:j]) raises,
+    from the same wedges and the same rule: NotInvertible when the inputs
+    are dependent or A_j is null (possible in mixed signature), and
+    NonFiniteError, with the same text, when A_j or a norm overflows.
     """
     vectors = list(vectors)
     for a in vectors:
@@ -141,11 +147,11 @@ def gram_schmidt(vectors):
     if not vectors:
         return []
     alg = vectors[0].algebra
-    memo, out = _Wedges(alg, vectors), []
-    for j in range(len(vectors)):
-        if j:
-            out.append(_graded_product(memo[1 << j] ^ memo[(1 << j) - 1], inverse, {1}, alg))
-        inverse = memo.volume_inverse(j + 1)
-        if inverse is None:
+    memo = _Wedges(alg, vectors)
+    inverses = [memo[0]]
+    for j in range(1, len(vectors) + 1):
+        inverses.append(memo.volume_inverse(j))
+        if inverses[j] is None:
             raise NotInvertible("vectors are linearly dependent, or span a null blade")
-    return [Multivector._make(alg, memo[1]._terms), *out]
+    return [_graded_product(inverse, memo[(1 << j) - 1], {1}, alg)
+            for j, inverse in enumerate(inverses[:-1], 1)]

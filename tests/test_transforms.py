@@ -8,6 +8,7 @@ import pytest
 from gacalc import (
     Algebra,
     Frame,
+    GAError,
     GradeError,
     LinearMap,
     Multivector,
@@ -328,7 +329,8 @@ def test_rotor_and_gram_schmidt_overflow_is_nonfinite():
     e1, e2 = E3.basis_vector(1), E3.basis_vector(2)
     with pytest.raises(NonFiniteError, match="^coefficient is not finite: inf$"):
         rotor_from_vectors(e1 * 1e160, e2 * 1e160)
-    with pytest.raises(NonFiniteError, match="^coefficient is not finite: inf$"):
+    # A_2 = e2 ^ e1 = -1e320 e12, the wedge Frame([e2 * 1e160, e1 * 1e160]) forms
+    with pytest.raises(NonFiniteError, match="^coefficient is not finite: -inf$"):
         gram_schmidt([e2 * 1e160, e1 * 1e160])
     # |B_1|^2 = 1e320 overflowed here too; B_1^-1 is now formed at unit scale
     b1, b2 = gram_schmidt([e1 * 1e160, e2])
@@ -458,16 +460,16 @@ def _graded(product, grades):
 
 
 def _gram_schmidt_by_full_products(vectors):
-    """gram_schmidt with each rejection's full product cut to grade 1.
+    """gram_schmidt with each step's full product cut to grade 1.
 
-    b_(j+1) is a_(j+1) rejected from A_j = a_1 ^ ... ^ a_j, with A_j and
-    A_j^-1 read from a memo of the inputs that nothing writes into.
+    b_j = <A_(j-1)^-1 A_j>_1 with A_0 = 1, and A_j = a_1 ^ ... ^ a_j and
+    A_j^-1 read from a memo of the inputs.
     """
-    memo, out = algebra._Wedges(vectors[0].algebra, vectors), [vectors[0]]
-    for j in range(len(vectors)):
-        if j:
-            out.append(((memo[1 << j] ^ memo[(1 << j) - 1]) * inverse).grade(1))
-        inverse = memo.volume_inverse(j + 1)
+    memo, out = algebra._Wedges(vectors[0].algebra, vectors), []
+    inverse = memo[0]
+    for j in range(1, len(vectors) + 1):
+        out.append((inverse * memo[(1 << j) - 1]).grade(1))
+        inverse = memo.volume_inverse(j)
         if inverse is None:
             raise NotInvertible("dependent or null")
     return [Multivector._make(vectors[0].algebra, b._terms) for b in out]
@@ -550,9 +552,21 @@ def test_gram_schmidt_stays_orthogonal_on_near_dependent_vectors():
     assert worst < 2e-14
 
 
+def _first_error(call):
+    """The GAError call raises, or None."""
+    try:
+        call()
+    except GAError as error:
+        return error
+    return None
+
+
 @pytest.mark.parametrize("p, q", SIGNATURES)
 def test_gram_schmidt_refuses_exactly_where_a_prefix_frame_does(p, q):
-    # both read the wedges A_j of the inputs and the one volume rule
+    # both read the wedges A_j of the inputs and the one volume rule, so
+    # gram_schmidt raises what the first failing Frame(vs[:j]) raises: the
+    # same type, and the same text for an overflow. It wedged a_j ^ A_(j-1)
+    # itself, and said "inf" where Frame's A_j = A_(j-1) ^ a_j said "-inf"
     alg = Algebra(p, q)
     rng = random.Random(f"refusal {p},{q}")
     n, e = alg.n, alg.basis_vector
@@ -571,21 +585,38 @@ def test_gram_schmidt_refuses_exactly_where_a_prefix_frame_does(p, q):
     if (p, q) in ((1, 3), (2, 2)):  # a null vector, and a null 2-blade prefix
         null = e(1) + e(n)
         cases += [[null, e(2)], [e(2), null, e(3)], [e(2), e(3), null]]
-    refused = set()
+    for _ in range(12):  # coefficients 1e150 to 1e200, some zero: wedges overflow
+        cases.append([alg.vector([rng.choice((0.0, 1.0, -1.0)) * 10 ** rng.uniform(150, 200)
+                                  for _ in range(n)]) for _ in range(rng.randint(1, n))])
+    if (p, q) == (1, 1):  # |a_2| overflows, and so would b_2, 3.5e310 e1 + ...
+        cases.append([alg.vector([1.0, 0.999]), alg.vector([1.7e308, 1e308])])
+    refused, overflows = set(), 0
     for i, vs in enumerate(cases):
-        frame_refuses = False
-        for j in range(1, len(vs) + 1):
-            try:
-                Frame(vs[:j])
-            except NotInvertible:
-                frame_refuses = True
-        try:
-            gram_schmidt(vs)
-        except NotInvertible:
+        frame_error = next(filter(None, (_first_error(lambda: Frame(vs[:j]))
+                                         for j in range(1, len(vs) + 1))), None)
+        error = _first_error(lambda: gram_schmidt(vs))
+        assert type(error) is type(frame_error), vs
+        if isinstance(error, NonFiniteError):
+            assert str(error) == str(frame_error), vs
+            overflows += 1
+        if isinstance(error, NotInvertible):
             refused.add(i)
-        assert (i in refused) == frame_refuses, vs
     if n > 1:
-        assert refused
+        assert refused and overflows
+
+
+def test_gram_schmidt_reads_every_blade_from_the_memo(monkeypatch):
+    # b_j = <A_(j-1)^-1 A_j>_1 reads A_j from the memo, which sums dense
+    # vectors' wedges as minors; a_j ^ A_(j-1) took the pair loop k - 1 times
+    wedges = []
+    xor = Multivector.__xor__
+    monkeypatch.setattr(Multivector, "__xor__",
+                        lambda self, other: wedges.append(1) or xor(self, other))
+    alg = Algebra(6, 0)
+    rng = random.Random("memo blades")
+    vs = [alg.vector([rng.uniform(1, 2) for _ in range(6)]) for _ in range(6)]
+    assert len(gram_schmidt(vs)) == 6
+    assert wedges == []
 
 
 def test_gram_schmidt_keeps_small_independent_vectors():
