@@ -71,23 +71,9 @@ even_part, odd_part and grade_nonscalar take too.
 
 A composite is built in the algebra's twin with tolerance 0 and pruned once,
 on return: the exp series of a bivector that is not a blade; the blades a_S
-of vectors, their volume test and their reciprocals, kept in one _Wedges
-memo for Frame, LinearMap and gram_schmidt; and the blade and versor
-sandwiches of the transforms module, whose inverse and first product both
-stay in the twin. With n <= 6 the memo sums each wedge a_S = a_R ^ v, with R
-the set S without its top position and v that position's vector, as
-minors: each blade T of the grade of S gets the sum of +-a_R[T without t]
-v[t] over the bits t of T, in one local sum. The (T without t, t, sign)
-parts come from a plan kept per dimension, as the pair tables are
-(_minor_plan: 192 parts at n = 6, about 20 KB, built in 0.1 ms), and the
-+-v[t] from each vector's signed coordinates, built once when the memo is.
-A wedge with fewer blade pairs than the plan has parts at its grade (basis
-vectors, sparse vectors), and every wedge above n = 6, takes the pair loop
-instead. One finiteness test per wedge raises NonFiniteError for an inf or
-NaN, and exact zeros are dropped, as the twin's prune drops them. Only the
-memo sets its entries: gram_schmidt reads the prefix blades a_1 ^ ... ^ a_j
-of its inputs and their inverses (volume_inverse) from it, wedges nothing
-itself, and writes none.
+of vectors, their volume test and their reciprocals, kept in the frames
+module's _Wedges memo; and the blade and versor sandwiches of the
+transforms module, whose inverse and first product both stay in the twin.
 
 Every inverse is _twin_inverse's: reverse(A)/|A|^2, formed in the twin for
 A scaled exactly by a power of two to |A| in [1, 2), so |A|^2 neither
@@ -142,9 +128,6 @@ _INF = math.inf
 _GRADE_INVOLUTION_SIGNS = (1.0, -1.0, 1.0, -1.0)
 _REVERSE_SIGNS = (1.0, 1.0, -1.0, -1.0)
 _CLIFFORD_CONJUGATE_SIGNS = (1.0, -1.0, -1.0, 1.0)
-# Bits 1, 3, 5, ...: the set positions of bits sum to an odd number exactly
-# when bits & _ODD_POSITIONS has an odd number of bits.
-_ODD_POSITIONS = int("10" * 32, 2)
 
 # Every product up to this dimension runs in the Python loop and reads each
 # pair's sign and selection from a table of the signature and product kind.
@@ -157,9 +140,6 @@ _TABLE_MAX_N = 6
 # Algebra, so fresh algebras of one signature share them; at most four tables
 # for each of the 28 signatures with n <= 6.
 _PAIR_TABLES = {}
-
-# n -> _minor_plan(n), for n <= _TABLE_MAX_N.
-_MINOR_PLANS = {}
 
 # Above _TABLE_MAX_N, products with at least this many blade pairs take the
 # numpy branch. The bit loop wins below about 512 pairs (a contraction at 512
@@ -1000,111 +980,6 @@ def _twin(algebra):
     twin.p, twin.q, twin.n, twin.metric = algebra.p, algebra.q, algebra.n, algebra.metric
     twin._minus_mask, twin.tolerance = algebra._minus_mask, 0.0
     return twin
-
-
-def _minor_plan(n):
-    """For each grade r of an algebra with n <= _TABLE_MAX_N, (parts, [(x, parts of x)]).
-
-    The parts of a blade x are (x without e_t, i) for each bit t of x:
-    e_(x without t) ^ e_t is +-e_x, with one sign flip for each higher bit
-    of x that e_t passes, and i is t for + and t + n for -, an index into a
-    vector's coordinates followed by their negations. parts counts them
-    over the grade, r C(n, r). Built on first use and kept per dimension,
-    as the pair tables are; 192 parts at n = 6.
-    """
-    plan = _MINOR_PLANS.get(n)
-    if plan is None:
-        grades = [[] for _ in range(n + 1)]
-        for x in range(1 << n):
-            grades[x.bit_count()].append((x, tuple(
-                (x ^ 1 << t, t + n if (x >> t + 1).bit_count() & 1 else t)
-                for t in range(n) if x >> t & 1)))
-        plan = _MINOR_PLANS[n] = [(r * len(blades), blades) for r, blades in enumerate(grades)]
-    return plan
-
-
-def _signed_coordinates(n, vector):
-    """A vector's coordinates v_1..v_n, then their negations: _minor_plan's indices."""
-    return [s * vector._terms.get(1 << t, 0.0) for s in (1.0, -1.0) for t in range(n)]
-
-
-class _Wedges(dict):
-    """The wedges a_S of vectors a_1..a_k in the twin, keyed by the bits of S.
-
-    a_S = a_(S without max S) ^ a_(max S) is wedged on first lookup and kept:
-    as minors with n <= 6 (_minor_plan), from each vector's signed
-    coordinates, built once here, or by the pair loop for sparse factors
-    and above. Entries are set here and in __missing__ only. The
-    singularity rule reads the norms of the vectors. Raises AlgebraMismatch
-    for a foreign vector, and NonFiniteError for a wedge that overflows.
-    """
-
-    __slots__ = ("algebra", "_norms", "_signed")
-
-    def __init__(self, algebra, vectors):
-        twin, zero = _twin(algebra), algebra.zero()
-        super().__init__({1 << i: Multivector._make(twin, zero._coerce(v)._terms)
-                          for i, v in enumerate(vectors)})
-        self[0] = twin.scalar(1.0)
-        self.algebra = algebra
-        self._norms = [math.hypot(*v._terms.values()) for v in vectors]
-        self._signed = [_signed_coordinates(algebra.n, v) for v in vectors]
-
-    def __missing__(self, bits):
-        top = 1 << (bits.bit_length() - 1)
-        rest, vector = self[bits ^ top], self[top]
-        n, a = self.algebra.n, rest._terms
-        plan = _minor_plan(n)[bits.bit_count()] if n <= _TABLE_MAX_N else None
-        if plan is None or len(a) * len(vector._terms) < plan[0]:
-            blade = self[bits] = rest ^ vector
-            return blade
-        # a_S[T] is the sum over the bits t of T of +-a_rest[T without t] v[t]
-        v, get, raw = self._signed[top.bit_length() - 1], a.get, {}
-        for out, parts in plan[1]:
-            c = 0.0
-            for sub, i in parts:
-                c += get(sub, 0.0) * v[i]
-            if c:  # the twin's prune drops exact zeros
-                raw[out] = c
-        if not -_INF < sum(raw.values()) < _INF:  # NaN fails both
-            raw = _pruned(raw, 0.0)  # raises for a term that is not finite
-        blade = self[bits] = object.__new__(Multivector)
-        blade.algebra, blade._terms = rest.algebra, raw
-        return blade
-
-    def volume_inverse(self, k):
-        """_twin_inverse(V) for V = a_1 ^ ... ^ a_k; None when V is singular by the wedge rule."""
-        volume, tol = self[(1 << k) - 1], self.algebra.tolerance
-        if _hadamard_negligible(math.hypot(*volume._terms.values()), [self._norms[:k]], tol):
-            return None
-        return _twin_inverse(volume, tol)
-
-    def reciprocal(self, volume_inverse, k, bits):
-        """The wedge of the reciprocal vectors a^i of a_1..a_k at the set bits i of bits.
-
-        By duality (Dorst, Fontijne & Mann, section 3.8) it is _dual_sign(bits)
-        a_C V^-1, with C the bits of 1..k not in bits and V^-1 = volume_inverse(k).
-        """
-        blade = self[((1 << k) - 1) ^ bits] * volume_inverse
-        return blade if _dual_sign(bits) > 0 else -blade
-
-    def combine(self, items):
-        """The sum of c a_S over (bits of S, c) pairs, pruned once in the algebra."""
-        return _linear_combination(self.algebra, ((c, self[bits]._terms) for bits, c in items))
-
-
-def _dual_sign(bits):
-    """(-1)^(sum of the set bit positions of bits), the sign in _Wedges.reciprocal."""
-    return -1.0 if (bits & _ODD_POSITIONS).bit_count() & 1 else 1.0
-
-
-def _linear_combination(algebra, pairs):
-    """The sum of c * terms over (c, bitmask-keyed terms) pairs, pruned once."""
-    raw = {}
-    for c, terms in pairs:
-        for k, v in terms.items():
-            raw[k] = raw.get(k, 0.0) + c * v
-    return Multivector._make(algebra, raw)
 
 
 def exp_bivector(B, theta):

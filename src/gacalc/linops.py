@@ -4,8 +4,8 @@ A LinearMap is stored as the images of the orthonormal basis vectors. It
 acts on blades by wedging images (the unique outermorphism extension) and
 linearly on everything else, so it is grade-preserving by construction.
 Each blade image F(e_S) = F(e_(S without max S)) ^ F(e_max S) is wedged
-once, in a lazy _Wedges memo in the tolerance-0 twin (summed as minors up
-to n = 6); results are pruned once.
+once, in a lazy _Wedges memo of the frames module in the tolerance-0 twin
+(summed as minors up to n = 6); results are pruned once.
 The determinant is the twin's coefficient of F(I) = det(F) I. The inverse is
 read off the reciprocal frame of the images, f^k = (-1)^(k-1)
 F(e_([n] without k)) F(I)^-1, with Frame's expression and singularity rule.
@@ -29,7 +29,8 @@ rotations in pure Python, so this module never imports numpy.
 import math
 
 from .algebra import (_INF, GAError, GradeError, Multivector, NonFiniteError,
-                      _hadamard_negligible, _linear_combination, _negligible, _pruned, _Wedges)
+                      _hadamard_negligible, _negligible, _pruned)
+from .frames import _linear_combination, _Wedges
 
 _ISOMETRY_SLACK = 1e4
 # Jacobi stops once the off-diagonal sum of squares is below this share of

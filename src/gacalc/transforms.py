@@ -30,11 +30,13 @@ _twin_inverse. gram_schmidt walks the chain of prefix blades A_j = a_1 ^
 A_(j-1). Every A_j and A_j^-1 is read from one _Wedges memo of the inputs,
 the chain Frame(vectors[:j]) reads, and all of them are tested before any
 b_j is formed, so gram_schmidt raises what the first failing prefix frame
-raises; each b_j is pruned once.
+raises; each b_j is pruned once. The memo lives in the frames module, which
+gram_schmidt imports only when it runs: the calculator imports this module
+and never loads frames.
 """
 
 from .algebra import (GradeError, Multivector, NotInvertible, _checked_inverse, _gp_select,
-                      _graded_product, _lcontract_select, _outer_select, _twin_inverse, _Wedges)
+                      _graded_product, _lcontract_select, _outer_select, _twin_inverse)
 
 
 def _blade_operands(A, B, what):
@@ -146,6 +148,8 @@ def gram_schmidt(vectors):
             raise GradeError(f"gram_schmidt needs vectors, got {a}")
     if not vectors:
         return []
+    from .frames import _Wedges
+
     alg = vectors[0].algebra
     memo = _Wedges(alg, vectors)
     inverses = [memo[0]]

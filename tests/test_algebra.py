@@ -22,7 +22,7 @@ from gacalc import (
     exp_bivector,
     gram_schmidt,
 )
-from gacalc import algebra
+from gacalc import algebra, frames
 
 
 E2 = Algebra(2, 0)
@@ -500,7 +500,7 @@ def test_wedges_match_explicit_outer_product_chains(p, q, monkeypatch):
         alg = Algebra(p, q, tolerance=tolerance)
         for kind in ("dense", "basis", "zeros") * 4:
             vectors = _frame_vectors(alg, rng, kind)
-            memo = algebra._Wedges(alg, vectors)
+            memo = frames._Wedges(alg, vectors)
             for bits in range(1 << len(vectors)):
                 before = len(pair_loops)
                 got = memo[bits]
@@ -522,8 +522,8 @@ def test_wedges_build_each_vector_coordinates_once(monkeypatch):
     # is: a frame round trip at n = 6 rebuilt the top vector's list for each
     # of its 57 wedges
     built = []
-    signed = algebra._signed_coordinates
-    monkeypatch.setattr(algebra, "_signed_coordinates",
+    signed = frames._signed_coordinates
+    monkeypatch.setattr(frames, "_signed_coordinates",
                         lambda n, v: built.append(v) or signed(n, v), raising=False)
     alg = Algebra(6, 0)
     rng = random.Random("coordinates once")
@@ -541,7 +541,7 @@ def test_an_overflowing_wedge_is_nonfinite(vectors, value):
     alg = Algebra(3, 0)
     vectors = [alg.vector(v) for v in vectors]
     with pytest.raises(NonFiniteError, match=rf"^coefficient is not finite: {value}$"):
-        algebra._Wedges(alg, vectors)[3]
+        frames._Wedges(alg, vectors)[3]
     with pytest.raises(NonFiniteError):
         Frame(vectors)
 

@@ -24,7 +24,7 @@ from gacalc import (
     rotate,
     rotor_from_vectors,
 )
-from gacalc import algebra
+from gacalc import algebra, frames
 
 import gen
 
@@ -465,7 +465,7 @@ def _gram_schmidt_by_full_products(vectors):
     b_j = <A_(j-1)^-1 A_j>_1 with A_0 = 1, and A_j = a_1 ^ ... ^ a_j and
     A_j^-1 read from a memo of the inputs.
     """
-    memo, out = algebra._Wedges(vectors[0].algebra, vectors), []
+    memo, out = frames._Wedges(vectors[0].algebra, vectors), []
     inverse = memo[0]
     for j in range(1, len(vectors) + 1):
         out.append((inverse * memo[(1 << j) - 1]).grade(1))
