@@ -56,9 +56,9 @@ The prune and every result after it are therefore the same whichever regime
 runs.
 
 A product whose result grades are known in advance (a versor or blade
-sandwich keeps the grades of what it moves, and V reverse(V) below has
-only grades 0 mod 4) takes _graded_product. With n <= 6 and fewer blades
-of those grades than the right operand has terms, it takes each kept
+sandwich keeps the grades of what it moves, and A reverse(A) below has
+only grades 0 and 1 mod 4) takes _graded_product. With n <= 6 and fewer
+blades of those grades than the right operand has terms, it takes each kept
 blade x in turn and sums, over the left terms ka in order, the pairs with
 the right term at ka ^ x into one local sum, so an n = 6 vector sandwich
 visits 32 x 6 pairs instead of 32 x 32. The first hit records where the
@@ -77,12 +77,18 @@ transforms module, whose inverse and first product both stay in the twin.
 
 Every inverse is _twin_inverse's: reverse(A)/|A|^2, formed in the twin for
 A scaled exactly by a power of two to |A| in [1, 2), so |A|^2 neither
-overflows nor underflows. It is the inverse of a versor only, so inverse()
-and apply_versor take it through _checked_inverse, the one versor check,
-and the blade transforms after is_blade. The check and the inverse share
-one product: _versor_square forms V reverse(V) for the scaled V once, and
-|V|^2 is its scalar part, which sums scalar_product's pairs in its order,
-so the inverse is _twin_inverse's, bit for bit.
+overflows nor underflows. It is the inverse of A whenever A reverse(A) is a
+nonzero scalar s, whatever A's grades: then A (reverse(A)/s) = 1, and in a
+finite-dimensional algebra a right inverse is two-sided. inverse() takes it
+through _checked_inverse after that square test alone (_reverse_square);
+apply_versor takes it there after the versor check (_versor_square), which
+is one grade parity, then the square test; the blade transforms take it
+after is_blade. The test and the inverse share one product: the square
+test forms A reverse(A) for the scaled A once, and |A|^2 is its scalar
+part, which sums scalar_product's pairs in its order, so the inverse is
+_twin_inverse's, bit for bit. The versor check is exact for n <= 5 and
+admits non-versors from n = 6: in Cl(6,0), V = e123 + e456 passes it, and
+apply_versor(e1, V) returns 0.
 
 Every verdict that a residue is roundoff is _negligible's, read at the
 algebra's tolerance tol: a residue R formed from an object X is roundoff when
@@ -90,18 +96,19 @@ no coefficient of R exceeds tol * |X|^d, with |.| the coefficient norm and d
 the degree of R in X. d = 1 for a residue linear in X: F + Fbar or F - Fbar
 against the matrix of a map F, and F(A) - lambda A against F(A) in
 eigenblade_check. d = 2 for a quadratic one: u ^ A in is_blade, the
-non-scalar part of A reverse(A) in is_versor, B ^ B in exp, and |A|^2 in
-inverse() and rotor_from_vectors. A reverse(A) is its own reverse, so its
-grades 2 and 3 mod 4 vanish identically, and for A of one parity it is
-even: the versor check forms and reads only its grades 4, 8, ... A wedge
+non-scalar part of A reverse(A) in the square test, B ^ B in exp, and |A|^2
+in inverse() and rotor_from_vectors. A reverse(A) is its own reverse, so
+its grades 2 and 3 mod 4 vanish identically, and for A of one parity its
+odd grades too: the square test forms and reads only its grades 4, 8, ...
+for one parity, and 1, 4, 5, 8, 9, ... for mixed parity. A wedge
 is also roundoff when its norm is, with d = 1, against Hadamard's bound on
 it, sum |c| prod |v_i| for the wedges c v_1 ^ ... ^ v_k it sums
 (_hadamard_negligible): so vectors are dependent, and F(A) is 0 in
 eigenblade_check. A vector whose norm overflows leaves that bound inf at
 every scale and raises NonFiniteError, as |A| does in _unit_scaled. The
 wedge V of vectors v_i is singular when <reverse(V) V>_0 is roundoff, or
-when the vectors are dependent. is_blade, is_versor and _twin_inverse form
-their residues from that same scaled A in the twin (_unit_scaled), so
+when the vectors are dependent. is_blade, the square test and _twin_inverse
+form their residues from that same scaled A in the twin (_unit_scaled), so
 neither the prune nor the float range can hide them; eigenblade_check
 forms its residues in the twin.
 
@@ -436,41 +443,57 @@ def _unit_inverse(unit, scale, n2, tol):
                                             for k, u in unit._terms.items()})
 
 
-def _versor_square(v):
-    """(V 2^j in the twin, 2^j, <V 2^j reverse(V 2^j)>_0) when V is a versor, else None.
+def _reverse_square(a):
+    """(A 2^j in the twin, 2^j, <A 2^j reverse(A 2^j)>_0) when A reverse(A) is scalar, else None.
 
-    V is a versor when it has one grade parity and V reverse(V) is scalar to
-    roundoff (_negligible, degree 2), both read for V scaled by _unit_scaled.
-    V reverse(V) is its own reverse, so its grades 2 and 3 (mod 4) vanish
-    identically, and one parity makes it even: only its grades 0 (mod 4) are
-    formed (_graded_product). Its scalar part sums the pairs of
-    scalar_product in its order, so it is |V 2^j|^2 bit for bit.
+    The square test, the one rule of inverse(): A reverse(A) is scalar when
+    its non-scalar part is roundoff (_negligible, degree 2), read for A
+    scaled by _unit_scaled. A reverse(A) is its own reverse, so only its
+    grades r with r mod 4 below the number of A's grade parities can be
+    nonzero: 0 mod 4 for one parity, 0 and 1 mod 4 for mixed parity. Only
+    they are formed (_graded_product). Its scalar part sums the pairs of
+    scalar_product in its order, so it is |A 2^j|^2 bit for bit.
     """
-    if len({k.bit_count() & 1 for k in v._terms}) != 1:  # zero has no parity
-        return None
-    unit, scale = _unit_scaled(v)
-    square = _graded_product(unit, unit.reverse(), set(range(0, unit.algebra.n + 1, 4)))._terms
+    parities = len({k.bit_count() & 1 for k in a._terms})
+    unit, scale = _unit_scaled(a)
+    grades = {r for r in range(a.algebra.n + 1) if r & 3 < parities}
+    square = _graded_product(unit, unit.reverse(), grades)._terms
     if not _negligible([x for k, x in square.items() if k], unit._terms.values(),
-                       v.algebra.tolerance, 2):
+                       a.algebra.tolerance, 2):
         return None
     return unit, scale, square.get(0, 0.0)
 
 
-def _checked_inverse(v):
-    """V^-1 in the twin for the versor V, from the one V reverse(V) of _versor_square.
+def _versor_square(v):
+    """_reverse_square(V) when V passes the versor check, else None.
 
-    Raises GradeError when V is not a versor, where reverse(V)/|V|^2 is not
-    its inverse, and NotInvertible when V is zero or null. The inverse is
-    _twin_inverse's, bit for bit.
+    The versor check is one grade parity (zero has none), then the square
+    test. It is exact for n <= 5, where every invertible V that passes is a
+    product of vectors (Lounesto, Clifford Algebras and Spinors, the chapter
+    on spin groups), and admits non-versors from n = 6: in Cl(6,0), V = e123
+    + e456 passes, and apply_versor(e1, V) returns 0.
     """
-    if not v:
-        raise NotInvertible(f"null versor has no inverse: {v}")
-    square = _versor_square(v)
+    return _reverse_square(v) if len({k.bit_count() & 1 for k in v._terms}) == 1 else None
+
+
+def _checked_inverse(a, versor):
+    """A^-1 in the twin, from the one A reverse(A) of the square test.
+
+    inverse() passes versor False and needs only the square test
+    (_reverse_square); the versor action passes True and needs the versor
+    check (_versor_square). Raises GradeError when A fails it, and
+    NotInvertible when A is zero or null. The inverse is _twin_inverse's,
+    bit for bit.
+    """
+    if not a:
+        raise NotInvertible(f"null versor has no inverse: {a}")
+    square = _versor_square(a) if versor else _reverse_square(a)
     if square is None:
-        raise GradeError(f"not a versor (mixed parity, or V reverse(V) is not scalar): {v}")
-    inverse = _unit_inverse(*square, v.algebra.tolerance)
+        raise GradeError(f"not a versor (mixed parity, or V reverse(V) is not scalar): {a}"
+                         if versor else f"not a versor, and A reverse(A) is not scalar: {a}")
+    inverse = _unit_inverse(*square, a.algebra.tolerance)
     if inverse is None:
-        raise NotInvertible(f"null versor has no inverse: {v}")
+        raise NotInvertible(f"null versor has no inverse: {a}")
     return inverse
 
 
@@ -821,14 +844,17 @@ class Multivector:
         return self.scalar_product(self)
 
     def inverse(self):
-        """The versor inverse reverse(A)/|A|^2, formed at unit scale and pruned once.
+        """The inverse reverse(A)/|A|^2, formed at unit scale and pruned once.
 
-        Raises GradeError when A is not a versor (is_versor), for which that
-        formula is not the inverse. Raises NotInvertible when A is zero, when
-        |A|^2 is roundoff by the residue rule, or when every coefficient of
-        A^-1 falls to the prune. Raises NonFiniteError when |A| or A^-1 overflows.
+        That formula is A's inverse whenever A reverse(A) is a nonzero scalar,
+        of one grade parity or not: (1 + e123)^-1 = (1 - e123)/2 in Cl(3,0).
+        Raises GradeError when A reverse(A) has a non-scalar part beyond
+        roundoff, as 2 + e1 + e12 does. Raises NotInvertible when A is zero,
+        when |A|^2 is roundoff by the residue rule, or when every coefficient
+        of A^-1 falls to the prune. Raises NonFiniteError when |A| or A^-1
+        overflows.
         """
-        inverse = Multivector._make(self.algebra, _checked_inverse(self)._terms)
+        inverse = Multivector._make(self.algebra, _checked_inverse(self, versor=False)._terms)
         if not inverse:
             raise NotInvertible(f"the inverse of {self} falls below the tolerance")
         return inverse
@@ -872,7 +898,11 @@ class Multivector:
         return _grade_part(self.algebra, self._terms, range(1, self.algebra.n + 1))
 
     def is_versor(self):
-        """Practical versor test: single grade parity and A reverse(A) scalar to roundoff."""
+        """Versor test: one grade parity, and A reverse(A) scalar to roundoff.
+
+        Exact for n <= 5. From n = 6 it admits non-versors: in Cl(6,0),
+        e123 + e456 passes, and apply_versor(e1, e123 + e456) returns 0.
+        """
         return _versor_square(self) is not None
 
     # -- exponential ------------------------------------------------------------

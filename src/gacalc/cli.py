@@ -16,7 +16,9 @@ working algebra (clearing all variables, since values are algebra-bound),
 and `:quit` stops. Expression results print one per line in the canonical
 text format.
 
-Exit codes: 0 success, 1 parse error, 2 evaluation error.
+Exit codes: 0 success, 1 parse error, 2 evaluation error, or a result that
+cannot be written. Messages go to stderr; one that cannot be written is
+lost, and the exit code stays the failure's own.
 """
 
 import getopt
@@ -33,6 +35,14 @@ _BASIS_NAME = re.compile(r"e\d+\Z")
 
 class _Quit(Exception):
     pass
+
+
+def _warn(text):
+    """Print text to stderr; if that fails (its reader is gone), the text is lost."""
+    try:
+        print(text, file=sys.stderr)
+    except OSError:
+        pass
 
 
 class _Session:
@@ -137,7 +147,7 @@ class _Parser:
         return f"usage: {self.prog} [-h]{flags}{tail}"
 
     def error(self, message):
-        print(f"{self._usage()}\n{self.prog}: error: {message}", file=sys.stderr)
+        _warn(f"{self._usage()}\n{self.prog}: error: {message}")
         raise SystemExit(2)
 
     def _help(self):
@@ -217,7 +227,7 @@ def _run(session, lines, path=None, keep_going=False):
                 print(out)
             continue
         where = f"{path}:{lineno}: " if path is not None else ""
-        print(where + message, file=sys.stderr)
+        _warn(where + message)
         if not keep_going:
             return code
     return 0
@@ -250,7 +260,7 @@ def _calc_main(argv):
     try:
         return _run(session, _prompt_lines(), keep_going=True)
     except KeyboardInterrupt:
-        print(file=sys.stderr)
+        _warn("")
         return 130
 
 
@@ -280,7 +290,7 @@ def main(argv=None):
             return _kepler_main(argv[1:])
         return _calc_main(argv)
     except (GAError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _warn(f"error: {exc}")
         return 2
 
 

@@ -19,9 +19,10 @@ grades, bit for bit, and the roundoff the full product leaves in the other
 grades (odd grades of a vector moved by a large mixed-signature versor) is
 never formed.
 
-apply_versor (and so rotate) checks V and inverts it (_checked_inverse, the
-check inverse() makes) on its first call with that object and keeps V^-1 in
-V's private _versor_inverse slot, so that transforming many multivectors by
+apply_versor (and so rotate) checks V and inverts it on its first call
+with that object (_checked_inverse after the versor check: one grade parity,
+then the square test, which is all inverse() asks) and keeps V^-1 in V's
+private _versor_inverse slot, so that transforming many multivectors by
 one versor checks and inverts it once. A V that fails the check or has no
 inverse keeps nothing and raises again on every call. Nothing else reads
 the slot, and nothing is kept by value. A null rotor factor is one with no
@@ -89,12 +90,14 @@ def apply_versor(A, V):
 
     Raises GradeError when V mixes parities or V reverse(V) is not scalar,
     NotInvertible when V is zero or null. V^-1 is kept on V once V passes,
-    so later calls with the same V skip the check and the inversion.
+    so later calls with the same V skip the check and the inversion. The
+    check is exact for n <= 5 and admits non-versors from n = 6: in Cl(6,0),
+    apply_versor(e1, e123 + e456) returns 0.
     """
     if not isinstance(V, Multivector):
         raise TypeError("versor must be a Multivector")
     if getattr(V, "_versor_inverse", None) is None:
-        V._versor_inverse = _checked_inverse(V)
+        V._versor_inverse = _checked_inverse(V, versor=True)
     A = V._coerce(A)
     moved = A.grade_involution() if min(V.grades) & 1 else A
     return _sandwich(V, moved, _gp_select, V._versor_inverse, A)

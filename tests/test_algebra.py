@@ -824,6 +824,47 @@ def test_inverse_of_a_non_versor_is_an_error(A):
         A.inverse()
 
 
+@pytest.mark.parametrize("A, want", [
+    (1 + E3.blade((1, 2, 3)), {(): 0.5, (1, 2, 3): -0.5}),
+    (E3.basis_vector(1) + E3.blade((2, 3)), {(1,): 0.5, (2, 3): -0.5}),
+], ids=["1+e123", "e1+e23"])
+def test_inverse_asks_only_whether_a_reverse_a_is_scalar(A, want):
+    # inverse() asked the versor check, which refused a mixed-parity A as
+    # "not a versor" though A reverse(A) = 2, so A^-1 = reverse(A) / 2
+    inverse = A.inverse()
+    assert inverse.terms == want
+    assert A * inverse == inverse * A == E3.scalar(1.0)
+
+
+@pytest.mark.parametrize("p, q", [(p, n - p) for n in range(1, 7) for p in range(n + 1)])
+def test_an_inverse_is_two_sided(p, q):
+    # whenever inverse() returns, A A^-1 = A^-1 A = 1. Both products are
+    # formed in the twin; the prune drops coefficients of A^-1 at or below
+    # the tolerance, which moves each coefficient of them by at most
+    # tol * |A|_1, with |.|_1 the sum of the absolute coefficients
+    alg = Algebra(p, q)
+    exact = algebra._twin(alg)
+    one = exact.scalar(1.0)
+    rng = random.Random(f"two-sided inverse {p},{q}")
+    versors = [gen.rand_versor(alg, rng, rng.randrange(1, alg.n + 1)) for _ in range(6)]
+    # a + b e_S with |S| = 3 mod 4: mixed parity, and A reverse(A) = a^2 - b^2 e_S^2
+    mixed = [alg.multivector({(): gen.rand_coeff(rng), b: gen.rand_coeff(rng)})
+             for b in alg.basis_blades() if len(b) & 3 == 3]
+    sums = [gen.rand_mv(alg, rng) for _ in range(12)]
+    for i, A in enumerate(versors + mixed + sums):
+        A = A * 10.0 ** rng.uniform(-3, 3)
+        try:
+            inverse = A.inverse()
+        except (GradeError, NotInvertible):
+            assert i >= len(versors + mixed), A  # only a random sum may be refused
+            continue
+        a, b = exact.multivector(A.terms), exact.multivector(inverse.terms)
+        size = sum(map(abs, A.terms.values()))
+        bound = 1e-13 * size * sum(map(abs, inverse.terms.values())) + alg.tolerance * size
+        assert (a * b).max_coeff_diff(one) <= bound, (A, inverse)
+        assert (b * a).max_coeff_diff(one) <= bound, (A, inverse)
+
+
 def test_an_inverse_below_the_tolerance_is_not_invertible():
     # 1e-11 e1 fell to the prune and inverse() returned 0
     with pytest.raises(NotInvertible, match="falls below the tolerance"):

@@ -5,6 +5,7 @@ import csv
 import io
 import itertools
 import math
+import os
 import re
 import subprocess
 import sys
@@ -305,6 +306,16 @@ def test_a_large_projection_target_is_not_zero_and_a_pruned_inverse_is_an_error(
     assert r.stderr.startswith("error: the inverse of ")
 
 
+@pytest.mark.parametrize("expr, want", [("inv(1 + e123)", "0.5 - 0.5*e123\n"),
+                                        ("inv(e1 + e23)", "0.5*e1 - 0.5*e23\n")],
+                         ids=["1+e123", "e1+e23"])
+def test_inv_asks_only_whether_a_reverse_a_is_scalar(expr, want):
+    # a mixed-parity argument was "not a versor" (exit 2), though
+    # (1 + e123) rev(1 + e123) prints 2
+    r = ga("-e", expr)
+    assert (r.returncode, r.stdout, r.stderr) == (0, want, "")
+
+
 @pytest.mark.parametrize("expr", ["inv(2 + e12 + e1)", "inv(e1 + e12)"])
 def test_inv_of_a_non_versor_is_an_error(expr):
     # inv printed reverse(A)/|A|^2, which is not the inverse, and exited 0
@@ -586,6 +597,28 @@ def test_a_broken_stdout_is_an_error():
     with contextlib.redirect_stdout(_BrokenStream()), contextlib.redirect_stderr(err):
         code = cli.main(["-e", "e1"])
     assert (code, err.getvalue()) == (2, "error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("expr, code", [("inv(e1 + e12)", 2), ("e1 +", 1), ("e1", 0)])
+def test_a_broken_stderr_keeps_the_exit_code(expr, code):
+    # printing the message raised BrokenPipeError, and so did main's report
+    # of it: the error escaped, and an evaluation error exited 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(_BrokenStream()):
+        assert cli.main(["-e", expr]) == code
+    assert out.getvalue() == ("1*e1\n" if code == 0 else "")
+
+
+@pytest.mark.parametrize("expr, code", [("inv(e1 + e12)", 2), ("e1 +", 1)])
+def test_a_closed_stderr_keeps_the_exit_code(expr, code):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run([sys.executable, "-m", "gacalc", "-e", expr], stdout=subprocess.PIPE,
+                           stderr=write_end, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (r.returncode, r.stdout) == (code, b"")
 
 
 def test_algebra_switch_clears_variables(tmp_path):

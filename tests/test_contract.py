@@ -11,6 +11,11 @@ in every Cl(p,q) with n <= 6 (ids "small-p,q") and in Cl(7,0) and Cl(4,3)
 (ids "large-p,q"), whose dense products run in numpy. A draw whose operands
 already raise a GAError is skipped, and eigenblade_check is never passed
 zero, which its docstring refuses with ValueError.
+
+A second seeded fuzz draws the operands the square test accepts and the
+versor check refuses: a + b e_S with |S| = 3 mod 4, and at n >= 6 sums of
+two orthogonal blades, such as e123 + e456 and 1 + e123456. It also checks
+that a mixed-parity operand is never a versor.
 """
 
 import math
@@ -24,6 +29,7 @@ from gacalc import (
     Algebra,
     Frame,
     GAError,
+    GradeError,
     LinearMap,
     OrbitState,
     SimulationError,
@@ -203,3 +209,47 @@ def test_a_well_formed_call_returns_or_raises_a_gaerror(p, q):
         except Exception as exc:
             raise AssertionError(f"draw {draw}, {family.__name__} at tolerance "
                                  f"{alg.tolerance}: {exc!r}") from exc
+
+
+MIXED_SEED = "mixed parity"
+MIXED_DRAWS = 40
+
+
+def _two_blade_sum(alg, rng):
+    """a + b e_S with |S| = 3 mod 4, or at n >= 6 now and then c e_S + d e_T with S, T disjoint."""
+    exponent = _exponent(rng)
+    if alg.n >= 6 and rng.random() < 0.5:
+        indices = rng.sample(range(1, alg.n + 1), rng.randint(1, alg.n))
+        cut = rng.randint(0, len(indices) - 1)
+        blades = (indices[:cut], indices[cut:])
+    else:
+        blades = ((), rng.sample(range(1, alg.n + 1), rng.choice((3, 7) if alg.n >= 7 else (3,))))
+    return alg.multivector({tuple(b): _coefficient(rng, exponent + rng.randint(-2, 2))
+                            for b in blades})
+
+
+@pytest.mark.parametrize("p, q", [
+    *(pytest.param(p, n - p, id=f"small-{p},{n - p}") for n in range(3, 7) for p in range(n + 1)),
+    pytest.param(7, 0, id="large-7,0"),
+    pytest.param(4, 3, id="large-4,3"),
+])
+def test_a_mixed_parity_operand_is_never_a_versor(p, q):
+    # inverse() accepts any A whose A reverse(A) is scalar, but the versor
+    # action still needs one grade parity: that holds at every tolerance
+    rng = random.Random(f"{MIXED_SEED} {p},{q}")
+    algebras = [Algebra(p, q, tolerance=tol) for tol in TOLERANCES]
+    for draw in range(MIXED_DRAWS):
+        alg = rng.choice(algebras)
+        try:
+            V, A = _two_blade_sum(alg, rng), _operand(alg, rng)
+        except GAError:  # the draw's operands already raise: skipped
+            continue
+        try:
+            for call, *args in ((V.inverse,), (V.is_versor,), (apply_versor, A, V), (rotate, A, V)):
+                _outcome(call, *args)
+        except Exception as exc:
+            raise AssertionError(f"draw {draw} at tolerance {alg.tolerance}: {exc!r}") from exc
+        if len({g & 1 for g in V.grades}) > 1:
+            assert not V.is_versor()
+            with pytest.raises(GradeError):
+                apply_versor(A, V)

@@ -239,6 +239,19 @@ def test_apply_versor_validation():
         apply_versor(E3.basis_vector(1), 1 + E3.blade((1, 2, 3), 1.0))
 
 
+@pytest.mark.parametrize("V", [1 + E3.blade((1, 2, 3)), E3.basis_vector(1) + E3.blade((2, 3))],
+                         ids=["1+e123", "e1+e23"])
+def test_an_invertible_mixed_parity_multivector_is_not_a_versor(V):
+    # inverse() accepts V, as V reverse(V) = 2, but the versor action also
+    # needs one grade parity
+    assert V.inverse() * V == E3.scalar(1.0)
+    assert not V.is_versor()
+    with pytest.raises(GradeError, match="^not a versor"):
+        apply_versor(E3.basis_vector(1), V)
+    with pytest.raises(GradeError):
+        rotate(E3.basis_vector(1), V)
+
+
 def test_apply_versor_checks_and_inverts_a_versor_once(monkeypatch):
     checks = []
     versor_square = algebra._versor_square
