@@ -190,6 +190,9 @@ class Algebra:
         n: total dimension p + q.
         tolerance: finite nonnegative zero-test threshold for coefficients.
         metric: tuple of +-1.0 metric entries, length n.
+
+    Raises ValueError when p or q is not a nonnegative integer, when p + q
+    exceeds max_dimension, or when the tolerance is not finite and nonnegative.
     """
 
     __slots__ = ("p", "q", "n", "tolerance", "metric", "_minus_mask")
@@ -235,7 +238,7 @@ class Algebra:
         return self.blade((i,))
 
     def vector(self, components):
-        """A grade-1 multivector from n components."""
+        """A grade-1 multivector from n components; ValueError for any other count."""
         comps = [float(c) for c in components]
         if len(comps) != self.n:
             raise ValueError(f"expected {self.n} components, got {len(comps)}")
@@ -243,7 +246,10 @@ class Algebra:
             self, {1 << i: c for i, c in enumerate(comps)})
 
     def blade(self, indices, coeff=1.0):
-        """The basis blade e_i1 ^ ... ^ e_ir times coeff, indices in any order."""
+        """The basis blade e_i1 ^ ... ^ e_ir times coeff, indices in any order.
+
+        Raises ValueError for an index outside 1..n or a repeated index.
+        """
         return self.multivector({tuple(indices): coeff})
 
     def multivector(self, terms):
@@ -277,7 +283,8 @@ class Algebra:
         """Product of two basis blades given as index tuples.
 
         Returns (result index tuple, sign), where sign is the reordering
-        parity times the metric factors of the shared indices.
+        parity times the metric factors of the shared indices. Raises
+        ValueError for an index outside 1..n or a repeated index.
         """
         a, xs = _blade_key(self.n, x)
         b, ys = _blade_key(self.n, y)
@@ -482,18 +489,20 @@ def _checked_inverse(a, versor):
     inverse() passes versor False and needs only the square test
     (_reverse_square); the versor action passes True and needs the versor
     check (_versor_square). Raises GradeError when A fails it, and
-    NotInvertible when A is zero or null. The inverse is _twin_inverse's,
-    bit for bit.
+    NotInvertible when A is zero or null; only the versor route calls A a
+    versor. The inverse is _twin_inverse's, bit for bit.
     """
     if not a:
-        raise NotInvertible(f"null versor has no inverse: {a}")
+        raise NotInvertible(f"null versor has no inverse: {a}" if versor
+                            else f"A reverse(A) is null, so A has no inverse: {a}")
     square = _versor_square(a) if versor else _reverse_square(a)
     if square is None:
         raise GradeError(f"not a versor (mixed parity, or V reverse(V) is not scalar): {a}"
                          if versor else f"not a versor, and A reverse(A) is not scalar: {a}")
     inverse = _unit_inverse(*square, a.algebra.tolerance)
     if inverse is None:
-        raise NotInvertible(f"null versor has no inverse: {a}")
+        raise NotInvertible(f"null versor has no inverse: {a}" if versor
+                            else f"A reverse(A) is null, so A has no inverse: {a}")
     return inverse
 
 
@@ -578,6 +587,8 @@ class Multivector:
 
     Immutable. Build via the Algebra helpers or Multivector(algebra, terms)
     where terms maps index tuples (any order, no repeats) to coefficients.
+    Multivector(...) raises ValueError for an index outside 1..n or a
+    repeated index.
     """
 
     # _versor_inverse, V^-1 in the twin, is set by transforms.apply_versor once
@@ -617,7 +628,10 @@ class Multivector:
         return self._terms.get(0, 0.0)
 
     def coefficient(self, indices):
-        """Coefficient of the given basis blade; indices may be in any order."""
+        """Coefficient of the given basis blade; indices may be in any order.
+
+        Raises ValueError for an index outside 1..n or a repeated index.
+        """
         bits, sign = _blade_key(self.algebra.n, indices)
         return sign * self._terms.get(bits, 0.0)
 

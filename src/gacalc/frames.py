@@ -57,7 +57,11 @@ _MINOR_PLANS = {}
 
 
 class Frame:
-    """An ordered independent vector frame with its reciprocal frame."""
+    """An ordered independent vector frame with its reciprocal frame.
+
+    Frame(vectors) raises ValueError when there are no vectors or more of
+    them than the dimension n.
+    """
 
     __slots__ = ("algebra", "vectors", "_blades", "_volume_inverse", "_volume", "_reciprocal")
 
@@ -105,14 +109,18 @@ class Frame:
         return f"Frame({len(self.vectors)} vectors in Cl({self.algebra.p},{self.algebra.q}))"
 
     def blade(self, subset):
-        """Wedge of the frame vectors with the given 1-based positions, in order."""
+        """Wedge of the frame vectors with the given 1-based positions, in order.
+
+        Raises ValueError for a position outside 1..len(self) or a repeated one.
+        """
         return self.expand({tuple(subset): 1.0})
 
     def reciprocal_blade(self, subset):
         """Wedge of the reciprocal vectors with the given 1-based positions, in order.
 
         Raises NotInvertible when the blade, which pairs to 1 with the frame
-        blade, falls below the tolerance when it leaves the twin.
+        blade, falls below the tolerance when it leaves the twin, and
+        ValueError for a position outside 1..len(self) or a repeated one.
         """
         bits, sign = _blade_key(len(self), subset)
         blade = self._blades.reciprocal(self._volume_inverse, len(self), bits)
@@ -174,7 +182,10 @@ class Frame:
         return out
 
     def expand(self, components):
-        """Rebuild a multivector from blade-basis coordinates (subset -> coeff)."""
+        """Rebuild a multivector from blade-basis coordinates (subset -> coeff).
+
+        Raises ValueError for a position outside 1..len(self) or a repeated one.
+        """
         keys = ((_blade_key(len(self), tuple(s)), float(c)) for s, c in components.items())
         return self._blades.combine((bits, sign * c) for (bits, sign), c in keys)
 

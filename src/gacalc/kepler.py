@@ -14,7 +14,9 @@ is zero, so the contraction is all of L v and e has no trivector part.
 These satisfy E = (m k^2 / 2 l^2)(|e|^2 - 1) with l^2 = |L|^2, and the
 orbit is the conic r(theta) = (l^2/mk) / (1 + |e| cos theta) with theta
 measured from e. Bound orbits (E < 0) have period 2 pi sqrt(m a^3 / k),
-a = -k / 2E.
+a = -k / 2E. The orbit states m and k once, in its OrbitState: conserved()
+copies them into the Conserved it returns, and orbit_radius(cons, theta)
+and orbital_period(cons) read them from there, taking no m or k of their own.
 
 The orbit is propagated in closed form, on raw coordinates. Between two
 records, Kepler's equation is solved by Newton in Danby's universal variable
@@ -120,13 +122,20 @@ class OrbitState:
 
 @dataclass(frozen=True)
 class Conserved:
-    """L, e, E, and l = |L|; radial marks straight-line orbits (L = 0)."""
+    """L, e, E, and l = |L|; radial marks straight-line orbits (L = 0).
+
+    m and k are the orbit's mass and force constant, copied from its
+    OrbitState by conserved(): orbit_radius() and orbital_period() read them
+    from here. They are required fields, with no defaults.
+    """
 
     angular_momentum: Multivector
     eccentricity: Multivector
     energy: float
     l: float
     radial: bool
+    m: float
+    k: float
 
 
 def _components(mv):
@@ -151,7 +160,8 @@ def conserved(state):
     # the row checked that this length is finite
     l = math.hypot(l_xy, l_zx, l_yz)
     return Conserved(Multivector._make(algebra, {3: l_xy, 5: -l_zx, 6: l_yz}),
-                     Multivector._make(algebra, {1: ex, 2: ey, 4: ez}), energy, l, l == 0.0)
+                     Multivector._make(algebra, {1: ex, 2: ey, 4: ez}), energy, l, l == 0.0,
+                     state.m, state.k)
 
 
 def _csv_row(t, rx, ry, rz, vx, vy, vz, m, k, tol):
@@ -400,56 +410,57 @@ def simulate(state0, dt, steps, record_every=1, min_radius=1e-8):
             in _integrate(state0, dt, steps, record_every, min_radius)]
 
 
-def orbit_radius(cons, theta, m=1.0, k=1.0):
+def orbit_radius(cons, theta):
     """Conic radius at true anomaly theta: (l^2/mk) / (1 + |e| cos theta).
 
-    theta is measured from the eccentricity vector. Attractive orbits
-    (k > 0) need 1 + e cos(theta) > 0; repulsive ones (k < 0) use the
-    other branch, 1 + e cos(theta) < 0. Angles at or beyond the branch
-    boundary (within 1e-12) are rejected, as are radial orbits and a cons
-    that is not a Conserved (SimulationError). Raises NonFiniteError when
-    the radius is not finite in floating point, or underflows to 0.0 for an
-    orbit that is not radial.
+    m and k are the orbit's, read from cons. theta is measured from the
+    eccentricity vector. Attractive orbits (k > 0) need 1 + e cos(theta) >
+    0; repulsive ones (k < 0) use the other branch, 1 + e cos(theta) < 0.
+    Angles at or beyond the branch boundary (within 1e-12) are rejected, as
+    are radial orbits and a cons that is not a Conserved (SimulationError).
+    Raises NonFiniteError when the radius is not finite in floating point,
+    or underflows to 0.0 for an orbit that is not radial.
     """
     _check_type(cons, Conserved, "a Conserved")
     if cons.radial:
         raise SimulationError("a radial orbit has no conic radius")
-    _check_constants(m, k)
+    _check_constants(cons.m, cons.k)
     if not math.isfinite(theta):
         raise SimulationError(f"angle {theta!r} is not finite")
     e = math.hypot(*_components(cons.eccentricity))
     denom = 1.0 + e * math.cos(theta)
-    if k > 0 and denom <= _BRANCH_EPS:
+    if cons.k > 0 and denom <= _BRANCH_EPS:
         raise SimulationError(f"angle {theta!r} is outside the attractive branch")
-    if k < 0 and denom >= -_BRANCH_EPS:
+    if cons.k < 0 and denom >= -_BRANCH_EPS:
         raise SimulationError(f"angle {theta!r} is outside the repulsive branch")
     # l^2 and m k may underflow where the radius does not: scale by 2^j apart
-    (lf, lj), (mf, mj), (kf, kj), (df, dj) = map(math.frexp, (cons.l, m, k, denom))
+    (lf, lj), (mf, mj), (kf, kj), (df, dj) = map(math.frexp, (cons.l, cons.m, cons.k, denom))
     try:
         radius = math.ldexp(lf * lf / (mf * kf * df), 2 * lj - mj - kj - dj)
     except OverflowError:
         radius = _INF
     if not 0.0 < radius < _INF:
         what = "underflows to 0.0" if radius == 0.0 else "is not finite"
-        raise NonFiniteError(f"conic radius {what}: l = {cons.l!r}, m = {m!r}, "
-                             f"k = {k!r}, 1 + e cos(theta) = {denom!r}")
+        raise NonFiniteError(f"conic radius {what}: l = {cons.l!r}, m = {cons.m!r}, "
+                             f"k = {cons.k!r}, 1 + e cos(theta) = {denom!r}")
     return radius
 
 
-def orbital_period(cons, m=1.0, k=1.0):
+def orbital_period(cons):
     """Period of a bound orbit: 2 pi sqrt(m a^3 / k) with a = -k / 2E.
 
-    Raises SimulationError for a cons that is not a Conserved and when the
-    energy is nonnegative (unbound), and NonFiniteError when the period is
-    not finite in floating point.
+    m and k are the orbit's, read from cons. Raises SimulationError for a
+    cons that is not a Conserved and when the energy is nonnegative
+    (unbound), and NonFiniteError when the period is not finite in floating
+    point.
     """
     _check_type(cons, Conserved, "a Conserved")
-    _check_constants(m, k)
+    _check_constants(cons.m, cons.k)
     if cons.energy >= 0.0:
         raise SimulationError(f"orbit is not bound (E = {cons.energy!r})")
-    a = -k / (2.0 * cons.energy)
+    a = -cons.k / (2.0 * cons.energy)
     try:
-        period = 2.0 * math.pi * math.sqrt(m * a ** 3 / k)
+        period = 2.0 * math.pi * math.sqrt(cons.m * a ** 3 / cons.k)
     except OverflowError:
         period = _INF
     if not period < _INF:

@@ -45,7 +45,12 @@ class OperatorError(GAError):
 
 
 class LinearMap:
-    """A linear map on vectors, applied to multivectors as an outermorphism."""
+    """A linear map on vectors, applied to multivectors as an outermorphism.
+
+    LinearMap(algebra, images) raises ValueError unless there are n images,
+    TypeError for an image that is not a Multivector, AlgebraMismatch for
+    one from another algebra and GradeError for one that is not a vector.
+    """
 
     __slots__ = ("algebra", "images", "_blade_images")
 
@@ -53,12 +58,11 @@ class LinearMap:
         images = tuple(images)
         if len(images) != algebra.n:
             raise ValueError(f"need {algebra.n} basis images, got {len(images)}")
+        zero = algebra.zero()
         for img in images:
             if not isinstance(img, Multivector):
                 raise TypeError("basis images must be Multivectors")
-            if img.algebra != algebra:
-                raise ValueError("basis image from a different algebra")
-            if img.grades - {1}:
+            if zero._coerce(img).grades - {1}:
                 raise GradeError(f"basis images must be vectors, got {img}")
         self.algebra = algebra
         self.images = images
@@ -70,6 +74,7 @@ class LinearMap:
 
     @classmethod
     def diagonal(cls, algebra, scales):
+        """The map e_i -> scales[i-1] e_i; ValueError unless there are n scales."""
         scales = [float(s) for s in scales]
         if len(scales) != algebra.n:
             raise ValueError(f"need {algebra.n} scales, got {len(scales)}")
@@ -78,7 +83,7 @@ class LinearMap:
 
     @classmethod
     def from_matrix(cls, algebra, matrix):
-        """Column convention: F(e_j) = sum_i matrix[i][j] e_i."""
+        """Column convention: F(e_j) = sum_i matrix[i][j] e_i; ValueError unless n x n."""
         rows = [list(map(float, row)) for row in matrix]
         if len(rows) != algebra.n or any(len(r) != algebra.n for r in rows):
             raise ValueError(f"matrix must be {algebra.n}x{algebra.n}")
@@ -95,12 +100,10 @@ class LinearMap:
         return self._blades().combine(self._checked(A)._terms.items())
 
     def _checked(self, A):
-        """A, once it is a Multivector of the map's algebra."""
+        """A, once it is a Multivector of the map's algebra; _coerce raises AlgebraMismatch if not."""
         if not isinstance(A, Multivector):
             raise TypeError("LinearMap applies to Multivectors")
-        if A.algebra != self.algebra:
-            raise ValueError("multivector from a different algebra")
-        return A
+        return self.algebra.zero()._coerce(A)
 
     def _blades(self):
         """The _Wedges memo of the images, whose entries are the F(e_S), made on first use."""
@@ -112,8 +115,7 @@ class LinearMap:
         """self after other: (self.compose(other))(x) = self(other(x))."""
         if not isinstance(other, LinearMap):
             raise TypeError("a LinearMap composes with LinearMaps")
-        if other.algebra != self.algebra:
-            raise ValueError("cannot compose maps over different algebras")
+        self._checked(other.algebra.zero())
         return LinearMap(self.algebra, [self(img) for img in other.images])
 
     __matmul__ = compose

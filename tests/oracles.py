@@ -222,7 +222,7 @@ def kepler_conserved(state):
     l = math.hypot(*L._terms.values())
     if not (rlen < math.inf and l < math.inf and -math.inf < energy < math.inf):
         raise NonFiniteError(KEPLER_OVERFLOW)
-    return Conserved(L, ecc, energy, l, not L)
+    return Conserved(L, ecc, energy, l, not L, m, k)
 
 
 def kepler_rk4(r, v, mu, dt, steps, record_every=1):

@@ -836,6 +836,20 @@ def test_inverse_asks_only_whether_a_reverse_a_is_scalar(A, want):
     assert A * inverse == inverse * A == E3.scalar(1.0)
 
 
+def test_a_null_non_versor_is_not_called_a_versor():
+    # in Cl(2,1), I^2 = 1 makes (1 + e123) reverse(1 + e123) = 0; A mixes
+    # parities, so "null versor has no inverse" named the wrong object
+    alg = Algebra(2, 1)
+    A = alg.scalar(1.0) + alg.blade((1, 2, 3))
+    with pytest.raises(NotInvertible, match=r"^A reverse\(A\) is null, so A has no inverse: 1 \+ 1\*e123$"):
+        A.inverse()
+    with pytest.raises(NotInvertible, match="^A reverse"):
+        alg.zero().inverse()
+    # the versor route keeps its text: e1 + e3 is a null vector
+    with pytest.raises(NotInvertible, match="^null versor has no inverse"):
+        algebra._checked_inverse(alg.vector((1.0, 0.0, 1.0)), True)
+
+
 @pytest.mark.parametrize("p, q", [(p, n - p) for n in range(1, 7) for p in range(n + 1)])
 def test_an_inverse_is_two_sided(p, q):
     # whenever inverse() returns, A A^-1 = A^-1 A = 1. Both products are

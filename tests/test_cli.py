@@ -316,6 +316,14 @@ def test_inv_asks_only_whether_a_reverse_a_is_scalar(expr, want):
     assert (r.returncode, r.stdout, r.stderr) == (0, want, "")
 
 
+def test_inv_of_a_null_non_versor_names_a():
+    # in Cl(2,1), (1 + e123) rev(1 + e123) = 0: exit 2, and the text
+    # said "null versor" of an A that mixes parities
+    r = ga("--algebra", "2,1", "-e", "inv(1 + e123)")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "error: A reverse(A) is null, so A has no inverse: 1 + 1*e123\n"
+
+
 @pytest.mark.parametrize("expr", ["inv(2 + e12 + e1)", "inv(e1 + e12)"])
 def test_inv_of_a_non_versor_is_an_error(expr):
     # inv printed reverse(A)/|A|^2, which is not the inverse, and exited 0

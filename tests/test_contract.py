@@ -27,6 +27,7 @@ import pytest
 
 from gacalc import (
     Algebra,
+    AlgebraMismatch,
     Frame,
     GAError,
     GradeError,
@@ -66,6 +67,39 @@ def test_a_malformed_argument_is_an_argument_error(call, error):
     # each died with a bare AttributeError: 'float' object has no attribute ...
     with pytest.raises(error):
         call()
+
+
+_F = LinearMap.from_matrix(E3, [[2.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
+_FRAME = Frame([e1, e2])
+_ROTOR = rotor_from_vectors(e1, e2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: _F(x),
+    lambda x: _F.eigenblade_check(x),
+    lambda x: _F @ LinearMap.identity(x.algebra),
+    lambda x: LinearMap(E3, [x] * 3),
+    lambda x: _F + LinearMap.identity(x.algebra),
+    lambda x: _F - LinearMap.identity(x.algebra),
+    lambda x: Frame([e1, x]),
+    lambda x: _FRAME.components(x),
+    lambda x: _FRAME.expand_by_vectors(x),
+    lambda x: gram_schmidt([e1, x]),
+    lambda x: project(x, e1 ^ e2),
+    lambda x: reject(x, e1 ^ e2),
+    lambda x: reflect(x, e1 ^ e2),
+    lambda x: apply_versor(x, e1 * e2),
+    lambda x: rotate(x, _ROTOR),
+    lambda x: rotor_from_vectors(e1, x),
+], ids=["apply", "eigenblade_check", "compose", "LinearMap", "add", "sub", "Frame",
+        "components", "expand_by_vectors", "gram_schmidt", "project", "reject", "reflect",
+        "apply_versor", "rotate", "rotor_from_vectors"])
+@pytest.mark.parametrize("foreign", [Algebra(2, 0), Algebra(3, 0, tolerance=1e-12)],
+                         ids=["Cl(2,0)", "Cl(3,0)-tol-1e-12"])
+def test_a_foreign_operand_is_an_algebra_mismatch(call, foreign):
+    # the LinearMap rows raised ValueError, which no docstring named
+    with pytest.raises(AlgebraMismatch, match="operands from different algebras"):
+        call(foreign.basis_vector(2))
 
 
 FUZZ_SEED = "library contract"
@@ -183,8 +217,8 @@ def _kepler(alg, rng):
     state = OrbitState(_vector(space, rng), _vector(space, rng), m, k)
     cons = _outcome(conserved, state)
     if cons is not _REFUSED:
-        _outcome(orbit_radius, cons, rng.uniform(-math.pi, math.pi), m, k)
-        _outcome(orbital_period, cons, m, k)
+        _outcome(orbit_radius, cons, rng.uniform(-math.pi, math.pi))
+        _outcome(orbital_period, cons)
     dt = abs(_coefficient(rng, rng.randint(-6, 2)))
     _outcome(simulate, state, dt, rng.randint(0, 8), rng.randint(1, 3))
 

@@ -1,5 +1,6 @@
 """Kepler-problem tests: conserved quantities, orbit geometry, integration."""
 
+import dataclasses
 import io
 import math
 import random
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from gacalc import (
     Algebra,
+    Conserved,
     GAError,
     NonFiniteError,
     OrbitState,
@@ -21,7 +23,7 @@ from gacalc import (
     simulate,
 )
 from gacalc import kepler
-from gacalc.kepler import CSV_HEADER, _csv_row, _stumpff, _write_rows, write_csv
+from gacalc.kepler import CSV_HEADER, _components, _csv_row, _stumpff, _write_rows, write_csv
 
 E3 = Algebra(3, 0)
 
@@ -191,10 +193,10 @@ def test_orbit_radius_repulsive_branch():
     cons = conserved(state((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), k=-1.0), )
     e = math.sqrt(cons.eccentricity.norm_squared())
     assert e > 1.0
-    r_at_pi = orbit_radius(cons, math.pi, k=-1.0)
+    r_at_pi = orbit_radius(cons, math.pi)
     assert r_at_pi == pytest.approx(1.0)  # the launch point sits opposite e
     with pytest.raises(SimulationError):
-        orbit_radius(cons, 0.0, k=-1.0)
+        orbit_radius(cons, 0.0)
 
 
 def test_orbital_period_kepler_third_law():
@@ -206,13 +208,83 @@ def test_orbital_period_kepler_third_law():
         orbital_period(unbound)
 
 
-@pytest.mark.parametrize("m, k", [
-    pytest.param(1e-200, 1e-200, id="mk-underflows"),  # was ZeroDivisionError
-    pytest.param(1e-160, 1e-160, id="mk-subnormal"),  # returned inf
+@pytest.mark.parametrize("mk", [
+    pytest.param(1e-200, id="mk-underflows"),  # m k was a ZeroDivisionError
+    pytest.param(1e-160, id="mk-subnormal"),  # m k subnormal returned inf
+    pytest.param(1.0, id="unit"),
 ])
-def test_orbit_radius_that_is_not_finite_raises(m, k):
+def test_orbit_radius_that_is_not_finite_raises(mk):
+    # r = (1e300/3, 0, 0), v = (0, 3e-150, 0) and m = k: e = 2 and l^2/mk = 1e300,
+    # so 1 + e cos(theta) = 1.7e-11 just inside the asymptote gives a radius past 1.8e308
+    space = Algebra(3, 0, tolerance=1e-300)
+    cons = conserved(OrbitState(space.vector((1e300 / 3, 0.0, 0.0)),
+                                space.vector((0.0, 3e-150, 0.0)), mk, mk))
+    assert (cons.m, cons.k) == (mk, mk)
+    assert math.hypot(*_components(cons.eccentricity)) == pytest.approx(2.0)
     with pytest.raises(NonFiniteError, match="conic radius is not finite"):
-        orbit_radius(conserved(CIRCLE), 0.0, m=m, k=k)
+        orbit_radius(cons, math.acos(-0.5) - 1e-11)
+
+
+# -- the orbit's own m and k ---------------------------------------------------------
+
+HEAVY_CIRCLE = state((1.0, 0.0, 0.0), (0.0, 2.0, 0.0), m=2.0, k=8.0)
+
+
+def test_conic_reads_m_and_k_from_the_orbit():
+    # m v^2 / r = k / r^2 at r = 1, v = 2, m = 2, k = 8: a circle of period pi.
+    # With m = k = 1 assumed, the radius read 16.0 and the period 0.2777
+    cons = conserved(HEAVY_CIRCLE)
+    assert (cons.m, cons.k) == (2.0, 8.0)
+    for theta in (0.0, 1.0, math.pi):
+        assert orbit_radius(cons, theta) == pytest.approx(1.0, rel=1e-15)
+    assert orbital_period(cons) == pytest.approx(math.pi, rel=1e-15)
+
+
+@pytest.mark.parametrize("call", [
+    lambda cons: orbit_radius(cons, 0.0, m=2.0),
+    lambda cons: orbit_radius(cons, 0.0, k=8.0),
+    lambda cons: orbital_period(cons, m=2.0),
+    lambda cons: orbital_period(cons, k=8.0),
+], ids=["orbit_radius-m", "orbit_radius-k", "orbital_period-m", "orbital_period-k"])
+def test_conic_functions_take_no_m_or_k(call):
+    with pytest.raises(TypeError):
+        call(conserved(HEAVY_CIRCLE))
+
+
+def test_a_conserved_states_its_m_and_k():
+    cons = conserved(HEAVY_CIRCLE)
+    with pytest.raises(TypeError):  # no default m = k = 1 to fall back on
+        Conserved(cons.angular_momentum, cons.eccentricity, cons.energy, cons.l, cons.radial)
+    # a hand-built Conserved with m = 0 is refused, not a ZeroDivisionError
+    massless = dataclasses.replace(cons, m=0.0)
+    with pytest.raises(SimulationError, match="mass m must be positive"):
+        orbit_radius(massless, 0.0)
+    with pytest.raises(SimulationError, match="mass m must be positive"):
+        orbital_period(massless)
+
+
+def test_the_conic_passes_through_its_own_state():
+    # theta is the angle from e to r; at it the conic radius is |r|, whatever
+    # m, k and the branch. |v| ~ sqrt(|k/m|) puts |mv^2 r / k| near 1
+    rng = random.Random("conic through the state")
+    space = Algebra(3, 0, tolerance=0.0)
+    worst, checked = 0.0, 0
+    for _ in range(3000):
+        m = 10.0 ** rng.uniform(-20, 20)
+        k = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-20, 20)
+        r = [rng.uniform(-1, 1) for _ in range(3)]
+        v = [rng.uniform(-1, 1) * math.sqrt(abs(k / m)) for _ in range(3)]
+        cons = conserved(OrbitState(space.vector(r), space.vector(v), m, k))
+        if cons.radial:
+            continue
+        e = _components(cons.eccentricity)
+        cross = (e[1] * r[2] - e[2] * r[1], e[2] * r[0] - e[0] * r[2], e[0] * r[1] - e[1] * r[0])
+        theta = math.atan2(math.hypot(*cross), sum(a * b for a, b in zip(e, r)))
+        rlen = math.hypot(*r)
+        worst = max(worst, abs(orbit_radius(cons, theta) - rlen) / rlen)
+        checked += 1
+    assert checked > 2900
+    assert worst <= 1e-9
 
 
 def test_orbital_period_that_is_not_finite_raises():
@@ -782,7 +854,7 @@ def test_tiny_circular_orbit_keeps_its_radius():
     cons = conserved(s)
     assert not cons.eccentricity
     for theta in (0.0, 1.0, math.pi):
-        assert orbit_radius(cons, theta, m=1e-100, k=1e-220) == pytest.approx(1e-100, rel=1e-15)
+        assert orbit_radius(cons, theta) == pytest.approx(1e-100, rel=1e-15)
 
 
 def test_radial_is_exactly_zero_angular_momentum():
